@@ -51,7 +51,6 @@ from .bounds import (
     mimo_det_bound,
     mimo_det_bound_asymptotic,
     mimo_det_bound_at_step,
-    mimo_product_bound,
     spectral_lp_bound,
     variance_bound,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "variance_bound",
     "maxdev_bound",
     "mimo_det_bound",
-    "mimo_product_bound",
     "lp_bound_at_step",
     "lp_bound_asymptotic",
     "spectral_lp_bound",

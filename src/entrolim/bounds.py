@@ -34,7 +34,6 @@ __all__ = [
     "variance_bound",
     "maxdev_bound",
     "mimo_det_bound",
-    "mimo_product_bound",
     "lp_bound_at_step",
     "lp_bound_asymptotic",
     "spectral_lp_bound",
@@ -75,20 +74,13 @@ def mimo_det_bound(h_bits: float, m: int) -> float:
     """Floor 2^(2 h) / (2 pi e)^m on det E[e_k e_k^T] for m-vector errors.
 
     The exponent on 2 is twice the conditional entropy: with m = 1 this
-    reduces exactly to variance_bound.
+    reduces exactly to variance_bound.  Hadamard's inequality gives
+    prod_i E[e_k(i)^2] >= det E[e_k e_k^T], so the product of per-channel
+    second moments inherits this floor unchanged.
     """
     if m < 1:
         raise ValueError(f"dimension must be >= 1, got {m}")
     return 2.0 ** (2.0 * h_bits) / _TWO_PI_E**m
-
-
-def mimo_product_bound(h_bits: float, m: int) -> float:
-    """Floor on the product of per-channel second moments.
-
-    Hadamard's inequality gives prod_i E[e_k(i)^2] >= det E[e_k e_k^T], so
-    the product inherits the determinant floor unchanged.
-    """
-    return mimo_det_bound(h_bits, m)
 
 
 _SCALAR_FORMS = ("at_step", "asymptotic", "spectral", "gw", "maxdev")

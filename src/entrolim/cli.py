@@ -28,6 +28,7 @@ import math
 import os
 import re
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -43,11 +44,11 @@ from .simulator import (
 from .spectral import SpectralIntegralError
 from .verify import (
     CellRow,
+    _pooled_traces,
+    _score_cell,
     resolve_controller,
     spawn_seeds,
     sweep,
-    verify_bound,
-    verify_mimo_bound,
     write_rows_csv,
 )
 
@@ -71,6 +72,7 @@ EXIT_VIOLATION = 4
 EXIT_CAUSALITY = 5
 
 _ROUTE_AGREEMENT = 1e-8
+_AUDIT_SALT = 0x5EED
 _CONTROLLER_KINDS = {"zero", "predictor", "random", "learned", "anticipatory"}
 _CONFIG_KEYS = {"models", "controllers", "p_values", "horizon", "trials", "seed"}
 
@@ -305,22 +307,20 @@ def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _audit_pairs(config: ExperimentConfig):
-    """(name, model, label, controller, seed) per model x controller."""
+def _pairs(config: ExperimentConfig, master_seed: int):
+    """(name, model, label, spec, seed, seed) per model x controller, in order."""
     n_pairs = len(config.models) * len(config.controllers)
-    seeds = spawn_seeds(config.master_seed ^ 0x5EED, 2 * n_pairs)
-    idx = 0
+    seeds = iter(spawn_seeds(master_seed, 2 * n_pairs))
     for name, model in zip(config.model_names, config.models):
         for cspec in config.controllers:
-            ctrl_seed, audit_seed = seeds[idx], seeds[idx + 1]
-            idx += 2
-            controller = resolve_controller(cspec, model, ctrl_seed)
-            yield name, model, _controller_label(cspec), controller, audit_seed
+            yield name, model, _controller_label(cspec), cspec, next(seeds), next(seeds)
 
 
 def cmd_audit(config: ExperimentConfig) -> int:
     failed = False
-    for name, model, label, controller, audit_seed in _audit_pairs(config):
+    pairs = _pairs(config, config.master_seed ^ _AUDIT_SALT)
+    for name, model, label, cspec, ctrl_seed, audit_seed in pairs:
+        controller = resolve_controller(cspec, model, ctrl_seed)
         open_rep = causality_audit(controller, seed=audit_seed)
         closed_rep = closed_loop_causality_check(model, controller, seed=audit_seed)
         ok = open_rep.passed and closed_rep.passed
@@ -339,9 +339,20 @@ def cmd_audit(config: ExperimentConfig) -> int:
 
 
 def cmd_verify(config: ExperimentConfig, out_dir: Optional[str]) -> int:
+    # each controller is resolved once, so the object audited is the one scored
+    pairs = [
+        (name, model, label, resolve_controller(cspec, model, ctrl_seed), trace_seed)
+        for name, model, label, cspec, trace_seed, ctrl_seed in _pairs(
+            config, config.master_seed
+        )
+    ]
+    audit_seeds = [
+        audit_seed
+        for *_, audit_seed in _pairs(config, config.master_seed ^ _AUDIT_SALT)
+    ]
     # controllers must prove causality before any bound is scored
     audit_failures = []
-    for name, model, label, controller, audit_seed in _audit_pairs(config):
+    for (name, model, label, controller, _), audit_seed in zip(pairs, audit_seeds):
         open_rep = causality_audit(controller, seed=audit_seed)
         closed_rep = closed_loop_causality_check(model, controller, seed=audit_seed)
         if not (open_rep.passed and closed_rep.passed):
@@ -350,73 +361,42 @@ def cmd_verify(config: ExperimentConfig, out_dir: Optional[str]) -> int:
     if audit_failures:
         return EXIT_CAUSALITY
 
-    n_pairs = len(config.models) * len(config.controllers)
-    seeds = spawn_seeds(config.master_seed, 2 * n_pairs)
-    idx = 0
     rows: list[CellRow] = []
-    violations = 0
-    cell = 0
-    for name, model in zip(config.model_names, config.models):
-        for cspec in config.controllers:
-            trace_seed, ctrl_seed = seeds[idx], seeds[idx + 1]
-            idx += 2
-            label = _controller_label(cspec)
-            controller = resolve_controller(cspec, model, ctrl_seed)
-            if model.dim == 1:
-                for p in config.p_values:
-                    rep = verify_bound(
-                        model,
-                        controller,
-                        p,
-                        horizon=config.horizon,
-                        seed=trace_seed,
-                        trials=config.trials,
-                    )
-                    rows.append(
-                        CellRow(
-                            cell_id=f"v{cell:05d}",
-                            model=name,
-                            controller=label,
-                            p=p,
-                            report=rep,
-                        )
-                    )
-                    cell += 1
-                    violations += rep.violation
-                    print(
-                        f"{'VIOLATION' if rep.violation else 'ok':9s} "
-                        f"{name} / {label} p={_p_label(p):<4} "
-                        f"bound={rep.bound.value:.6g} "
-                        f"empirical={rep.empirical:.6g} "
-                        f"gap={rep.gap_ratio:.4f}"
-                    )
-            else:
-                rep = verify_mimo_bound(
-                    model,
-                    controller,
-                    horizon=config.horizon,
-                    seed=trace_seed,
-                    trials=config.trials,
+    for name, model, label, controller, trace_seed in pairs:
+        start = time.perf_counter()
+        traces, aux_seed = _pooled_traces(
+            model, controller, config.horizon, trace_seed, config.trials, None
+        )
+        scored = _score_cell(
+            model,
+            traces,
+            config.p_values,
+            horizon=config.horizon,
+            k=None,
+            burn_in=None,
+            tightness=True,
+            seed=aux_seed,
+            start=start,
+        )
+        for p, rep in scored:
+            rows.append(
+                CellRow(
+                    cell_id=f"v{len(rows):05d}",
+                    model=name,
+                    controller=label,
+                    p=p,
+                    report=rep,
                 )
-                rows.append(
-                    CellRow(
-                        cell_id=f"v{cell:05d}",
-                        model=name,
-                        controller=label,
-                        p=2.0,
-                        report=rep,
-                    )
-                )
-                cell += 1
-                bad = rep.violation or (rep.product is not None and rep.product.violation)
-                violations += bad
-                print(
-                    f"{'VIOLATION' if bad else 'ok':9s} "
-                    f"{name} / {label} det-floor "
-                    f"bound={rep.bound.value:.6g} "
-                    f"empirical={rep.empirical:.6g} "
-                    f"gap={rep.gap_ratio:.4f}"
-                )
+            )
+            norm = f"p={_p_label(p):<4}" if model.dim == 1 else "det-floor"
+            print(
+                f"{'VIOLATION' if rep.violation else 'ok':9s} "
+                f"{name} / {label} {norm} "
+                f"bound={rep.bound.value:.6g} "
+                f"empirical={rep.empirical:.6g} "
+                f"gap={rep.gap_ratio:.4f}"
+            )
+    violations = sum(row.report.violation for row in rows)
     print(f"{violations} violation(s) across {len(rows)} cell(s)")
     if out_dir is not None:
         out = Path(out_dir)

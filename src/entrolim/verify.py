@@ -1,24 +1,33 @@
 """Monte Carlo confrontation of the analytic bounds with simulated loops.
 
-A verification cell pairs one disturbance model, one controller, and one
-norm exponent; the harness simulates the loop, estimates the error norm,
-and compares it against the analytic floor.  A cell *violates* only when
-the empirical norm undershoots the bound by more than three standard
-errors; anything closer is sampling noise by contract.  The gap_ratio
-(empirical / bound) doubles as a tightness certificate: ratios near 1 must
-come with white, GG-shaped errors or something is wrong, and that is
-checked, not assumed.
+A verification cell pairs one disturbance model and one controller; the
+harness simulates the loop, estimates the error norm at each requested p,
+and compares it against the analytic floor.  ``verify_bound``,
+``verify_mimo_bound``, ``sweep`` and ``entrolim verify`` share one scorer
+and one rule: a cell *violates* only when ``empirical < bound - 3 *
+std_error``; anything closer is sampling noise by contract.  A vector cell
+applies the rule to the determinant of the pooled second-moment matrix and
+to the product of per-channel second moments (Hadamard), and violates when
+either does.  A loop error that is not finite at some step is an error,
+never a verdict: the scorer raises ValueError naming the step, and a sweep
+records an error cell.  The gap_ratio (empirical / bound) doubles as a
+tightness certificate: ratios near 1 must come with white, GG-shaped
+errors or something is wrong, and that is checked, not assumed.
 
 Asymptotic cells measure within-trace statistics after a burn-in of
 max(10 x model memory, 1000) steps; per-step cells (k fixed) measure
 across independent trials at exactly index k, where the stationary start
 makes the analytic conditional entropy exact.
 
-``sweep`` runs a Cartesian grid {model x controller x p x seed} with
-per-cell seeds split off a master seed, optional thread parallelism, and
-deterministic CSV/JSON output (rows in enumeration order; identical config
-and seed reproduce identical bytes except for the wall-clock runtime_ms
-column).
+``verify`` pools ``trials`` traces per (model, controller) and scores
+every p on those same traces; ``sweep`` runs a Cartesian grid {model x
+controller x seed x p} where each trial is its own cell with its own
+trace, with per-cell seeds split off a master seed, optional thread
+parallelism, and deterministic CSV/JSON output (rows in enumeration order;
+identical config and seed reproduce identical bytes except for the
+wall-clock runtime_ms column).  The first row of a cell carries the
+simulation and serial diagnostics in its runtime_ms; later rows carry
+only the scoring of their own p.
 """
 
 from __future__ import annotations
@@ -217,23 +226,145 @@ def tightness_report(
     return _assemble_tightness(serial, fit, whiteness_alpha)
 
 
-def _estimated_step_entropy(
-    model: DisturbanceModel, k: int, horizon: int, seed: int
-) -> float:
-    """Estimator fallback for models whose small-k entropy is not analytic."""
-    if model.dim != 1:
-        raise NotAnalyticError("the estimator fallback covers scalar models only")
-    if k > 3:
-        raise NotAnalyticError(
-            f"no analytic conditional entropy at step {k} and the estimator "
-            "fallback only reaches memory 3"
-        )
+def _step_bound(
+    model: DisturbanceModel, p: float, k: int, horizon: int, seed: int
+) -> tuple[_bounds.BoundReport, str]:
+    """The step-k floor and its entropy source, estimated where not analytic."""
+    try:
+        return _bounds.lp_bound_at_step(model, p, k), "analytic"
+    except NotAnalyticError:
+        if model.dim != 1:
+            raise NotAnalyticError("the estimator fallback covers scalar models only")
+        if k > 3:
+            raise NotAnalyticError(
+                f"no analytic conditional entropy at step {k} and the estimator "
+                "fallback only reaches memory 3"
+            )
     path = np.asarray(model.sample_path(max(horizon, 20_000), seed), dtype=float)
     series = path.reshape(-1)
     if k == 0:
-        return _estimators.entropy_estimate_1d(series).value_bits
-    est = _estimators.conditional_entropy_estimate(series, memory=k, seed=seed)
-    return est.value_bits
+        h_bits = _estimators.entropy_estimate_1d(series).value_bits
+    else:
+        est = _estimators.conditional_entropy_estimate(series, memory=k, seed=seed)
+        h_bits = est.value_bits
+    c = _bounds.lp_constant(p)
+    bound = _bounds.BoundReport(
+        form="at_step",
+        p=float(p),
+        k=int(k),
+        h_bits=h_bits,
+        constant=c,
+        value=2.0**h_bits / c,
+    )
+    return bound, "estimated"
+
+
+def _score_cell(
+    model: DisturbanceModel,
+    traces: list[SimulationTrace],
+    p_values,
+    *,
+    horizon: int,
+    k: Optional[int],
+    burn_in: Optional[int],
+    tightness: bool,
+    seed: int,
+    start: float,
+) -> list[tuple[float, VerificationReport]]:
+    """Score already simulated traces of one cell; every verdict comes from here.
+
+    ``traces`` are pooled trials (``verify``) or one trace (a ``sweep``
+    cell); ``seed`` drives the diagnostics and the step-k entropy estimate.
+    Returns (p, report) per p for a scalar model, and one determinant
+    report filed under p = 2 for a vector model, whose floor does not
+    depend on p.  The first runtime counts from ``start``, each later one
+    from the report before it.
+    """
+    if k is None:
+        if burn_in is None:
+            burn_in = default_burn_in(model)
+        if horizon <= burn_in:
+            raise ValueError(
+                f"horizon {horizon} does not clear the burn-in window {burn_in}"
+            )
+        samples = np.concatenate([t.e[burn_in:] for t in traces], axis=0)
+    else:
+        samples = np.stack([t.e[k] for t in traces], axis=0)
+    for trace in traces:
+        finite = np.isfinite(trace.e.reshape(trace.length, -1)).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"non-finite loop error at step {int(np.argmin(finite))} "
+                f"of the trace with seed {trace.seed}"
+            )
+
+    def violates(empirical: float, bound: float, std_error: float) -> bool:
+        return bool(empirical < bound - _SIGMA_GUARD * std_error)
+
+    def report(p, bound, empirical, std_error, tight, h_source, product=None):
+        nonlocal start
+        now = time.perf_counter()
+        rep = VerificationReport(
+            bound=bound,
+            empirical=empirical,
+            std_error=std_error,
+            gap_ratio=empirical / bound.value,
+            violation=violates(empirical, bound.value, std_error)
+            or (product is not None and product.violation),
+            tightness=tight,
+            seeds=tuple(t.seed for t in traces),
+            runtime_ms=int(1000 * (now - start)),
+            h_source=h_source,
+            product=product,
+        )
+        start = now
+        return p, rep
+
+    if model.dim > 1:
+        if k is None:
+            bound = _bounds.mimo_det_bound_asymptotic(model)
+        else:
+            bound = _bounds.mimo_det_bound_at_step(model, k)
+        det = _estimators.covariance_det_estimate(samples)
+        power = float(np.prod(np.mean(samples**2, axis=0)))
+        # Hadamard: product >= det >= bound, so the determinant's standard error
+        # is a conservative guard for the product as well.
+        product = ProductBoundCheck(
+            bound=bound.value,
+            empirical=power,
+            gap_ratio=power / bound.value,
+            violation=violates(power, bound.value, det.std_error),
+        )
+        return [report(2.0, bound, det.value, det.std_error, None, "analytic", product)]
+
+    serial = None
+    if k is None and tightness:
+        e_first, d_first = traces[0].e[burn_in:], traces[0].d[burn_in:]
+        serial = _serial_diagnostics(e_first, d_first, seed=seed)
+    scored = []
+    for p in p_values:
+        if k is None:
+            bound, h_source = _bounds.lp_bound_asymptotic(model, p), "analytic"
+        else:
+            bound, h_source = _step_bound(model, p, k, horizon, seed)
+        empirical, std_error = _estimators.lp_norm_estimate(samples, p)
+        tight = None
+        if serial is not None:
+            fit = _estimators.density_fit_gg(e_first, p)
+            tight = _assemble_tightness(serial, fit, 0.005)
+        scored.append(report(p, bound, empirical, std_error, tight, h_source))
+    return scored
+
+
+def _pooled_traces(model, controller, horizon: int, seed: int, trials: int, k):
+    """``trials`` traces on seeds split off ``seed``, and the seed after them.
+
+    A fixed k simulates only the first k + 1 steps of each trace.
+    """
+    seeds = spawn_seeds(seed, trials + 1)
+    length = horizon if k is None else k + 1
+    traces = [run_loop(model, controller, length, s) for s in seeds[:trials]]
+    return traces, seeds[-1]
 
 
 def verify_bound(
@@ -259,56 +390,19 @@ def verify_bound(
     start = time.perf_counter()
     if model.dim != 1:
         raise ValueError("verify_bound is scalar; use verify_mimo_bound")
-    seeds = spawn_seeds(seed, trials + 1)
-    trial_seeds, aux_seed = seeds[:trials], seeds[trials]
-    h_source = "analytic"
-    if k is None:
-        if burn_in is None:
-            burn_in = default_burn_in(model)
-        if horizon <= burn_in:
-            raise ValueError(
-                f"horizon {horizon} does not clear the burn-in window {burn_in}"
-            )
-        report = _bounds.lp_bound_asymptotic(model, p)
-        traces = [run_loop(model, controller, horizon, s) for s in trial_seeds]
-        samples = np.concatenate([t.e[burn_in:] for t in traces])
-        tight = (
-            tightness_report(traces[0], p, burn_in=burn_in, seed=aux_seed)
-            if tightness
-            else None
-        )
-    else:
-        try:
-            report = _bounds.lp_bound_at_step(model, p, k)
-        except NotAnalyticError:
-            h_est = _estimated_step_entropy(model, k, horizon, aux_seed)
-            c = _bounds.lp_constant(p)
-            report = _bounds.BoundReport(
-                form="at_step",
-                p=float(p),
-                k=int(k),
-                h_bits=h_est,
-                constant=c,
-                value=2.0**h_est / c,
-            )
-            h_source = "estimated"
-        traces = [run_loop(model, controller, k + 1, s) for s in trial_seeds]
-        samples = np.array([t.e[k] for t in traces])
-        tight = None
-    empirical, std_error = _estimators.lp_norm_estimate(samples, p)
-    violation = empirical < report.value - _SIGMA_GUARD * std_error
-    runtime_ms = int(1000 * (time.perf_counter() - start))
-    return VerificationReport(
-        bound=report,
-        empirical=empirical,
-        std_error=std_error,
-        gap_ratio=empirical / report.value,
-        violation=bool(violation),
-        tightness=tight,
-        seeds=tuple(trial_seeds),
-        runtime_ms=runtime_ms,
-        h_source=h_source,
+    traces, aux_seed = _pooled_traces(model, controller, horizon, seed, trials, k)
+    ((_, report),) = _score_cell(
+        model,
+        traces,
+        (p,),
+        horizon=horizon,
+        k=k,
+        burn_in=burn_in,
+        tightness=tightness,
+        seed=aux_seed,
+        start=start,
     )
+    return report
 
 
 def verify_mimo_bound(
@@ -326,53 +420,24 @@ def verify_mimo_bound(
     The determinant of the pooled second-moment matrix is compared against
     the 2^(2h) / (2 pi e)^m floor; the product of per-channel second
     moments is compared against the same value (Hadamard), reported in the
-    ``product`` block.
+    ``product`` block.  The cell violates when either comparison does.
     """
     start = time.perf_counter()
     if model.dim < 2:
         raise ValueError("vector model required; verify_bound handles scalar cells")
-    seeds = spawn_seeds(seed, trials)
-    if k is None:
-        if burn_in is None:
-            burn_in = default_burn_in(model)
-        if horizon <= burn_in:
-            raise ValueError(
-                f"horizon {horizon} does not clear the burn-in window {burn_in}"
-            )
-        report = _bounds.mimo_det_bound_asymptotic(model)
-        traces = [run_loop(model, controller, horizon, s) for s in seeds]
-        samples = np.concatenate([t.e[burn_in:] for t in traces], axis=0)
-    else:
-        report = _bounds.mimo_det_bound_at_step(model, k)
-        traces = [run_loop(model, controller, k + 1, s) for s in seeds]
-        samples = np.stack([t.e[k] for t in traces], axis=0)
-    det = _estimators.covariance_det_estimate(samples)
-    violation = det.value < report.value - _SIGMA_GUARD * det.std_error
-    channel_power = np.mean(np.asarray(samples) ** 2, axis=0)
-    product_empirical = float(np.prod(channel_power))
-    product_bound = _bounds.mimo_product_bound(report.h_bits, model.dim)
-    # Hadamard: product >= det >= bound, so the determinant's standard error
-    # is a conservative guard for the product as well.
-    product = ProductBoundCheck(
-        bound=product_bound,
-        empirical=product_empirical,
-        gap_ratio=product_empirical / product_bound,
-        violation=bool(
-            product_empirical < product_bound - _SIGMA_GUARD * det.std_error
-        ),
+    traces, aux_seed = _pooled_traces(model, controller, horizon, seed, trials, k)
+    ((_, report),) = _score_cell(
+        model,
+        traces,
+        (),
+        horizon=horizon,
+        k=k,
+        burn_in=burn_in,
+        tightness=False,
+        seed=aux_seed,
+        start=start,
     )
-    runtime_ms = int(1000 * (time.perf_counter() - start))
-    return VerificationReport(
-        bound=report,
-        empirical=det.value,
-        std_error=det.std_error,
-        gap_ratio=det.value / report.value,
-        violation=bool(violation),
-        tightness=None,
-        seeds=tuple(seeds),
-        runtime_ms=runtime_ms,
-        product=product,
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -527,67 +592,31 @@ def sweep(
         model_label = _model_label(config, mi, model)
         try:
             controller = resolve_controller(cspec, model, ctrl_seed)
-            rows = []
-            if model.dim > 1:
-                # the determinant floor is norm-independent: one row per cell
-                report = verify_mimo_bound(
-                    model, controller, horizon=config.horizon, seed=trace_seed
-                )
-                rows.append(
-                    CellRow(
-                        cell_id=f"c{index:05d}det",
-                        model=model_label,
-                        controller=label,
-                        p=2.0,
-                        report=report,
-                    )
-                )
-                return rows, None
-            burn = default_burn_in(model)
-            if config.horizon <= burn:
-                raise ValueError(
-                    f"horizon {config.horizon} does not clear the "
-                    f"burn-in window {burn}"
-                )
-            t_last = time.perf_counter()
-            trace = run_loop(model, controller, config.horizon, trace_seed)
-            e_post = np.asarray(trace.e, dtype=float).reshape(-1)[burn:]
-            d_post = np.asarray(trace.d, dtype=float).reshape(-1)[burn:]
-            serial = (
-                _serial_diagnostics(e_post, d_post, seed=trace_seed)
-                if tightness
-                else None
+            cell_start = time.perf_counter()
+            # vector cells simulate on the first child of the trace seed
+            run_seed = trace_seed if model.dim == 1 else spawn_seeds(trace_seed, 1)[0]
+            trace = run_loop(model, controller, config.horizon, run_seed)
+            scored = _score_cell(
+                model,
+                [trace],
+                config.p_values,
+                horizon=config.horizon,
+                k=None,
+                burn_in=None,
+                tightness=tightness,
+                seed=trace_seed,
+                start=cell_start,
             )
-            for pi, p in enumerate(config.p_values):
-                bound_rep = _bounds.lp_bound_asymptotic(model, p)
-                empirical, std_error = _estimators.lp_norm_estimate(e_post, p)
-                tight = None
-                if serial is not None:
-                    fit = _estimators.density_fit_gg(e_post, p)
-                    tight = _assemble_tightness(serial, fit, 0.005)
-                now = time.perf_counter()
-                report = VerificationReport(
-                    bound=bound_rep,
-                    empirical=empirical,
-                    std_error=std_error,
-                    gap_ratio=empirical / bound_rep.value,
-                    violation=bool(
-                        empirical < bound_rep.value - _SIGMA_GUARD * std_error
-                    ),
-                    tightness=tight,
-                    seeds=(trace_seed,),
-                    runtime_ms=int(1000 * (now - t_last)),
+            rows = [
+                CellRow(
+                    cell_id=f"c{index:05d}{'det' if model.dim > 1 else f'p{pi}'}",
+                    model=model_label,
+                    controller=label,
+                    p=p,
+                    report=report,
                 )
-                t_last = now
-                rows.append(
-                    CellRow(
-                        cell_id=f"c{index:05d}p{pi}",
-                        model=model_label,
-                        controller=label,
-                        p=p,
-                        report=report,
-                    )
-                )
+                for pi, (p, report) in enumerate(scored)
+            ]
             return rows, None
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point
             return [], (f"c{index:05d}", f"{type(exc).__name__}: {exc}")

@@ -75,9 +75,6 @@ def test_mimo_det_equality_at_gaussian_innovation():
     assert el.mimo_det_bound(h, 2) == pytest.approx(
         float(np.linalg.det(q)), rel=1e-12
     )
-    assert el.mimo_product_bound(h, 2) == pytest.approx(
-        el.mimo_det_bound(h, 2), rel=1e-14
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 import entrolim as el
 from entrolim import cli
+from entrolim import verify as verify_module
 
 AR1_SPEC = {"kind": "gauss_arma", "ar": [0.9], "name": "ar1"}
 UNIF_SPEC = {
@@ -243,16 +244,114 @@ def test_verify_reports_violation_exit(monkeypatch, tmp_path, capsys):
     path = _write_config(
         tmp_path, {"models": [AR1_SPEC], "horizon": 3_000, "p_values": [2]}
     )
-    real = el.verify_bound
+    real = cli._score_cell
 
     def doctored(*args, **kwargs):
-        report = real(*args, **kwargs)
-        object.__setattr__(report, "violation", True)
-        return report
+        scored = real(*args, **kwargs)
+        for _, report in scored:
+            object.__setattr__(report, "violation", True)
+        return scored
 
-    monkeypatch.setattr(cli, "verify_bound", doctored)
+    monkeypatch.setattr(cli, "_score_cell", doctored)
     assert cli.main(["verify", "--config", path]) == cli.EXIT_VIOLATION
     assert "VIOLATION" in capsys.readouterr().out
+
+
+def test_verify_audits_the_controller_it_scores(monkeypatch, tmp_path):
+    path = _write_config(
+        tmp_path,
+        {
+            "models": [AR1_SPEC, UNIF_SPEC],
+            "controllers": [{"kind": "random"}, {"kind": "zero"}],
+            "p_values": [2],
+            "horizon": 3_000,
+        },
+    )
+    resolved, audited, scored = [], [], []
+    real_resolve, real_audit = cli.resolve_controller, cli.causality_audit
+    real_run_loop = verify_module.run_loop
+
+    def counting_resolve(*args, **kwargs):
+        controller = real_resolve(*args, **kwargs)
+        resolved.append(controller)
+        return controller
+
+    def recording_audit(controller, **kwargs):
+        audited.append(controller)
+        return real_audit(controller, **kwargs)
+
+    def recording_run_loop(model, controller, length, seed):
+        scored.append(controller)
+        return real_run_loop(model, controller, length, seed)
+
+    monkeypatch.setattr(cli, "resolve_controller", counting_resolve)
+    monkeypatch.setattr(cli, "causality_audit", recording_audit)
+    monkeypatch.setattr(verify_module, "run_loop", recording_run_loop)
+    assert cli.main(["verify", "--config", path]) == cli.EXIT_OK
+    assert len(resolved) == 4  # one per (model, controller) pair
+    assert [id(c) for c in audited] == [id(c) for c in resolved]
+    assert [id(c) for c in scored] == [id(c) for c in resolved]
+
+
+def _rows_without_runtime(csv_path):
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    for row in rows:
+        del row["runtime_ms"]
+    return rows
+
+
+def test_verify_csv_matches_library_calls(tmp_path):
+    raw = {
+        "models": [AR1_SPEC, VEC_SPEC],
+        "controllers": [{"kind": "predictor"}],
+        "p_values": [1, 2, "inf"],
+        "horizon": 3_000,
+        "trials": 2,
+        "seed": 5,
+    }
+    path = _write_config(tmp_path, raw)
+    assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == 0
+
+    config = cli.config_from_dict(raw)
+    seeds = el.spawn_seeds(config.master_seed, 4)  # (trace, controller) per pair
+    ar1, vec = config.models
+    expected = [
+        el.CellRow(
+            cell_id=f"v{i:05d}",
+            model="ar1",
+            controller="predictor",
+            p=p,
+            report=el.verify_bound(
+                ar1,
+                el.resolve_controller({"kind": "predictor"}, ar1, seeds[1]),
+                p,
+                horizon=3_000,
+                seed=seeds[0],
+                trials=2,
+            ),
+        )
+        for i, p in enumerate(config.p_values)
+    ]
+    expected.append(
+        el.CellRow(
+            cell_id="v00003",
+            model="vec",
+            controller="predictor",
+            p=2.0,
+            report=el.verify_mimo_bound(
+                vec,
+                el.resolve_controller({"kind": "predictor"}, vec, seeds[3]),
+                horizon=3_000,
+                seed=seeds[2],
+                trials=2,
+            ),
+        )
+    )
+    el.write_rows_csv(expected, tmp_path / "library.csv")
+    cli_rows = _rows_without_runtime(tmp_path / "v" / "verify.csv")
+    assert len(cli_rows) == 4
+    assert cli_rows == _rows_without_runtime(tmp_path / "library.csv")
 
 
 # ---------------------------------------------------------------------------

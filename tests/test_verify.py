@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import entrolim as el
+from entrolim import verify as verify_module
 from entrolim.cli import ExperimentConfig
 
 AR1 = el.GaussARMA(ar=(0.9,))
@@ -157,6 +158,27 @@ def test_verify_mimo_at_step():
 def test_verify_mimo_rejects_scalar():
     with pytest.raises(ValueError, match="vector"):
         el.verify_mimo_bound(AR1, el.zero_controller(), horizon=5_000, seed=0)
+
+
+def _nan_policy(dim=1):
+    if dim == 1:
+        return el.ControllerPolicy(step=lambda e, z: math.nan, descriptor="nan")
+    return el.ControllerPolicy(
+        step=lambda e, z: np.full(dim, math.nan),
+        initial_output=np.zeros(dim),
+        descriptor="nan",
+        dim=dim,
+    )
+
+
+def test_verify_rejects_non_finite_loop_error():
+    with pytest.raises(ValueError, match="non-finite loop error at step 1"):
+        el.verify_bound(AR1, _nan_policy(), 2.0, horizon=3_000, seed=0)
+
+
+def test_verify_mimo_rejects_non_finite_loop_error():
+    with pytest.raises(ValueError, match="non-finite loop error at step 1"):
+        el.verify_mimo_bound(VEC, _nan_policy(dim=2), horizon=3_000, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +335,19 @@ def test_sweep_isolates_cell_failures():
     assert result.summary["errors"] == [{"cell_id": cell_id, "message": message}]
     assert len(result.rows) == 1  # the healthy cell still ran
     assert result.rows[0].model == "ar1"
+
+
+def test_sweep_records_non_finite_cell_as_error(monkeypatch):
+    monkeypatch.setattr(
+        verify_module, "resolve_controller", lambda spec, model, seed: _nan_policy()
+    )
+    config = _config([AR1], ["ar1"], [{"kind": "zero"}], [1.0, 2.0])
+    result = el.sweep(config, tightness=False)
+    assert result.rows == ()
+    assert len(result.errors) == 1
+    assert "non-finite loop error at step 1" in result.errors[0][1]
+    assert result.summary["cells"] == 0
+    assert result.summary["violations"] == 0
 
 
 def test_sweep_without_tightness_leaves_columns_blank(tmp_path):
