@@ -90,6 +90,7 @@ from .estimators import (
 from .verify import (
     CSV_COLUMNS,
     CellRow,
+    NonFiniteLoopError,
     ProductBoundCheck,
     SweepResult,
     TightnessReport,
@@ -168,6 +169,7 @@ __all__ = [
     "whiteness_stats",
     "density_fit_gg",
     "covariance_det_estimate",
+    "NonFiniteLoopError",
     "TightnessReport",
     "VerificationReport",
     "ProductBoundCheck",

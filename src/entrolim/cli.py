@@ -18,6 +18,7 @@ Exit codes:
     3   filesystem problem (unreadable config, unwritable output)
     4   a bound was violated, or analytic routes disagreed
     5   a controller failed a causality audit
+    6   a numerical fault (a loop error went NaN or infinite)
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .simulator import (
 from .spectral import SpectralIntegralError
 from .verify import (
     CellRow,
+    NonFiniteLoopError,
     _pooled_traces,
     _score_cell,
     resolve_controller,
@@ -63,6 +65,7 @@ __all__ = [
     "EXIT_IO",
     "EXIT_VIOLATION",
     "EXIT_CAUSALITY",
+    "EXIT_NUMERIC",
 ]
 
 EXIT_OK = 0
@@ -70,6 +73,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VIOLATION = 4
 EXIT_CAUSALITY = 5
+EXIT_NUMERIC = 6
 
 _ROUTE_AGREEMENT = 1e-8
 _AUDIT_SALT = 0x5EED
@@ -316,13 +320,29 @@ def _pairs(config: ExperimentConfig, master_seed: int):
             yield name, model, _controller_label(cspec), cspec, next(seeds), next(seeds)
 
 
-def cmd_audit(config: ExperimentConfig) -> int:
-    failed = False
-    pairs = _pairs(config, config.master_seed ^ _AUDIT_SALT)
-    for name, model, label, cspec, ctrl_seed, audit_seed in pairs:
+def _audited_pairs(config: ExperimentConfig):
+    """Resolve and audit each (model, controller) pair once, in config order.
+
+    The controller comes from the pair's scoring seed, so ``audit`` checks
+    the ``random`` or ``learned`` controller that ``verify`` scores (and,
+    with one trial, the one ``simulate`` and ``sweep`` run); the audits draw
+    their probes from the salted audit seed.  Yields (name, model, label,
+    controller, trace_seed, open-loop report, closed-loop report).
+    """
+    scoring = _pairs(config, config.master_seed)
+    audit_seeds = (seed for *_, seed in _pairs(config, config.master_seed ^ _AUDIT_SALT))
+    for (name, model, label, cspec, trace_seed, ctrl_seed), audit_seed in zip(
+        scoring, audit_seeds
+    ):
         controller = resolve_controller(cspec, model, ctrl_seed)
         open_rep = causality_audit(controller, seed=audit_seed)
         closed_rep = closed_loop_causality_check(model, controller, seed=audit_seed)
+        yield name, model, label, controller, trace_seed, open_rep, closed_rep
+
+
+def cmd_audit(config: ExperimentConfig) -> int:
+    failed = False
+    for name, _, label, _, _, open_rep, closed_rep in _audited_pairs(config):
         ok = open_rep.passed and closed_rep.passed
         failed = failed or not ok
         detail = ""
@@ -339,26 +359,17 @@ def cmd_audit(config: ExperimentConfig) -> int:
 
 
 def cmd_verify(config: ExperimentConfig, out_dir: Optional[str]) -> int:
-    # each controller is resolved once, so the object audited is the one scored
-    pairs = [
-        (name, model, label, resolve_controller(cspec, model, ctrl_seed), trace_seed)
-        for name, model, label, cspec, trace_seed, ctrl_seed in _pairs(
-            config, config.master_seed
-        )
-    ]
-    audit_seeds = [
-        audit_seed
-        for *_, audit_seed in _pairs(config, config.master_seed ^ _AUDIT_SALT)
-    ]
-    # controllers must prove causality before any bound is scored
-    audit_failures = []
-    for (name, model, label, controller, _), audit_seed in zip(pairs, audit_seeds):
-        open_rep = causality_audit(controller, seed=audit_seed)
-        closed_rep = closed_loop_causality_check(model, controller, seed=audit_seed)
+    # controllers must prove causality before any bound is scored; each is
+    # resolved once, so the object audited is the one scored
+    pairs = []
+    audit_failed = False
+    for *pair, open_rep, closed_rep in _audited_pairs(config):
+        pairs.append(pair)
+        name, _, label, _, _ = pair
         if not (open_rep.passed and closed_rep.passed):
-            audit_failures.append((name, label))
+            audit_failed = True
             print(f"causality FAILED: {name} / {label}", file=sys.stderr)
-    if audit_failures:
+    if audit_failed:
         return EXIT_CAUSALITY
 
     rows: list[CellRow] = []
@@ -494,6 +505,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NonFiniteLoopError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

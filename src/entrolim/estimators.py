@@ -221,21 +221,60 @@ def _unit_ball_log_volume(dim: int) -> float:
     return 0.5 * dim * math.log(math.pi) - special.gammaln(0.5 * dim + 1.0)
 
 
+def _sorted_knn_radii(x: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each x_i to its k-th nearest other point, by sorting.
+
+    In one dimension the k nearest neighbours of a point lie within k
+    positions of it on either side in sorted order, so the radius is the
+    k-th smallest of those 2k one-sided gaps (the sample padded with -inf
+    below and +inf above).  The gaps are the distances a kd-tree reports:
+    sqrt(fl(g^2)) = g exactly for g between about 1e-150 and 1e150.  Tied
+    points have equal radii, so the order among them does not matter.
+    """
+    n = x.size
+    order = np.argsort(x)
+    padded = np.concatenate([np.full(k, -np.inf), x[order], np.full(k, np.inf)])
+    centre = padded[k : k + n]
+    # gaps to the j-th point below and above, each ascending in j = 1..k
+    below = [centre - padded[k - j : k - j + n] for j in range(1, k + 1)]
+    above = [padded[k + j : k + j + n] - centre for j in range(1, k + 1)]
+    # the k-th smallest of both lists is the least, over splits of k into
+    # j gaps below and k - j above, of the larger of the two last gaps
+    radius = np.minimum(below[k - 1], above[k - 1])
+    for j in range(1, k):
+        radius = np.minimum(radius, np.maximum(below[j - 1], above[k - j - 1]))
+    radii = np.empty(n)
+    radii[order] = radius
+    return radii
+
+
+def _knn_radii(points: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each point to its k-th nearest other point."""
+    if points.shape[1] == 1:
+        return _sorted_knn_radii(points[:, 0], k)
+    dist, _ = cKDTree(points).query(points, k=k + 1, workers=-1)
+    return dist[:, k]
+
+
 def _knn_terms_nats(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, Optional[str]]:
-    """Per-point terms t_i with H = mean(t_i); jitters exact ties if needed."""
+    """Per-point terms t_i with H = mean(t_i); jitters exact ties if needed.
+
+    The k-th neighbour radii come from the sorted sample for 1-D points
+    and from a kd-tree for two dimensions and up.
+    """
     n, dim = points.shape
+    if not 1 <= k < n:
+        raise ValueError(f"k_neighbors must be in [1, n), got {k}")
+    if not np.isfinite(points).all():
+        raise ValueError("kNN points must be finite")
     flag = None
-    tree = cKDTree(points)
-    dist, _ = tree.query(points, k=k + 1, workers=-1)
-    eps = dist[:, k]
+    eps = _knn_radii(points, k)
     if np.any(eps == 0.0):
         flag = "ties"
         rng = as_rng(seed)
         scale = max(float(points.std()), 1e-12)
         points = points + 1e-12 * scale * rng.standard_normal(points.shape)
-        tree = cKDTree(points)
-        dist, _ = tree.query(points, k=k + 1, workers=-1)
-        eps = np.maximum(dist[:, k], 1e-300)
+        eps = np.maximum(_knn_radii(points, k), 1e-300)
     const = (
         float(special.digamma(n))
         - float(special.digamma(k))
@@ -245,7 +284,8 @@ def _knn_terms_nats(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, Optio
 
 
 def _degenerate_support(points: np.ndarray) -> bool:
-    moment = points.T @ points / points.shape[0]
+    centred = points - points.mean(axis=0)
+    moment = centred.T @ centred / points.shape[0]
     eigenvalues = np.linalg.eigvalsh(np.atleast_2d(moment))
     return bool(eigenvalues[0] <= 1e-12 * max(eigenvalues[-1], 1e-300))
 
@@ -257,8 +297,8 @@ def entropy_estimate_knn(
 
     Exactly duplicated points are jittered by 1e-12 of the data scale (and
     the estimate flagged "ties"); samples confined to a lower-dimensional
-    subspace are flagged "degenerate" since the estimate then diverges with
-    n instead of converging.
+    affine subspace are flagged "degenerate" since the estimate then
+    diverges with n instead of converging.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
@@ -268,8 +308,6 @@ def entropy_estimate_knn(
         raise ValueError(f"need at least 100 samples, got {n}")
     if dim > 4:
         raise ValueError(f"joint dimension capped at 4, got {dim}")
-    if not 1 <= k_neighbors < n:
-        raise ValueError(f"k_neighbors must be in [1, n), got {k_neighbors}")
     terms, flag = _knn_terms_nats(pts, k_neighbors, seed)
     if flag is None and _degenerate_support(pts):
         flag = "degenerate"
@@ -350,7 +388,7 @@ def mutual_information_estimate(
     terms_y, flag_y = _knn_terms_nats(yv, k_neighbors, seed)
     terms_xy, flag_xy = _knn_terms_nats(joint, k_neighbors, seed)
     flag = flag_x or flag_y or flag_xy
-    if flag is None and _degenerate_support(joint - joint.mean(axis=0)):
+    if flag is None and _degenerate_support(joint):
         flag = "degenerate"
     contributions = terms_x + terms_y - terms_xy
     mi = float(contributions.mean()) / _LN2

@@ -9,10 +9,11 @@ std_error``; anything closer is sampling noise by contract.  A vector cell
 applies the rule to the determinant of the pooled second-moment matrix and
 to the product of per-channel second moments (Hadamard), and violates when
 either does.  A loop error that is not finite at some step is an error,
-never a verdict: the scorer raises ValueError naming the step, and a sweep
-records an error cell.  The gap_ratio (empirical / bound) doubles as a
-tightness certificate: ratios near 1 must come with white, GG-shaped
-errors or something is wrong, and that is checked, not assumed.
+never a verdict: the scorer raises NonFiniteLoopError (a ValueError)
+naming the step, and a sweep records an error cell.  The gap_ratio
+(empirical / bound) doubles as a tightness certificate: ratios near 1 must
+come with white, GG-shaped errors or something is wrong, and that is
+checked, not assumed.
 
 Asymptotic cells measure within-trace statistics after a burn-in of
 max(10 x model memory, 1000) steps; per-step cells (k fixed) measure
@@ -65,6 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .cli import ExperimentConfig
 
 __all__ = [
+    "NonFiniteLoopError",
     "TightnessReport",
     "VerificationReport",
     "ProductBoundCheck",
@@ -100,6 +102,10 @@ CSV_COLUMNS = [
     "seed",
     "runtime_ms",
 ]
+
+
+class NonFiniteLoopError(ValueError):
+    """A simulated loop error went NaN or infinite: a numerical fault, not a verdict."""
 
 
 def spawn_seeds(master_seed: int, count: int) -> list[int]:
@@ -293,7 +299,7 @@ def _score_cell(
     for trace in traces:
         finite = np.isfinite(trace.e.reshape(trace.length, -1)).all(axis=1)
         if not finite.all():
-            raise ValueError(
+            raise NonFiniteLoopError(
                 f"non-finite loop error at step {int(np.argmin(finite))} "
                 f"of the trace with seed {trace.seed}"
             )

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 import entrolim as el
@@ -291,6 +292,47 @@ def test_verify_audits_the_controller_it_scores(monkeypatch, tmp_path):
     assert len(resolved) == 4  # one per (model, controller) pair
     assert [id(c) for c in audited] == [id(c) for c in resolved]
     assert [id(c) for c in scored] == [id(c) for c in resolved]
+
+
+def test_audit_and_verify_resolve_controllers_on_the_same_seeds(monkeypatch, tmp_path):
+    path = _write_config(
+        tmp_path,
+        {
+            "models": [AR1_SPEC, UNIF_SPEC],
+            "controllers": [{"kind": "random"}, {"kind": "learned", "train_steps": 500}],
+            "p_values": [2],
+            "horizon": 3_000,
+        },
+    )
+    seeds = {"audit": [], "verify": []}
+    real_resolve = cli.resolve_controller
+    for command, record in seeds.items():
+
+        def recording_resolve(spec, model, seed, record=record):
+            record.append((spec["kind"], seed))
+            return real_resolve(spec, model, seed)
+
+        monkeypatch.setattr(cli, "resolve_controller", recording_resolve)
+        assert cli.main([command, "--config", path]) == cli.EXIT_OK
+    assert len(seeds["audit"]) == 4
+    assert seeds["audit"] == seeds["verify"]
+
+
+def test_verify_numeric_fault_exit(monkeypatch, tmp_path, capsys):
+    # z_k = 10 e_{k-1} is causal and passes both audits, but the loop diverges
+    path = _write_config(
+        tmp_path, {"models": [AR1_SPEC], "horizon": 3_000, "p_values": [2]}
+    )
+    diverging = el.ControllerPolicy(
+        step=lambda e, z: 10.0 * float(e[-1]), descriptor="diverging"
+    )
+    monkeypatch.setattr(cli, "resolve_controller", lambda spec, model, seed: diverging)
+    out_dir = tmp_path / "v"
+    with np.errstate(all="ignore"):
+        code = cli.main(["verify", "--config", path, "--out", str(out_dir)])
+    assert code == cli.EXIT_NUMERIC == 6
+    assert "non-finite loop error at step" in capsys.readouterr().err
+    assert not (out_dir / "verify.csv").exists()
 
 
 def _rows_without_runtime(csv_path):

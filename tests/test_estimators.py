@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import entrolim as el
+from entrolim import estimators
 
 H_GAUSS = 0.5 * math.log2(2.0 * math.pi * math.e)  # N(0,1), bits
 
@@ -103,8 +105,10 @@ def test_knn_entropy_1d_promotes():
 
 def test_knn_entropy_flags():
     x = _rng(6).standard_normal(500)
-    line = np.column_stack([x, 2.0 * x])
-    assert el.entropy_estimate_knn(line).flag == "degenerate"
+    # a line off the origin is as degenerate as one through it
+    for offset in (0.0, 1.0, 10.0):
+        line = np.column_stack([x, 2.0 * x + offset])
+        assert el.entropy_estimate_knn(line).flag == "degenerate", offset
     # five copies of each point: the default 4th neighbour sits at distance 0
     dup = np.repeat(_rng(7).standard_normal((60, 2)), 5, axis=0)
     assert el.entropy_estimate_knn(dup).flag == "ties"
@@ -118,6 +122,77 @@ def test_knn_entropy_validation():
         el.entropy_estimate_knn(_rng(8).standard_normal((200, 2)), k_neighbors=0)
     with pytest.raises(ValueError, match="100"):
         el.entropy_estimate_knn(_rng(8).standard_normal((50, 2)))
+
+
+# The sorted-sample radii must be the kd-tree's radii bit for bit.  A tree
+# reports sqrt(fl(g^2)) for a gap g, which is exactly g while g^2 neither
+# underflows nor overflows, i.e. for gaps between about 1e-150 and 1e150;
+# the samples below stay inside that range.
+
+
+def _tree_radii(x, k):
+    pts = x[:, None]
+    return cKDTree(pts).query(pts, k=k + 1)[0][:, k]
+
+
+def _tree_terms(points, k, seed):
+    """The kd-tree form of the kNN terms, jittered retry included."""
+    n, dim = points.shape
+    flag = None
+    eps = cKDTree(points).query(points, k=k + 1)[0][:, k]
+    if np.any(eps == 0.0):
+        flag = "ties"
+        rng = estimators.as_rng(seed)
+        scale = max(float(points.std()), 1e-12)
+        points = points + 1e-12 * scale * rng.standard_normal(points.shape)
+        eps = np.maximum(cKDTree(points).query(points, k=k + 1)[0][:, k], 1e-300)
+    const = (
+        float(estimators.special.digamma(n))
+        - float(estimators.special.digamma(k))
+        + estimators._unit_ball_log_volume(dim)
+    )
+    return const + dim * np.log(eps), flag
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sorted_knn_radii_match_kdtree(k):
+    g = _rng(30 + k)
+    samples = {
+        "tie-free": g.standard_normal(11_000),
+        "wide": g.standard_normal(5_000) * 1e6,
+        "tied": np.round(g.standard_normal(11_000), 2),
+        "n = k + 1": g.standard_normal(k + 1),
+        "one value": np.full(k + 3, 0.25),
+    }
+    for name, x in samples.items():
+        radii = estimators._sorted_knn_radii(x, k)
+        assert np.array_equal(radii, _tree_radii(x, k)), name
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_knn_terms_match_kdtree_reference(k):
+    g = _rng(40 + k)
+    for x, flag in (
+        (g.standard_normal(3_000), None),
+        # ties at the k-th neighbour force the jittered retry
+        (np.round(g.standard_normal(3_000), 2), "ties"),
+    ):
+        pts = x[:, None]
+        terms, got_flag = estimators._knn_terms_nats(pts, k, seed=5)
+        ref_terms, ref_flag = _tree_terms(pts, k, seed=5)
+        assert got_flag == ref_flag == flag
+        assert np.array_equal(terms, ref_terms)
+
+
+def test_knn_terms_reject_non_finite_points():
+    x = _rng(50).standard_normal(200)
+    bad = x.copy()
+    bad[7] = math.nan
+    for points in (bad[:, None], np.column_stack([bad, x])):
+        with pytest.raises(ValueError, match="finite"):
+            estimators._knn_terms_nats(points, 4, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        el.mutual_information_estimate(bad, x, min_samples=100)
 
 
 def test_conditional_entropy_ar1():
@@ -181,6 +256,10 @@ def test_mi_validation():
         el.mutual_information_estimate(g.standard_normal(100), g.standard_normal(99))
     with pytest.raises(ValueError, match="at least"):
         el.mutual_information_estimate(g.standard_normal(100), g.standard_normal(100))
+    with pytest.raises(ValueError, match="k_neighbors"):
+        el.mutual_information_estimate(
+            g.standard_normal(100), g.standard_normal(100), k_neighbors=0, min_samples=100
+        )
 
 
 # ---------------------------------------------------------------------------

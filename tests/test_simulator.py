@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import entrolim as el
+from entrolim import simulator
 
 AR1 = el.GaussARMA(ar=(0.9,))
 AR2 = el.GaussARMA(ar=(0.5, 0.3))
@@ -145,6 +146,60 @@ def test_random_controller_memory_zero_is_constant():
     ctrl = el.random_causal_controller(seed=3, memory=0)
     out = ctrl.respond(np.random.default_rng(0).standard_normal(50))
     assert np.all(out == 0.0)
+
+
+def _np_clip_step(cap, weights, bias):
+    """The random controller's step with the np.clip formula it replaced."""
+
+    def step(e_hist, z_hist):
+        avail = min(e_hist.shape[0], weights.size)
+        if avail == 0:
+            return float(np.clip(bias, -cap, cap))
+        u = bias + float(weights[:avail] @ e_hist[-avail:][::-1])
+        return float(np.clip(u, -cap, cap))
+
+    return step
+
+
+class _FixedDraws:
+    """Stands in for the controller's rng: fixed weights and bias."""
+
+    def __init__(self, weights, bias):
+        self.weights, self.bias = weights, bias
+
+    def uniform(self, low, high, size=None):
+        return self.weights if size is not None else self.bias
+
+
+@pytest.mark.parametrize("cap", [1.5, 2])
+def test_random_controller_clip_matches_np_clip(monkeypatch, cap):
+    # -0.0 + u == u for every u, so a unit weight and a -0.0 bias feed each
+    # probe to the clip unchanged; a probe as bias covers the empty history
+    probes = [float(cap), -float(cap), math.inf, -math.inf, math.nan, -0.0, 0.0, 7.0]
+    for probe in probes:
+        for weights, bias, e_hist in (
+            (np.array([1.0]), -0.0, np.array([probe])),
+            (np.array([1.0]), probe, np.empty(0)),
+        ):
+            monkeypatch.setattr(simulator, "as_rng", lambda seed: _FixedDraws(weights, bias))
+            got = el.random_causal_controller(0, memory=1, gain_cap=cap).step(e_hist, e_hist)
+            want = _np_clip_step(cap, weights, bias)(e_hist, e_hist)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (probe, bias)
+
+
+def test_random_controller_loop_matches_np_clip_reference():
+    ctrl = el.random_causal_controller(seed=11, memory=3, gain_cap=2)
+    rng = np.random.default_rng(11)
+    weights = rng.uniform(-1.0, 1.0, size=3)
+    bias = float(rng.uniform(-0.5, 0.5))
+    reference = el.ControllerPolicy(step=_np_clip_step(2, weights, bias))
+    for model in (AR1, AR2):
+        got = el.run_loop(model, ctrl, 2_000, seed=4)
+        want = el.run_loop(model, reference, 2_000, seed=4)
+        assert np.any(np.abs(got.z) == 2.0)  # the cap is reached
+        assert np.array_equal(got.e, want.e)
+        assert np.array_equal(got.z, want.z)
 
 
 def test_respond_matches_closed_loop_outputs():
