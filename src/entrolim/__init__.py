@@ -29,9 +29,9 @@ from .processes import (
     VectorGaussAR,
     arma_autocovariance,
     entropy_schedule,
-    levinson_durbin,
     levinson_ladder,
     model_from_config,
+    prediction_variances,
 )
 from .spectral import (
     SpectralDensity,
@@ -117,8 +117,8 @@ __all__ = [
     "VectorGaussAR",
     "EntropySchedule",
     "entropy_schedule",
-    "levinson_durbin",
     "levinson_ladder",
+    "prediction_variances",
     "arma_autocovariance",
     "model_from_config",
     "CapacityError",

@@ -83,18 +83,19 @@ def mimo_det_bound(h_bits: float, m: int) -> float:
     return 2.0 ** (2.0 * h_bits) / _TWO_PI_E**m
 
 
-_SCALAR_FORMS = ("at_step", "asymptotic", "spectral", "gw", "maxdev")
-_FORMS = _SCALAR_FORMS + ("variance", "mimo_det", "mimo_product")
+_SCALAR_FORMS = ("at_step", "asymptotic", "spectral", "gw")
+_FORMS = _SCALAR_FORMS + ("mimo_det",)
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """One evaluated bound: which form, at what entropy, and its value.
 
-    ``k`` is None for asymptotic (and spectral/GW) forms.  ``constant`` is
-    C_p for the norm forms and (2 pi e)^m for the squared/determinant
-    forms.  Construction re-derives the value from (form, h_bits, constant)
-    and refuses an inconsistent record.
+    ``form`` is an L_p floor (``at_step``, ``asymptotic``, ``spectral`` or
+    ``gw``; ``constant`` is C_p) or the determinant floor ``mimo_det``
+    (``constant`` is (2 pi e)^m).  ``k`` is None for the asymptotic,
+    spectral and GW forms.  Construction re-derives the value from (form,
+    h_bits, constant) and refuses an inconsistent record.
     """
 
     form: str

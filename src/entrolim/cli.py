@@ -18,7 +18,8 @@ Exit codes:
     3   filesystem problem (unreadable config, unwritable output)
     4   a bound was violated, or analytic routes disagreed
     5   a controller failed a causality audit
-    6   a numerical fault (a loop error went NaN or infinite)
+    6   a numerical fault (a loop error went NaN or infinite); ``sweep``
+        exits 6 only when every failed cell had such a fault, else 2
 """
 
 from __future__ import annotations
@@ -423,6 +424,8 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str, threads: int) -> int:
     if result.summary["violations"]:
         return EXIT_VIOLATION
     if result.errors:
+        if all(msg.startswith("NonFiniteLoopError:") for _, msg in result.errors):
+            return EXIT_NUMERIC
         return EXIT_CONFIG
     return EXIT_OK
 

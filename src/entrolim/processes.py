@@ -20,6 +20,10 @@ Gaussian process the conditional law given k past values is Gaussian with
 variance equal to the order-k one-step prediction error P_k, so
 h = 0.5 log2(2 pi e P_k).  P_0 is the stationary variance and P_k decreases
 monotonically to the innovation variance.
+
+The recursion up to order j reads only R(0..j), so P_k is the same float
+from any ladder of order >= k: ``prediction_variances`` runs one cached
+ladder per model and power of two, log2(K) ladders for a K-step schedule.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import abc
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -46,8 +49,8 @@ __all__ = [
     "VectorGaussAR",
     "EntropySchedule",
     "entropy_schedule",
-    "levinson_durbin",
     "levinson_ladder",
+    "prediction_variances",
     "arma_autocovariance",
     "model_from_config",
     "CapacityError",
@@ -72,17 +75,6 @@ class NotAnalyticError(ValueError):
 
 # ---------------------------------------------------------------------------
 # linear-prediction primitives
-
-
-def levinson_durbin(acov: np.ndarray, order: int) -> tuple[np.ndarray, float]:
-    """Order-``order`` one-step predictor from autocovariances.
-
-    Returns (coeffs, error_variance) where the best linear prediction of
-    x_k from the previous ``order`` values is coeffs @ [x_{k-1}, ...,
-    x_{k-order}].
-    """
-    coeffs_by_order, variances = levinson_ladder(acov, order)
-    return coeffs_by_order[order], float(variances[order])
 
 
 def levinson_ladder(
@@ -361,8 +353,7 @@ class GaussARMA(DisturbanceModel):
 
     def conditional_entropy_bits(self, k):
         self._check_step(k)
-        variances = _prediction_variances(self, k)
-        return 0.5 * math.log2(_TWO_PI_E * variances[k])
+        return 0.5 * math.log2(_TWO_PI_E * prediction_variances(self, k)[k])
 
     def entropy_rate_bits(self):
         return 0.5 * math.log2(_TWO_PI_E * self.innovation_variance)
@@ -373,7 +364,7 @@ class GaussARMA(DisturbanceModel):
     def autocovariance(self, max_lag):
         if max_lag < 0:
             raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-        return _arma_acov_cached(self, max_lag).copy()
+        return arma_autocovariance(self.ar, self.ma, self.innovation_variance, max_lag)
 
     def power_spectrum(self):
         return _rational_spectrum(self.innovation_variance, self.ar, self.ma)
@@ -562,17 +553,18 @@ def _ar_memory(ar: tuple[float, ...], ma_order: int) -> int:
 # cached heavy pieces, keyed by the frozen (hashable) model dataclasses
 
 
-@lru_cache(maxsize=128)
-def _arma_acov_cached(model: GaussARMA, max_lag: int) -> np.ndarray:
-    return arma_autocovariance(
-        model.ar, model.ma, model.innovation_variance, max_lag
-    )
+def prediction_variances(model: DisturbanceModel, k: int) -> np.ndarray:
+    """Cached, read-only P_0..P_n; n is the least power of two >= max(k, 1)."""
+    if k < 0:
+        raise ValueError(f"order must be >= 0, got {k}")
+    return _ladder_variances(model, 1 << max(k - 1, 0).bit_length())
 
 
 @lru_cache(maxsize=128)
-def _prediction_variances(model: GaussARMA, order: int) -> np.ndarray:
-    acov = _arma_acov_cached(model, order)
-    _, variances = levinson_ladder(acov, order)
+def _ladder_variances(model: DisturbanceModel, order: int) -> np.ndarray:
+    # keeps no coefficient lists: at order 4096 they take about 67 MB
+    _, variances = levinson_ladder(model.autocovariance(order), order)
+    variances.flags.writeable = False
     return variances
 
 

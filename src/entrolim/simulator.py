@@ -29,7 +29,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .distributions import as_rng
-from .processes import DisturbanceModel, IID, VectorGaussAR, levinson_ladder
+from .processes import (
+    DisturbanceModel, IID, VectorGaussAR, levinson_ladder, prediction_variances
+)
 
 __all__ = [
     "ControllerPolicy",
@@ -51,8 +53,9 @@ __all__ = [
     "load_trace",
 ]
 
-#: Predictor taps are frozen once the prediction error variance is within
-#: this relative distance of the innovation variance; exact for pure AR.
+#: Predictor taps are frozen at the first power-of-two order whose prediction
+#: error variance is within this relative distance of the innovation
+#: variance (exact for pure AR), else at the cap.
 _TAP_CONVERGENCE = 1e-12
 _TAP_ORDER_CAP = 512
 
@@ -225,15 +228,12 @@ def predictor_controller(model: DisturbanceModel) -> ControllerPolicy:
 def _prediction_taps(model: DisturbanceModel) -> list[np.ndarray]:
     """Levinson tap ladder up to the order where prediction stops improving."""
     rate_var = _innovation_variance(model)
-    order = 1
-    while order <= _TAP_ORDER_CAP:
-        acov = model.autocovariance(order)
-        coeffs, variances = levinson_ladder(acov, order)
-        if variances[order] - rate_var <= _TAP_CONVERGENCE * rate_var:
-            return coeffs
-        order = min(order * 2, _TAP_ORDER_CAP + 1)
-    acov = model.autocovariance(_TAP_ORDER_CAP)
-    coeffs, _ = levinson_ladder(acov, _TAP_ORDER_CAP)
+    excess = prediction_variances(model, _TAP_ORDER_CAP) - rate_var
+    powers = (1 << i for i in range(_TAP_ORDER_CAP.bit_length()))
+    order = next(
+        (n for n in powers if excess[n] <= _TAP_CONVERGENCE * rate_var), _TAP_ORDER_CAP
+    )
+    coeffs, _ = levinson_ladder(model.autocovariance(order), order)
     return coeffs
 
 

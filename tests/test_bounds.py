@@ -141,6 +141,12 @@ def test_report_consistency_guard():
         )
 
 
+@pytest.mark.parametrize("form", ["maxdev", "variance", "mimo_product"])
+def test_report_rejects_forms_nothing_produces(form):
+    with pytest.raises(ValueError, match="unknown bound form"):
+        el.BoundReport(form=form, p=None, k=None, h_bits=1.0, constant=2.0, value=1.0)
+
+
 def test_report_json_dict():
     model = el.GaussARMA(ar=(0.9,))
     d = el.lp_bound_asymptotic(model, math.inf).to_json_dict()

@@ -449,14 +449,21 @@ def test_sweep_exit_codes_for_failures(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "sweep", fake_sweep)
     assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "x")]) == cli.EXIT_VIOLATION
 
-    def erroring_sweep(config, *, threads, out_dir):
-        return el.SweepResult(
-            rows=(), errors=(("c00000", "RuntimeError: boom"),),
-            csv_path=None, summary_path=None,
-            summary={"cells": 0, "violations": 0, "worst_gap_ratio": None,
-                     "wall_time_ms": 1,
-                     "errors": [{"cell_id": "c00000", "message": "RuntimeError: boom"}]},
-        )
+    def erroring_sweep(errors):
+        def fake(config, *, threads, out_dir):
+            return el.SweepResult(
+                rows=(), errors=errors, csv_path=None, summary_path=None,
+                summary={"cells": 0, "violations": 0, "worst_gap_ratio": None,
+                         "wall_time_ms": 1,
+                         "errors": [{"cell_id": c, "message": m} for c, m in errors]},
+            )
+        return fake
 
-    monkeypatch.setattr(cli, "sweep", erroring_sweep)
-    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "y")]) == cli.EXIT_CONFIG
+    numeric = ("c00001", "NonFiniteLoopError: non-finite loop error at step 9")
+    for errors, code in [
+        ((("c00000", "RuntimeError: boom"),), cli.EXIT_CONFIG),
+        ((numeric, ("c00002", numeric[1])), cli.EXIT_NUMERIC),
+        ((("c00000", "RuntimeError: boom"), numeric), cli.EXIT_CONFIG),
+    ]:
+        monkeypatch.setattr(cli, "sweep", erroring_sweep(errors))
+        assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "y")]) == code

@@ -23,10 +23,11 @@ from entrolim import (
     VectorGaussAR,
     arma_autocovariance,
     entropy_schedule,
-    levinson_durbin,
     levinson_ladder,
     model_from_config,
+    prediction_variances,
 )
+from entrolim import processes
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -89,9 +90,9 @@ def test_autocovariance_matches_simulation():
 
 def test_levinson_recovers_ar_taps():
     r = arma_autocovariance((0.5, 0.3), (), 1.0, 2)
-    coeffs, err = levinson_durbin(r, 2)
-    assert np.allclose(coeffs, [0.5, 0.3], rtol=1e-12)
-    assert err == pytest.approx(1.0, rel=1e-12)
+    coeffs, variances = levinson_ladder(r, 2)
+    assert np.allclose(coeffs[2], [0.5, 0.3], rtol=1e-12)
+    assert variances[2] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_levinson_ladder_variances():
@@ -127,6 +128,66 @@ def test_entropy_schedule_ar2():
     assert np.allclose(sched.h_bits[2:], 2.047095585180641, atol=1e-12)
     assert sched.entropy_rate_bits == pytest.approx(2.047095585180641, abs=1e-12)
     assert np.all(np.diff(sched.h_bits) <= 1e-12)
+
+
+def _random_stable_arma(seed):
+    # sum |a_i| < 1 keeps every AR and MA root outside the unit circle
+    rng = np.random.default_rng(seed)
+    p, q = rng.integers(1, 4), rng.integers(0, 3)
+    ar = rng.uniform(-0.95, 0.95, p) / p
+    ma = rng.uniform(-0.95, 0.95, q) / max(q, 1)
+    return GaussARMA(ar=tuple(ar), ma=tuple(ma), innovation_variance=rng.uniform(0.5, 2.0))
+
+
+LADDER_MODELS = [
+    GaussARMA(ar=(0.9,)),
+    GaussARMA(ar=(0.5, 0.3), ma=(0.4,)),
+    GaussARMA(ma=(0.99,)),
+    *[_random_stable_arma(seed) for seed in range(4)],
+]
+
+
+@pytest.mark.parametrize("model", LADDER_MODELS, ids=lambda m: m.descriptor)
+def test_entropy_schedule_matches_per_step_ladder(model):
+    # P_k read from the shared power-of-two ladder is the very float an
+    # order-k ladder of its own gives
+    steps = [0, 1, 2, 3, 4, 5, 8, 9, 64, 65, 128, 129, 256, 257, 512, 513, 599]
+    h = entropy_schedule(model, 600).h_bits
+    want = [
+        0.5 * math.log2(TWO_PI_E * levinson_ladder(model.autocovariance(k), k)[1][k])
+        for k in steps
+    ]
+    assert np.array_equal(h[steps], want)
+
+
+def test_entropy_schedule_runs_one_ladder_per_power_of_two(monkeypatch):
+    orders = []
+    ladder = processes.levinson_ladder
+
+    def counted(acov, order):
+        orders.append(order)
+        return ladder(acov, order)
+
+    monkeypatch.setattr(processes, "levinson_ladder", counted)
+    processes._ladder_variances.cache_clear()
+    model = GaussARMA(ar=(0.7, -0.2), ma=(0.3,))
+    entropy_schedule(model, 1024)
+    assert len(orders) <= 11
+    orders.clear()
+    entropy_schedule(model, 1024)
+    assert orders == []
+    assert math.isfinite(model.conditional_entropy_bits(4096))
+
+
+def test_prediction_variances_power_of_two_and_read_only():
+    model = GaussARMA(ar=(0.5, 0.3))
+    assert prediction_variances(model, 0).size == 2
+    assert prediction_variances(model, 5).size == 9
+    assert prediction_variances(model, 8).size == 9
+    with pytest.raises(ValueError):
+        prediction_variances(model, 5)[2] = 0.0
+    with pytest.raises(ValueError):
+        prediction_variances(model, -1)
 
 
 def test_conditional_entropy_k0_is_marginal():

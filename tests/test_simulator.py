@@ -79,6 +79,38 @@ def test_predictor_ar2_tap_ladder():
     assert np.allclose(trace.z[2:], -predicted, atol=1e-12)
 
 
+def _doubling_reference_taps(model):
+    # grow the ladder order by doubling until P_n has converged, else the cap
+    rate_var = simulator._innovation_variance(model)
+    cap = simulator._TAP_ORDER_CAP
+    order = 1
+    while order <= cap:
+        coeffs, variances = el.levinson_ladder(model.autocovariance(order), order)
+        if variances[order] - rate_var <= simulator._TAP_CONVERGENCE * rate_var:
+            return coeffs
+        order = min(order * 2, cap + 1)
+    coeffs, _ = el.levinson_ladder(model.autocovariance(cap), cap)
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "model, top",
+    [
+        (AR1, 1),
+        (el.GaussARMA(ar=(0.5, 0.3), ma=(0.4,)), 16),
+        (el.GaussARMA(ma=(0.99,)), simulator._TAP_ORDER_CAP),
+        (el.GenGaussAR(ar=(0.6, -0.2), innovation=el.GeneralizedGaussian.laplace(1.0)), 2),
+    ],
+    ids=["ar1", "arma21", "ma099-cap", "gengauss-ar2"],
+)
+def test_prediction_taps_match_doubling_reference(model, top):
+    got = simulator._prediction_taps(model)
+    want = _doubling_reference_taps(model)
+    assert len(got) == len(want) == top + 1
+    for mine, ref in zip(got, want):
+        assert np.array_equal(mine, ref)
+
+
 def test_predictor_on_iid_is_zero():
     model = el.IID(el.GeneralizedGaussian.laplace(1.0))
     trace = el.run_loop(model, el.predictor_controller(model), 200, seed=9)
