@@ -74,14 +74,19 @@ class SpectralDensity:
         return self.evaluate(omega)
 
 
+#: (order, nodes, weights) of the coarse and fine Gauss-Legendre rules
+_GAUSS_LEGENDRE_RULES = tuple(
+    (order, *np.polynomial.legendre.leggauss(order)) for order in (10, 20)
+)
+
+
 def _gauss_legendre_pair(f, lo: float, hi: float):
     """Return (coarse, fine, node_count) Gauss-Legendre estimates on [lo, hi]."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     total = 0.0
     results = []
-    for order in (10, 20):
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+    for order, nodes, weights in _GAUSS_LEGENDRE_RULES:
         values = f(mid + half * nodes)
         values = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(values)):

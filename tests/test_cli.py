@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,3 +469,14 @@ def test_sweep_exit_codes_for_failures(monkeypatch, tmp_path):
     ]:
         monkeypatch.setattr(cli, "sweep", erroring_sweep(errors))
         assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "y")]) == code
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    raw = json.loads(block)
+    raw["horizon"] = 3000
+    path = _write_config(tmp_path, raw)
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_OK
+    assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == cli.EXIT_OK
+    assert (tmp_path / "v" / "verify.csv").exists()

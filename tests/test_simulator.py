@@ -111,6 +111,30 @@ def test_prediction_taps_match_doubling_reference(model, top):
         assert np.array_equal(mine, ref)
 
 
+def test_prediction_taps_are_cached_per_model(monkeypatch):
+    calls = []
+    ladder = simulator.levinson_ladder
+
+    def counted(acov, order):
+        calls.append(order)
+        return ladder(acov, order)
+
+    monkeypatch.setattr(simulator, "levinson_ladder", counted)
+    simulator._prediction_taps.cache_clear()
+    model = el.GaussARMA(ar=(0.5, 0.3), ma=(0.4,))
+    first = simulator._prediction_taps(model)
+    assert calls == [16]
+    again = simulator._prediction_taps(el.GaussARMA(ar=(0.5, 0.3), ma=(0.4,)))
+    el.predictor_controller(model)
+    assert calls == [16]
+    assert again is first
+    want = _doubling_reference_taps(model)
+    assert len(first) == len(want)
+    for mine, ref in zip(first, want):
+        assert np.array_equal(mine, ref)
+        assert not mine.flags.writeable
+
+
 def test_predictor_on_iid_is_zero():
     model = el.IID(el.GeneralizedGaussian.laplace(1.0))
     trace = el.run_loop(model, el.predictor_controller(model), 200, seed=9)
@@ -308,6 +332,45 @@ def test_audit_on_vector_policy():
     assert report.passed
 
 
+def _off_by_one_ulp(policy, index):
+    """A causal kernel equal to the step recursion except one ulp at ``index``."""
+
+    def kernel(x, closed):
+        z, e = policy.step_recursion(x, closed)
+        z = z.copy()
+        z[index] = np.nextafter(z[index], np.inf)
+        return z, (x + z if closed else e)
+
+    return el.ControllerPolicy(step=policy.step, descriptor="ulp", kernel=kernel)
+
+
+def test_audits_check_the_kernel_against_the_step_recursion():
+    honest = el.predictor_controller(AR2)
+    assert el.causality_audit(honest, length=64, trials=3, seed=1).passed
+    assert el.closed_loop_causality_check(AR2, honest, length=64, trials=3, seed=1).passed
+    nudged = _off_by_one_ulp(honest, 37)
+    # the nudge is causal: the perturbation trials alone cannot see it
+    open_rep = el.causality_audit(nudged, length=64, trials=3, seed=1)
+    closed_rep = el.closed_loop_causality_check(AR2, nudged, length=64, trials=3, seed=1)
+    for report in (open_rep, closed_rep):
+        assert not report.passed
+        assert report.violations == ((0, 37),)
+    # a policy without a kernel of its own runs the step recursion: nothing to compare
+    plain = el.ControllerPolicy(step=honest.step)
+    assert plain.kernel == plain.step_recursion
+    assert el.causality_audit(plain, length=64, trials=3, seed=1).passed
+
+
+def test_replaced_policy_runs_its_own_step():
+    from dataclasses import replace
+
+    halving = el.ControllerPolicy(step=lambda e_hist, z_hist: 0.5 * e_hist[-1])
+    doubling = replace(halving, step=lambda e_hist, z_hist: 2.0 * e_hist[-1])
+    errors = np.array([1.0, 3.0, 5.0])
+    assert np.array_equal(doubling.respond(errors), [0.0, 2.0, 6.0])
+    assert np.array_equal(halving.respond(errors), [0.0, 0.5, 1.5])
+
+
 def test_closed_loop_check():
     for ctrl in [el.predictor_controller(AR1), el.random_causal_controller(seed=5)]:
         report = el.closed_loop_causality_check(AR1, ctrl, length=128, trials=8, seed=1)
@@ -363,3 +426,44 @@ def test_sidecar_records_descriptors(tmp_path):
     assert sidecar["dimension"] == 1
     assert sidecar["model"] == AR1.descriptor
     assert sidecar["controller"] == "zero"
+
+
+def _per_cell_writer(trace, csv_path):
+    """save_trace's CSV body as it was written before: one repr per cell."""
+    import csv
+
+    m = 1 if trace.d.ndim == 1 else trace.d.shape[1]
+    if m == 1:
+        header = ["k", "d", "z", "e"]
+        columns = [trace.d.reshape(-1), trace.z.reshape(-1), trace.e.reshape(-1)]
+    else:
+        header = (
+            ["k"]
+            + [f"d_{i + 1}" for i in range(m)]
+            + [f"z_{i + 1}" for i in range(m)]
+            + [f"e_{i + 1}" for i in range(m)]
+        )
+        columns = [trace.d[:, i] for i in range(m)]
+        columns += [trace.z[:, i] for i in range(m)]
+        columns += [trace.e[:, i] for i in range(m)]
+    with open(csv_path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for k in range(trace.length):
+            writer.writerow([k] + [repr(float(col[k])) for col in columns])
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_save_trace_bytes_match_the_per_cell_writer(tmp_path, dim):
+    special = np.array([-0.0, 5e-324, 0.1, 1e16, 1 / 3, -2.5e-310, 123456789.125])
+    n = special.size
+    rng = np.random.default_rng(dim)
+    shape = (n,) if dim == 1 else (n, dim)
+    d = rng.permutation(np.resize(special, n * dim)).reshape(shape)
+    z = -np.resize(special[::-1], n * dim).reshape(shape)
+    trace = el.SimulationTrace(
+        d=d, z=z, e=d + z, seed=1, model_descriptor="m", controller_descriptor="c"
+    )
+    el.save_trace(trace, tmp_path / "new.csv")
+    _per_cell_writer(trace, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -65,6 +65,15 @@ def test_density_validation():
         SpectralDensity(evaluate=lambda w: np.asarray(w, float) + 1.0)  # not even
 
 
+def test_gauss_legendre_nodes_are_computed_once(monkeypatch):
+    def refuse(order):
+        raise AssertionError("leggauss called during integration")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    h = szego_entropy_integral_bits(GaussARMA(ar=(0.5,), ma=(0.3,)).power_spectrum())
+    assert h == pytest.approx(GAUSS_RATE, abs=1e-9)
+
+
 def test_node_budget_exhaustion():
     # a kink the quadrature cannot resolve within a tiny node budget
     spiky = SpectralDensity(
