@@ -16,11 +16,12 @@ two input histories.
 Every policy runs through one sequence kernel, ``kernel(x, closed) -> (z, e)``:
 the closed loop (``run_loop``, x = d, e_k = d_k + z_k) and the open-loop
 response the causality audit probes (``respond``, x = a fixed error
-sequence) both call it.  ``ControllerPolicy.step_recursion``, one ``step``
-call per sample, is the reference and the default kernel of custom
-policies; each built-in controller carries an exact kernel of its own whose
-outputs are bit-identical to that recursion, and both audits check this on
-their first trial.
+sequence) both go through ``ControllerPolicy.run``.
+``ControllerPolicy.step_recursion``, one ``step`` call per sample, is the
+reference and runs for any policy built without a kernel; each built-in
+controller carries an exact kernel of its own that repeats its ``step``'s
+arithmetic operation for operation, so its outputs are bit-identical to
+that recursion, and both audits check this on their first trial.
 
 ``compose_loop`` builds such a policy from two sequence-level stages (a
 plant and a controller in either order); at least one stage must be
@@ -32,7 +33,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -70,12 +71,6 @@ __all__ = [
 _TAP_CONVERGENCE = 1e-12
 _TAP_ORDER_CAP = 512
 
-#: Linear kernels up to this frozen tap order sum their dots on Python floats;
-#: above it one numpy dot per step is faster.  Measured at 20k steps (2-core
-#: Xeon VM, numpy 2.4): the float loop costs about 0.7 + 0.05 * order us/step
-#: and the numpy form about 2 us/step up to order 64, so they meet at 24-32.
-_FLOAT_DOT_MAX_ORDER = 24
-
 
 Kernel = Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray]]
 
@@ -86,23 +81,21 @@ class ControllerPolicy:
 
     ``initial_output`` is the (deterministic) z_0 emitted before any error
     has been observed; the default 0 keeps d_0 visible in e_0.  ``dim`` is
-    the error dimension the policy expects.  ``kernel(x, closed)`` runs the
-    law over a whole sequence and returns (z, e): with ``closed`` x is the
-    disturbance and e_k = x_k + z_k, otherwise x is a fixed error sequence
-    and e is x.  A policy built without one runs ``step_recursion``.
+    the error dimension the policy expects.  ``kernel(x, closed)``, if
+    given, runs the law over a whole sequence and returns (z, e): with
+    ``closed`` x is the disturbance and e_k = x_k + z_k, otherwise x is a
+    fixed error sequence and e is x.
     """
 
     step: Callable[[np.ndarray, np.ndarray], Union[float, np.ndarray]]
     initial_output: Union[float, np.ndarray] = 0.0
     descriptor: str = "custom"
     dim: int = 1
-    kernel: Optional[Kernel] = field(default=None, compare=False, repr=False)
+    kernel: Optional[Kernel] = None
 
-    def __post_init__(self):
-        # dataclasses.replace copies the old policy's step recursion: rebind it
-        stale = getattr(self.kernel, "__func__", None) is ControllerPolicy.step_recursion
-        if self.kernel is None or stale:
-            object.__setattr__(self, "kernel", self.step_recursion)
+    def run(self, x: np.ndarray, closed: bool):
+        """(z, e) over a whole sequence: the policy's kernel, else ``step_recursion``."""
+        return (self.kernel or self.step_recursion)(x, closed)
 
     def step_recursion(self, x: np.ndarray, closed: bool):
         """The reference kernel: one ``step`` call per sample."""
@@ -128,7 +121,7 @@ class ControllerPolicy:
         Used by the causality audit.  A deliberately anticipatory test
         double overrides it (see ``anticipatory_double``) and is caught.
         """
-        z, _ = self.kernel(np.asarray(errors, dtype=float), False)
+        z, _ = self.run(np.asarray(errors, dtype=float), False)
         return z
 
 
@@ -171,7 +164,7 @@ def run_loop(
         )
     seed_int = int(seed)
     d = model.sample_path(length, seed_int)
-    z, e = controller.kernel(d, True)
+    z, e = controller.run(d, True)
     return SimulationTrace(
         d=d,
         z=z,
@@ -314,50 +307,23 @@ def _fir_kernel(ladder: Sequence[np.ndarray], negate: bool) -> Kernel:
 
         s = float(ladder[min(k, top)] @ d_recent[::-1]),  top = len(ladder) - 1,
 
-    with d_recent the last min(k, top) reconstructed disturbances.  numpy
-    takes its non-BLAS loop for the reversed (negatively strided) operand,
-    which accumulates s = 0.0; s += t_i * d_{k-1-i} in order, so the float
-    loop below repeats it bit for bit; past ``_FLOAT_DOT_MAX_ORDER`` the
-    kernel calls that same dot on a preallocated history instead.
+    with d_recent the last min(k, top) reconstructed disturbances.  Each
+    step makes that same dot, with the same taps array and a reversed
+    (negatively strided) view of a preallocated d array as the operand, so
+    numpy picks the same loop and the sum rounds as in ``step``.
     """
     top = len(ladder) - 1
-    if top > _FLOAT_DOT_MAX_ORDER:
-        return _fir_kernel_numpy(ladder, negate)
-    ladder = [taps.tolist() for taps in ladder]
     frozen = ladder[top]
 
     def kernel(x, closed):
+        n = x.shape[0]
         z = np.zeros_like(x)
         e = np.zeros_like(x) if closed else x
-        recent = deque(maxlen=top)  # d_{k-1}, d_{k-2}, ...
+        ds = np.empty_like(x)
+        rev = ds[::-1]  # rev[n - k :] is d_{k-1}, d_{k-2}, ..., d_0
         for k, xk in enumerate(x.tolist()):
             if k:
-                s = 0.0
-                for t, d in zip(ladder[k] if k < top else frozen, recent):
-                    s += t * d
-                zk = z[k] = -s if negate else s
-            else:
-                zk = 0.0
-            ek = xk + zk if closed else xk
-            if closed:
-                e[k] = ek
-            recent.appendleft(ek - zk)
-        return z, e
-
-    return kernel
-
-
-def _fir_kernel_numpy(ladder: Sequence[np.ndarray], negate: bool) -> Kernel:
-    top = len(ladder) - 1
-
-    def kernel(x, closed):
-        z = np.zeros_like(x)
-        e = np.zeros_like(x) if closed else x
-        ds = np.empty_like(x)  # d_0, d_1, ...
-        for k, xk in enumerate(x.tolist()):
-            if k:
-                order = min(k, top)
-                s = float(ladder[order] @ ds[k - order : k][::-1])
+                s = float((ladder[k] if k < top else frozen) @ rev[n - k : n - k + top])
                 zk = z[k] = -s if negate else s
             else:
                 zk = 0.0
@@ -389,19 +355,23 @@ def random_causal_controller(
     weights = rng.uniform(-1.0, 1.0, size=memory)
     bias = float(rng.uniform(-0.5, 0.5)) if memory > 0 else 0.0
 
-    # min/max on Python floats is np.clip's result (NaN and -0.0 included)
-    # at a fraction of its per-call cost
+    taps = weights.tolist()
+
+    # step and kernel share this law on Python floats: the dot is summed in
+    # order with one rounding per operation on every platform, and min/max
+    # give np.clip's result (NaN and -0.0 included) at a fraction of its cost
+    def law(recent):
+        """z_k from the errors e_{k-1}, e_{k-2}, ... (the first ``memory`` count)."""
+        s = 0.0
+        for t, past in zip(taps, recent):
+            s += t * past
+        return min(max(bias + s, -cap), cap)
+
     def step(e_hist, z_hist):
         avail = min(e_hist.shape[0], memory)
         if avail == 0:
             return min(max(bias, -cap), cap)
-        u = bias + float(weights[:avail] @ e_hist[-avail:][::-1])
-        return min(max(u, -cap), cap)
-
-    # the same recursion on Python floats: the dot of the reversed history is
-    # numpy's in-order sum (see _fir_kernel), and the two conditionals are
-    # min(max(u, -cap), cap) spelled out, comparison for comparison
-    taps = weights.tolist()
+        return law(e_hist[::-1][:avail].tolist())
 
     def kernel(x, closed):
         z = np.zeros_like(x)
@@ -409,12 +379,7 @@ def random_causal_controller(
         recent = deque(maxlen=memory)  # e_{k-1}, e_{k-2}, ...
         for k, xk in enumerate(x.tolist()):
             if k:
-                s = 0.0
-                for t, past in zip(taps, recent):
-                    s += t * past
-                u = bias + s
-                u = -cap if -cap > u else u
-                zk = z[k] = cap if cap < u else u
+                zk = z[k] = law(recent)
             else:
                 zk = 0.0
             ek = xk + zk if closed else xk
@@ -615,7 +580,7 @@ def _first_mismatch(a: np.ndarray, b: np.ndarray) -> int:
 
 def _kernel_check(controller, x, closed, outputs) -> list[tuple[int, int]]:
     """[(0, i)], i the first index where ``outputs`` differ in bits from step_recursion's."""
-    if controller.kernel == controller.step_recursion:
+    if controller.kernel is None:
         return []
     firsts = []
     for got, want in zip(outputs, controller.step_recursion(x, closed)):
@@ -653,13 +618,13 @@ def closed_loop_causality_check(
     violations = []
     for trial in range(trials):
         d = model.sample_path(length, int(rng.integers(0, 2**32)))
-        z_ref, e_ref = controller.kernel(d, True)
+        z_ref, e_ref = controller.run(d, True)
         if trial == 0:
             violations += _kernel_check(controller, d, True, (z_ref, e_ref))
         k = int(rng.integers(1, length))
         d_alt = np.array(d, copy=True)
         d_alt[k:] += 1.0
-        z_alt, _ = controller.kernel(d_alt, True)
+        z_alt, _ = controller.run(d_alt, True)
         if not np.array_equal(z_ref[: k + 1], z_alt[: k + 1]):
             violations.append((trial, _first_mismatch(z_ref[: k + 1], z_alt[: k + 1])))
     return CausalityReport(

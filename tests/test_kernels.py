@@ -2,8 +2,11 @@
 step recursion it replaces, bit for bit, in the closed loop and in the
 open-loop response.
 
-The kernels repeat numpy's in-order sum for a dot with a reversed operand;
-these tests are what catches a numpy build that sums it another way.
+The kernels repeat their step's arithmetic: the linear ones make the same
+numpy dot on a view of a preallocated history, the vector predictor the same
+ufuncs with out=, and ``random`` shares one Python-float law with its step.
+These tests are what catches a numpy whose results depend on anything else
+(alignment, out=, the kind of view).
 """
 
 import math
@@ -87,13 +90,11 @@ def test_cases_cover_the_frozen_orders():
     assert tops["predictor-ar1"] == 1
     assert tops["predictor-arma21"] == 16
     assert tops["predictor-ma099"] == simulator._TAP_ORDER_CAP
-    # both forms of the linear kernel are exercised
-    assert min(tops.values()) <= simulator._FLOAT_DOT_MAX_ORDER < max(tops.values())
 
 
 @pytest.mark.parametrize("model, ctrl, top", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_kernel_is_the_step_recursion(model, ctrl, top):
-    assert ctrl.kernel != ctrl.step_recursion
+    assert ctrl.kernel is not None
     rng = np.random.default_rng(top)
     for n in _lengths(top):
         d = model.sample_path(n, n)
