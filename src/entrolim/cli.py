@@ -12,6 +12,10 @@ and share --seed (master seed override) and --out (output directory) where
 applicable.  Thread count comes from --threads or the ENTROLIM_THREADS
 environment variable.
 
+``verify.run_plan`` decides which controller runs on which seed: ``simulate``
+and ``sweep`` run it with the config's trials, ``verify`` with one.  ``audit``
+audits every distinct controller of both plans; ``sweep`` does not audit.
+
 Exit codes:
     0   success
     2   configuration problem (bad JSON, unknown kinds, invalid values)
@@ -25,6 +29,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -47,10 +52,11 @@ from .spectral import SpectralIntegralError
 from .verify import (
     CellRow,
     NonFiniteLoopError,
+    _format_value,
     _pooled_traces,
     _score_cell,
     resolve_controller,
-    spawn_seeds,
+    run_plan,
     sweep,
     write_rows_csv,
 )
@@ -79,6 +85,7 @@ EXIT_NUMERIC = 6
 _ROUTE_AGREEMENT = 1e-8
 _AUDIT_SALT = 0x5EED
 _CONTROLLER_KINDS = {"zero", "predictor", "random", "learned", "anticipatory"}
+_SEEDLESS_KINDS = {"zero", "predictor", "anticipatory"}
 _CONFIG_KEYS = {"models", "controllers", "p_values", "horizon", "trials", "seed"}
 
 
@@ -207,10 +214,6 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.+-]+", "_", text)
 
 
-def _controller_label(spec: dict) -> str:
-    return str(spec.get("name", spec.get("kind", "controller")))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -247,18 +250,8 @@ def cmd_bound(config: ExperimentConfig, out_dir: Optional[str]) -> int:
             ]
             agree = all(delta <= _ROUTE_AGREEMENT for delta in deltas)
             disagreement = disagreement or not agree
-            rows.append(
-                {
-                    "model": name,
-                    "p": _p_label(p),
-                    "h_bits": direct.h_bits,
-                    "C_p": direct.constant,
-                    "direct": direct.value,
-                    "spectral": spectral,
-                    "gw": gw,
-                    "agree": agree,
-                }
-            )
+            row = [name, _p_label(p), direct.h_bits, direct.constant, direct.value]
+            rows.append(row + [spectral, gw, agree])
             fmt = lambda v: "-".rjust(14) if v is None else f"{v:>14.10g}"
             print(
                 f"{name:<16} {_p_label(p):>5} {direct.h_bits:>12.8g} "
@@ -270,19 +263,9 @@ def cmd_bound(config: ExperimentConfig, out_dir: Optional[str]) -> int:
         out.mkdir(parents=True, exist_ok=True)
         path = out / "bounds.csv"
         with open(path, "w", newline="") as handle:
-            handle.write("model,p,h_bits,C_p,direct,spectral,gw,agree\n")
-            for r in rows:
-                cells = [
-                    r["model"],
-                    r["p"],
-                    f"{r['h_bits']:.12g}",
-                    f"{r['C_p']:.12g}",
-                    f"{r['direct']:.12g}",
-                    "" if r["spectral"] is None else f"{r['spectral']:.12g}",
-                    "" if r["gw"] is None else f"{r['gw']:.12g}",
-                    "true" if r["agree"] else "false",
-                ]
-                handle.write(",".join(cells) + "\n")
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow("model p h_bits C_p direct spectral gw agree".split())
+            writer.writerows([_format_value(v) for v in row] for row in rows)
         print(f"wrote {path}")
     if disagreement:
         print("error: analytic routes disagree beyond 1e-8", file=sys.stderr)
@@ -293,57 +276,46 @@ def cmd_bound(config: ExperimentConfig, out_dir: Optional[str]) -> int:
 def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_runs = len(config.models) * len(config.controllers) * config.trials
-    seeds = spawn_seeds(config.master_seed, 2 * n_runs)
-    idx = 0
-    count = 0
-    for name, model in zip(config.model_names, config.models):
-        for cspec in config.controllers:
-            label = _controller_label(cspec)
-            for trial in range(config.trials):
-                trace_seed, ctrl_seed = seeds[idx], seeds[idx + 1]
-                idx += 2
-                controller = resolve_controller(cspec, model, ctrl_seed)
-                trace = run_loop(model, controller, config.horizon, trace_seed)
-                path = out / f"{_slug(name)}__{_slug(label)}__t{trial}.csv"
-                save_trace(trace, path)
-                count += 1
-    print(f"wrote {count} trace(s) to {out}")
+    cells = run_plan(config, config.trials)
+    for cell in cells:
+        controller = resolve_controller(cell.spec, cell.model, cell.controller_seed)
+        trace = run_loop(cell.model, controller, config.horizon, cell.trace_seed)
+        name = f"{_slug(cell.model_name)}__{_slug(cell.label)}__t{cell.trial}.csv"
+        save_trace(trace, out / name)
+    print(f"wrote {len(cells)} trace(s) to {out}")
     return EXIT_OK
 
 
-def _pairs(config: ExperimentConfig, master_seed: int):
-    """(name, model, label, spec, seed, seed) per model x controller, in order."""
-    n_pairs = len(config.models) * len(config.controllers)
-    seeds = iter(spawn_seeds(master_seed, 2 * n_pairs))
-    for name, model in zip(config.model_names, config.models):
-        for cspec in config.controllers:
-            yield name, model, _controller_label(cspec), cspec, next(seeds), next(seeds)
+def _audited(config: ExperimentConfig, plans):
+    """Resolve and audit each distinct controller of the plans with ``plans`` trials.
 
-
-def _audited_pairs(config: ExperimentConfig):
-    """Resolve and audit each (model, controller) pair once, in config order.
-
-    The controller comes from the pair's scoring seed, so ``audit`` checks
-    the ``random`` or ``learned`` controller that ``verify`` scores (and,
-    with one trial, the one ``simulate`` and ``sweep`` run); the audits draw
-    their probes from the salted audit seed.  Yields (name, model, label,
-    controller, trace_seed, open-loop report, closed-loop report).
+    Probes come from the same cell of the salted plan.  A controller is one
+    (model, spec entry, controller seed); kinds that ignore the seed drop it.
+    Yields (trials, cell, controller, open report, closed report).
     """
-    scoring = _pairs(config, config.master_seed)
-    audit_seeds = (seed for *_, seed in _pairs(config, config.master_seed ^ _AUDIT_SALT))
-    for (name, model, label, cspec, trace_seed, ctrl_seed), audit_seed in zip(
-        scoring, audit_seeds
-    ):
-        controller = resolve_controller(cspec, model, ctrl_seed)
-        open_rep = causality_audit(controller, seed=audit_seed)
-        closed_rep = closed_loop_causality_check(model, controller, seed=audit_seed)
-        yield name, model, label, controller, trace_seed, open_rep, closed_rep
+    seen = set()
+    for trials in plans:
+        salted = run_plan(config, trials, config.master_seed ^ _AUDIT_SALT)
+        for cell, audit_cell in zip(run_plan(config, trials), salted):
+            seedless = cell.spec.get("kind") in _SEEDLESS_KINDS
+            seed = None if seedless else cell.controller_seed
+            key = (cell.model_name, id(cell.spec), seed)
+            if key in seen:
+                continue
+            seen.add(key)
+            controller = resolve_controller(cell.spec, cell.model, cell.controller_seed)
+            probe = audit_cell.controller_seed
+            open_rep = causality_audit(controller, seed=probe)
+            closed_rep = closed_loop_causality_check(cell.model, controller, seed=probe)
+            yield trials, cell, controller, open_rep, closed_rep
 
 
 def cmd_audit(config: ExperimentConfig) -> int:
+    # the one-trial plan is what verify scores, the config's plan what
+    # simulate and sweep run; a line for the latter names its trial
     failed = False
-    for name, _, label, _, _, open_rep, closed_rep in _audited_pairs(config):
+    plans = sorted({1, config.trials})
+    for trials, cell, _, open_rep, closed_rep in _audited(config, plans):
         ok = open_rep.passed and closed_rep.passed
         failed = failed or not ok
         detail = ""
@@ -351,8 +323,9 @@ def cmd_audit(config: ExperimentConfig) -> int:
             detail += f" open-loop violations at {list(open_rep.violations[:3])}"
         if not closed_rep.passed:
             detail += f" closed-loop violations at {list(closed_rep.violations[:3])}"
+        trial = f" t{cell.trial}" if trials > 1 else ""
         print(
-            f"{'ok' if ok else 'FAILED':6s} {name} / {label}: "
+            f"{'ok' if ok else 'FAILED':6s} {cell.model_name} / {cell.label}{trial}: "
             f"open {open_rep.trials} trials, closed {closed_rep.trials} trials"
             f"{detail}"
         )
@@ -364,23 +337,22 @@ def cmd_verify(config: ExperimentConfig, out_dir: Optional[str]) -> int:
     # resolved once, so the object audited is the one scored
     pairs = []
     audit_failed = False
-    for *pair, open_rep, closed_rep in _audited_pairs(config):
-        pairs.append(pair)
-        name, _, label, _, _ = pair
+    for _, cell, controller, open_rep, closed_rep in _audited(config, [1]):
+        pairs.append((cell, controller))
         if not (open_rep.passed and closed_rep.passed):
             audit_failed = True
-            print(f"causality FAILED: {name} / {label}", file=sys.stderr)
+            print(f"causality FAILED: {cell.model_name} / {cell.label}", file=sys.stderr)
     if audit_failed:
         return EXIT_CAUSALITY
 
     rows: list[CellRow] = []
-    for name, model, label, controller, trace_seed in pairs:
+    for cell, controller in pairs:
         start = time.perf_counter()
         traces, aux_seed = _pooled_traces(
-            model, controller, config.horizon, trace_seed, config.trials, None
+            cell.model, controller, config.horizon, cell.trace_seed, config.trials, None
         )
         scored = _score_cell(
-            model,
+            cell.model,
             traces,
             config.p_values,
             horizon=config.horizon,
@@ -394,16 +366,16 @@ def cmd_verify(config: ExperimentConfig, out_dir: Optional[str]) -> int:
             rows.append(
                 CellRow(
                     cell_id=f"v{len(rows):05d}",
-                    model=name,
-                    controller=label,
+                    model=cell.model_name,
+                    controller=cell.label,
                     p=p,
                     report=rep,
                 )
             )
-            norm = f"p={_p_label(p):<4}" if model.dim == 1 else "det-floor"
+            norm = f"p={_p_label(p):<4}" if cell.model.dim == 1 else "det-floor"
             print(
                 f"{'VIOLATION' if rep.violation else 'ok':9s} "
-                f"{name} / {label} {norm} "
+                f"{cell.model_name} / {cell.label} {norm} "
                 f"bound={rep.bound.value:.6g} "
                 f"empirical={rep.empirical:.6g} "
                 f"gap={rep.gap_ratio:.4f}"

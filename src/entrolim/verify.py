@@ -20,15 +20,14 @@ max(10 x model memory, 1000) steps; per-step cells (k fixed) measure
 across independent trials at exactly index k, where the stationary start
 makes the analytic conditional entropy exact.
 
-``verify`` pools ``trials`` traces per (model, controller) and scores
-every p on those same traces; ``sweep`` runs a Cartesian grid {model x
-controller x seed x p} where each trial is its own cell with its own
-trace, with per-cell seeds split off a master seed, optional thread
-parallelism, and deterministic CSV/JSON output (rows in enumeration order;
+``run_plan`` alone decides which controller runs on which seed.  ``sweep``
+runs its cells with the config's trials, one trace per cell, with optional
+thread parallelism and deterministic CSV/JSON output (rows in plan order;
 identical config and seed reproduce identical bytes except for the
-wall-clock runtime_ms column).  The first row of a cell carries the
-simulation and serial diagnostics in its runtime_ms; later rows carry
-only the scoring of their own p.
+wall-clock runtime_ms column); ``entrolim verify`` runs it with one trial
+per (model, controller) pair and pools ``trials`` traces there.  The first
+row of a cell carries the simulation and serial diagnostics in its
+runtime_ms; later rows carry only the scoring of their own p.
 """
 
 from __future__ import annotations
@@ -75,6 +74,7 @@ __all__ = [
     "verify_mimo_bound",
     "tightness_report",
     "sweep",
+    "run_plan",
     "resolve_controller",
     "spawn_seeds",
     "default_burn_in",
@@ -373,6 +373,23 @@ def _pooled_traces(model, controller, horizon: int, seed: int, trials: int, k):
     return traces, seeds[-1]
 
 
+def _verify(model, controller, p_values, tightness, horizon, seed, trials, k, burn_in):
+    """The body of ``verify_bound`` (one p) and ``verify_mimo_bound`` (no p)."""
+    start = time.perf_counter()
+    if (model.dim > 1) == bool(p_values):
+        raise ValueError(
+            "verify_bound is scalar; use verify_mimo_bound"
+            if p_values
+            else "vector model required; verify_bound handles scalar cells"
+        )
+    traces, aux_seed = _pooled_traces(model, controller, horizon, seed, trials, k)
+    ((_, report),) = _score_cell(
+        model, traces, p_values, horizon=horizon, k=k, burn_in=burn_in,
+        tightness=tightness, seed=aux_seed, start=start,
+    )
+    return report
+
+
 def verify_bound(
     model: DisturbanceModel,
     controller: ControllerPolicy,
@@ -393,22 +410,7 @@ def verify_bound(
     step-k floor (the tightness block is skipped there; across-trial
     samples carry no serial structure to test).
     """
-    start = time.perf_counter()
-    if model.dim != 1:
-        raise ValueError("verify_bound is scalar; use verify_mimo_bound")
-    traces, aux_seed = _pooled_traces(model, controller, horizon, seed, trials, k)
-    ((_, report),) = _score_cell(
-        model,
-        traces,
-        (p,),
-        horizon=horizon,
-        k=k,
-        burn_in=burn_in,
-        tightness=tightness,
-        seed=aux_seed,
-        start=start,
-    )
-    return report
+    return _verify(model, controller, (p,), tightness, horizon, seed, trials, k, burn_in)
 
 
 def verify_mimo_bound(
@@ -428,26 +430,47 @@ def verify_mimo_bound(
     moments is compared against the same value (Hadamard), reported in the
     ``product`` block.  The cell violates when either comparison does.
     """
-    start = time.perf_counter()
-    if model.dim < 2:
-        raise ValueError("vector model required; verify_bound handles scalar cells")
-    traces, aux_seed = _pooled_traces(model, controller, horizon, seed, trials, k)
-    ((_, report),) = _score_cell(
-        model,
-        traces,
-        (),
-        horizon=horizon,
-        k=k,
-        burn_in=burn_in,
-        tightness=False,
-        seed=aux_seed,
-        start=start,
-    )
-    return report
+    return _verify(model, controller, (), False, horizon, seed, trials, k, burn_in)
 
 
 # ---------------------------------------------------------------------------
-# controller resolution (shared by sweep and the CLI)
+# the run plan and controller resolution (shared by sweep and the CLI)
+
+
+@dataclass(frozen=True)
+class PlanCell:
+    """One (model, controller, trial) run of a config; the controller is unresolved."""
+
+    model_name: str
+    model: DisturbanceModel
+    spec: dict
+    trial: int
+    trace_seed: int
+    controller_seed: int
+
+    @property
+    def label(self) -> str:
+        return str(self.spec.get("name", self.spec.get("kind", "controller")))
+
+
+def run_plan(
+    config: "ExperimentConfig", trials: int, master_seed: Optional[int] = None
+) -> list[PlanCell]:
+    """The cells of ``config`` in model -> controller -> trial order.
+
+    Cell i of n runs on trace seed ``spawn_seeds(master, 2 n)[2 i]`` and
+    resolves its controller on ``[2 i + 1]``; ``master`` defaults to the
+    config's master seed.
+    """
+    master = config.master_seed if master_seed is None else master_seed
+    n_cells = len(config.models) * len(config.controllers) * trials
+    seeds = iter(spawn_seeds(master, 2 * n_cells))
+    return [
+        PlanCell(name, model, spec, trial, next(seeds), next(seeds))
+        for name, model in zip(config.model_names, config.models)
+        for spec in config.controllers
+        for trial in range(trials)
+    ]
 
 
 def resolve_controller(
@@ -558,13 +581,6 @@ def _row_record(row: CellRow) -> dict:
     }
 
 
-def _model_label(config, index: int, model: DisturbanceModel) -> str:
-    names = getattr(config, "model_names", None)
-    if names is not None and index < len(names):
-        return names[index]
-    return getattr(model, "descriptor", str(model))
-
-
 def sweep(
     config: "ExperimentConfig",
     *,
@@ -574,30 +590,21 @@ def sweep(
 ) -> SweepResult:
     """Cartesian sweep over {model x controller x seed x p}.
 
-    Each (model, controller, seed) triple simulates one trace and is scored
-    at every requested p.  Cells that raise are recorded in the summary and
-    skipped, the sweep continues.  Output rows are written in enumeration
-    order, so reruns with the same config and master seed are reproducible.
+    Each cell of ``run_plan(config, config.trials)`` simulates one trace and
+    is scored at every requested p.  Cells that raise are recorded in the
+    summary and skipped, the sweep continues.  Output rows are written in
+    plan order, so reruns with the same config and master seed are
+    reproducible.  No causality audit runs here; ``entrolim audit`` covers
+    every controller a sweep resolves.
     """
     start = time.perf_counter()
-    cells = []
-    for mi, model in enumerate(config.models):
-        for cspec in config.controllers:
-            for _trial in range(config.trials):
-                cells.append((mi, model, cspec))
-    cell_seeds = spawn_seeds(config.master_seed, 2 * len(cells))
+    cells = run_plan(config, config.trials)
 
     def run_cell(index: int):
-        mi, model, cspec = cells[index]
-        trace_seed = cell_seeds[2 * index]
-        ctrl_seed = cell_seeds[2 * index + 1]
-        if isinstance(cspec, dict):
-            label = cspec.get("name", cspec.get("kind", "controller"))
-        else:
-            label = "controller"
-        model_label = _model_label(config, mi, model)
+        cell = cells[index]
+        model, trace_seed = cell.model, cell.trace_seed
         try:
-            controller = resolve_controller(cspec, model, ctrl_seed)
+            controller = resolve_controller(cell.spec, model, cell.controller_seed)
             cell_start = time.perf_counter()
             # vector cells simulate on the first child of the trace seed
             run_seed = trace_seed if model.dim == 1 else spawn_seeds(trace_seed, 1)[0]
@@ -616,8 +623,8 @@ def sweep(
             rows = [
                 CellRow(
                     cell_id=f"c{index:05d}{'det' if model.dim > 1 else f'p{pi}'}",
-                    model=model_label,
-                    controller=label,
+                    model=cell.model_name,
+                    controller=cell.label,
                     p=p,
                     report=report,
                 )

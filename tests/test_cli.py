@@ -148,6 +148,17 @@ def test_bound_prints_table_and_csv(tmp_path, capsys):
     assert float(by_key[("unif", "inf")]["direct"]) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_bound_csv_quotes_model_names(tmp_path):
+    name = 'a,b "c"'
+    path = _write_config(tmp_path, {"models": [dict(AR1_SPEC, name=name)]})
+    assert cli.main(["bound", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_OK
+    with open(tmp_path / "bounds.csv", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    assert len(header) == 8
+    assert [len(row) for row in rows] == [8]
+    assert rows[0][0] == name
+
+
 def test_bound_skips_vector_models(tmp_path, capsys):
     path = _write_config(tmp_path, {"models": [VEC_SPEC]})
     assert cli.main(["bound", "--config", path]) == cli.EXIT_OK
@@ -320,6 +331,49 @@ def test_audit_and_verify_resolve_controllers_on_the_same_seeds(monkeypatch, tmp
     assert seeds["audit"] == seeds["verify"]
 
 
+def test_audit_covers_the_controllers_of_later_trials(monkeypatch, tmp_path, capsys):
+    # sweep and simulate resolve trial 1's random controller on the fourth
+    # child of the master seed; doctor only that one to be non-causal
+    raw = {"models": [AR1_SPEC], "controllers": [{"kind": "random"}], "trials": 2}
+    path = _write_config(tmp_path, raw)
+    trial1_seed = el.spawn_seeds(0, 4)[3]
+    real_resolve = cli.resolve_controller
+
+    def doctored_resolve(spec, model, seed):
+        if seed == trial1_seed:
+            return el.anticipatory_double()
+        return real_resolve(spec, model, seed)
+
+    monkeypatch.setattr(cli, "resolve_controller", doctored_resolve)
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_CAUSALITY
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "ok     ar1 / random",
+        "FAILED ar1 / random t1",
+    ]
+
+
+def test_audit_checks_seedless_controllers_once_per_pair(monkeypatch, tmp_path, capsys):
+    arma21 = {"kind": "gauss_arma", "ar": [0.5, -0.3], "ma": [0.4], "name": "arma21"}
+    raw = {
+        "models": [AR1_SPEC, arma21, UNIF_SPEC, VEC_SPEC],
+        "controllers": [{"kind": "zero"}, {"kind": "predictor"}],
+        "trials": 2,
+    }
+    path = _write_config(tmp_path, raw)
+    calls = []
+    real_audit = cli.causality_audit
+
+    def counting_audit(controller, **kwargs):
+        calls.append(controller)
+        return real_audit(controller, **kwargs)
+
+    monkeypatch.setattr(cli, "causality_audit", counting_audit)
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_OK
+    assert len(calls) == 8
+    assert len(capsys.readouterr().out.splitlines()) == 8
+
+
 def test_verify_numeric_fault_exit(monkeypatch, tmp_path, capsys):
     # z_k = 10 e_{k-1} is causal and passes both audits, but the loop diverges
     path = _write_config(
@@ -355,7 +409,7 @@ def test_verify_csv_matches_library_calls(tmp_path):
         "seed": 5,
     }
     path = _write_config(tmp_path, raw)
-    assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == 0
+    cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")])
 
     config = cli.config_from_dict(raw)
     seeds = el.spawn_seeds(config.master_seed, 4)  # (trace, controller) per pair
@@ -396,6 +450,51 @@ def test_verify_csv_matches_library_calls(tmp_path):
     cli_rows = _rows_without_runtime(tmp_path / "v" / "verify.csv")
     assert len(cli_rows) == 4
     assert cli_rows == _rows_without_runtime(tmp_path / "library.csv")
+
+
+def test_run_plan_pins_the_seeds_of_every_subcommand(tmp_path):
+    raw = {
+        "models": [AR1_SPEC, VEC_SPEC],
+        "controllers": [{"kind": "zero"}, {"kind": "predictor"}],
+        "p_values": [2],
+        "horizon": 3_000,
+        "trials": 2,
+        "seed": 13,
+    }
+    config = cli.config_from_dict(raw)
+    plan = verify_module.run_plan(config, config.trials)
+    seeds = el.spawn_seeds(13, 16)
+    assert [(c.trace_seed, c.controller_seed) for c in plan] == list(
+        zip(seeds[::2], seeds[1::2])
+    )
+    assert [(c.model_name, c.label, c.trial) for c in plan[:4]] == [
+        ("ar1", "zero", 0), ("ar1", "zero", 1),
+        ("ar1", "predictor", 0), ("ar1", "predictor", 1),
+    ]
+    path = _write_config(tmp_path, raw)
+
+    # only the seeds are under test here, not the verdicts or exit codes;
+    # sweep scores a vector cell on the first child of its trace seed
+    cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")])
+    with open(tmp_path / "s" / "report.csv", newline="") as handle:
+        swept = [int(row["seed"]) for row in csv.DictReader(handle)]
+    assert swept == [
+        c.trace_seed if c.model.dim == 1 else el.spawn_seeds(c.trace_seed, 1)[0]
+        for c in plan
+    ]
+
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "t")]) == 0
+    for c in plan:
+        sidecar = tmp_path / "t" / f"{c.model_name}__{c.label}__t{c.trial}.json"
+        assert json.loads(sidecar.read_text())["seed"] == c.trace_seed
+
+    # verify pools the trials of one cell per pair of the one-trial plan
+    cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")])
+    with open(tmp_path / "v" / "verify.csv", newline="") as handle:
+        verified = [int(row["seed"]) for row in csv.DictReader(handle)]
+    pairs = verify_module.run_plan(config, 1)
+    assert pairs[1].controller_seed == seeds[3]
+    assert verified == [el.spawn_seeds(c.trace_seed, 3)[0] for c in pairs]
 
 
 # ---------------------------------------------------------------------------
