@@ -85,7 +85,6 @@ EXIT_NUMERIC = 6
 _ROUTE_AGREEMENT = 1e-8
 _AUDIT_SALT = 0x5EED
 _CONTROLLER_KINDS = {"zero", "predictor", "random", "learned", "anticipatory"}
-_SEEDLESS_KINDS = {"zero", "predictor", "anticipatory"}
 _CONFIG_KEYS = {"models", "controllers", "p_values", "horizon", "trials", "seed"}
 
 
@@ -250,8 +249,18 @@ def cmd_bound(config: ExperimentConfig, out_dir: Optional[str]) -> int:
             ]
             agree = all(delta <= _ROUTE_AGREEMENT for delta in deltas)
             disagreement = disagreement or not agree
-            row = [name, _p_label(p), direct.h_bits, direct.constant, direct.value]
-            rows.append(row + [spectral, gw, agree])
+            rows.append(
+                [
+                    name,
+                    _p_label(p),
+                    direct.h_bits,
+                    direct.constant,
+                    direct.value,
+                    spectral,
+                    gw,
+                    agree,
+                ]
+            )
             fmt = lambda v: "-".rjust(14) if v is None else f"{v:>14.10g}"
             print(
                 f"{name:<16} {_p_label(p):>5} {direct.h_bits:>12.8g} "
@@ -264,7 +273,9 @@ def cmd_bound(config: ExperimentConfig, out_dir: Optional[str]) -> int:
         path = out / "bounds.csv"
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow("model p h_bits C_p direct spectral gw agree".split())
+            writer.writerow(
+                ["model", "p", "h_bits", "C_p", "direct", "spectral", "gw", "agree"]
+            )
             writer.writerows([_format_value(v) for v in row] for row in rows)
         print(f"wrote {path}")
     if disagreement:
@@ -290,16 +301,14 @@ def _audited(config: ExperimentConfig, plans):
     """Resolve and audit each distinct controller of the plans with ``plans`` trials.
 
     Probes come from the same cell of the salted plan.  A controller is one
-    (model, spec entry, controller seed); kinds that ignore the seed drop it.
+    (model, spec entry, ``cell.used_seed``).
     Yields (trials, cell, controller, open report, closed report).
     """
     seen = set()
     for trials in plans:
         salted = run_plan(config, trials, config.master_seed ^ _AUDIT_SALT)
         for cell, audit_cell in zip(run_plan(config, trials), salted):
-            seedless = cell.spec.get("kind") in _SEEDLESS_KINDS
-            seed = None if seedless else cell.controller_seed
-            key = (cell.model_name, id(cell.spec), seed)
+            key = (cell.model_name, id(cell.spec), cell.used_seed)
             if key in seen:
                 continue
             seen.add(key)
@@ -457,11 +466,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
 
     try:
-        try:
-            config = load_config(args.config)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        config = load_config(args.config)
         if args.seed is not None:
             config = replace(config, master_seed=int(args.seed))
 
@@ -477,13 +482,10 @@ def main(argv=None) -> int:
         if args.command == "audit":
             return cmd_audit(config)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NonFiniteLoopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

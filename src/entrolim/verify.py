@@ -376,16 +376,21 @@ def _pooled_traces(model, controller, horizon: int, seed: int, trials: int, k):
 def _verify(model, controller, p_values, tightness, horizon, seed, trials, k, burn_in):
     """The body of ``verify_bound`` (one p) and ``verify_mimo_bound`` (no p)."""
     start = time.perf_counter()
-    if (model.dim > 1) == bool(p_values):
-        raise ValueError(
-            "verify_bound is scalar; use verify_mimo_bound"
-            if p_values
-            else "vector model required; verify_bound handles scalar cells"
-        )
+    if p_values and model.dim != 1:
+        raise ValueError("verify_bound is scalar; use verify_mimo_bound")
+    if not p_values and model.dim < 2:
+        raise ValueError("vector model required; verify_bound handles scalar cells")
     traces, aux_seed = _pooled_traces(model, controller, horizon, seed, trials, k)
     ((_, report),) = _score_cell(
-        model, traces, p_values, horizon=horizon, k=k, burn_in=burn_in,
-        tightness=tightness, seed=aux_seed, start=start,
+        model,
+        traces,
+        p_values,
+        horizon=horizon,
+        k=k,
+        burn_in=burn_in,
+        tightness=tightness,
+        seed=aux_seed,
+        start=start,
     )
     return report
 
@@ -451,6 +456,19 @@ class PlanCell:
     @property
     def label(self) -> str:
         return str(self.spec.get("name", self.spec.get("kind", "controller")))
+
+    @property
+    def used_seed(self) -> Optional[int]:
+        """The seed ``resolve_controller`` builds this cell's controller from.
+
+        None for the kinds that ignore it; a random spec's own "seed" pins it.
+        """
+        kind = self.spec.get("kind")
+        if kind == "random":
+            return int(self.spec.get("seed", self.controller_seed))
+        if kind in ("zero", "predictor", "anticipatory"):
+            return None
+        return self.controller_seed
 
 
 def run_plan(

@@ -374,6 +374,25 @@ def test_audit_checks_seedless_controllers_once_per_pair(monkeypatch, tmp_path, 
     assert len(capsys.readouterr().out.splitlines()) == 8
 
 
+def test_audit_checks_a_pinned_random_controller_once(monkeypatch, tmp_path, capsys):
+    # a random spec with its own "seed" builds the same controller every trial
+    raw = {
+        "models": [AR1_SPEC],
+        "controllers": [{"kind": "random", "seed": 7}, {"kind": "random"}],
+        "trials": 3,
+    }
+    path = _write_config(tmp_path, raw)
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "ok     ar1 / random",
+        "ok     ar1 / random",
+        "ok     ar1 / random t0",
+        "ok     ar1 / random t1",
+        "ok     ar1 / random t2",
+    ]
+
+
 def test_verify_numeric_fault_exit(monkeypatch, tmp_path, capsys):
     # z_k = 10 e_{k-1} is causal and passes both audits, but the loop diverges
     path = _write_config(
@@ -409,7 +428,7 @@ def test_verify_csv_matches_library_calls(tmp_path):
         "seed": 5,
     }
     path = _write_config(tmp_path, raw)
-    cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")])
+    assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == 0
 
     config = cli.config_from_dict(raw)
     seeds = el.spawn_seeds(config.master_seed, 4)  # (trace, controller) per pair
