@@ -85,6 +85,7 @@ class WhitenessReport:
     mi_lag1_bits: float
     mi_lag1_se: float
     sample_count: int
+    mi_flag: Optional[str] = None
 
     def __post_init__(self):
         if np.max(np.abs(self.autocorrelations)) > 1.0 + 1e-9:
@@ -413,7 +414,7 @@ def whiteness_stats(
     Needs length >= 100 * max_lag.  The MI column is NaN when the trace is
     too short for a trustworthy kNN estimate; long traces are truncated to
     ``mi_max_samples`` points for it (the portmanteau always uses the full
-    trace).
+    trace).  ``mi_flag`` keeps the MI estimator's "ties" or "degenerate" flag.
     """
     x = np.asarray(errors, dtype=float).reshape(-1)
     n = x.size
@@ -433,11 +434,11 @@ def whiteness_stats(
     pvalue = float(stats.chi2.sf(q_stat, max_lag))
     if n - 1 >= mi_min_samples:
         cap = min(n - 1, mi_max_samples)
-        mi, mi_se, _ = mutual_information_estimate(
+        mi, mi_se, mi_flag = mutual_information_estimate(
             x[:cap], x[1 : cap + 1], seed=seed, min_samples=mi_min_samples
         )
     else:
-        mi, mi_se = math.nan, math.nan
+        mi, mi_se, mi_flag = math.nan, math.nan, None
     return WhitenessReport(
         autocorrelations=acf,
         portmanteau=q_stat,
@@ -445,6 +446,7 @@ def whiteness_stats(
         mi_lag1_bits=mi,
         mi_lag1_se=mi_se,
         sample_count=n,
+        mi_flag=mi_flag,
     )
 
 

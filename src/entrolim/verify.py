@@ -13,7 +13,9 @@ never a verdict: the scorer raises NonFiniteLoopError (a ValueError)
 naming the step, and a sweep records an error cell.  The gap_ratio
 (empirical / bound) doubles as a tightness certificate: ratios near 1 must
 come with white, GG-shaped errors or something is wrong, and that is
-checked, not assumed.
+checked, not assumed.  The identity between the error's lag-1 MI with its
+own past and with the disturbance's is a library diagnostic of
+``tightness_report``; ``sweep`` and ``entrolim verify`` do not compute it.
 
 Asymptotic cells measure within-trace statistics after a burn-in of
 max(10 x model memory, 1000) steps; per-step cells (k fixed) measure
@@ -26,7 +28,7 @@ thread parallelism and deterministic CSV/JSON output (rows in plan order;
 identical config and seed reproduce identical bytes except for the
 wall-clock runtime_ms column); ``entrolim verify`` runs it with one trial
 per (model, controller) pair and pools ``trials`` traces there.  The first
-row of a cell carries the simulation and serial diagnostics in its
+row of a cell carries the simulation and the whiteness test in its
 runtime_ms; later rows carry only the scoring of their own p.
 """
 
@@ -122,9 +124,10 @@ def default_burn_in(model: DisturbanceModel) -> int:
 class TightnessReport:
     """Diagnostics that must accompany any equality claim.
 
-    The two lag-1 mutual informations are the estimator-level proxies for
-    the matched pair I(e_k; past d) and I(e_k; past e); they agree within
-    combined error on every honest trace.
+    The lag-1 mutual informations are the estimator-level proxies for the
+    matched pair I(e_k; past e) and I(e_k; past d), which agree on every
+    honest trace.  Only ``tightness_report`` computes the e-vs-d identity
+    fields, and not below 10k samples; None means not computed.
     """
 
     whiteness: _estimators.WhitenessReport
@@ -133,9 +136,9 @@ class TightnessReport:
     gg_fit_pass: bool
     mi_err_lag1_bits: float
     mi_err_lag1_se: float
-    mi_dist_lag1_bits: float
-    mi_dist_lag1_se: float
-    mi_identity_consistent: bool
+    mi_dist_lag1_bits: Optional[float] = None
+    mi_dist_lag1_se: Optional[float] = None
+    mi_identity_consistent: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -164,44 +167,12 @@ class VerificationReport:
     product: Optional[ProductBoundCheck] = None
 
 
-def _serial_diagnostics(
-    e: np.ndarray,
-    d: np.ndarray,
-    *,
-    max_lag: int = 10,
-    seed=0,
-) -> tuple[_estimators.WhitenessReport, float, float, bool]:
-    """The norm-independent half of a tightness certificate.
-
-    Returns the whiteness report plus the lag-1 mutual information between
-    the error and the raw disturbance, and whether the two lag-1 MI reads
-    (error vs own past, error vs disturbance past) agree within combined
-    error.  Split out so a sweep can amortise it across p values.
-    """
-    white = _estimators.whiteness_stats(e, max_lag=max_lag, seed=seed)
-    cap = min(e.size - 1, 20_000)
-    if cap >= 10_000:
-        mi_dist, mi_dist_se, _ = _estimators.mutual_information_estimate(
-            e[1 : cap + 1], d[:cap], seed=seed
-        )
-    else:
-        mi_dist, mi_dist_se = math.nan, math.nan
-    mi_err, mi_err_se = white.mi_lag1_bits, white.mi_lag1_se
-    if math.isnan(mi_err) or math.isnan(mi_dist):
-        consistent = True
-    else:
-        consistent = abs(mi_err - mi_dist) <= _SIGMA_GUARD * math.hypot(
-            mi_err_se, mi_dist_se
-        )
-    return white, mi_dist, mi_dist_se, consistent
-
-
-def _assemble_tightness(
-    serial: tuple[_estimators.WhitenessReport, float, float, bool],
+def _certificate(
+    white: _estimators.WhitenessReport,
     fit: _estimators.GGFitReport,
     whiteness_alpha: float,
+    **identity,
 ) -> TightnessReport:
-    white, mi_dist, mi_dist_se, consistent = serial
     return TightnessReport(
         whiteness=white,
         whiteness_pass=white.passed(whiteness_alpha),
@@ -209,10 +180,30 @@ def _assemble_tightness(
         gg_fit_pass=fit.passed,
         mi_err_lag1_bits=white.mi_lag1_bits,
         mi_err_lag1_se=white.mi_lag1_se,
-        mi_dist_lag1_bits=mi_dist,
-        mi_dist_lag1_se=mi_dist_se,
-        mi_identity_consistent=consistent,
+        **identity,
     )
+
+
+def _mi_identity(
+    e: np.ndarray, d: np.ndarray, white: _estimators.WhitenessReport, seed
+) -> dict:
+    """The e-vs-d lag-1 MI and whether it matches e-vs-e within 3 combined SE.
+
+    Empty (the fields stay None) when the whiteness report carries no MI:
+    a check that did not run never reads as passed.
+    """
+    if math.isnan(white.mi_lag1_bits):
+        return {}
+    cap = min(e.size - 1, 20_000)
+    mi_dist, mi_dist_se, _ = _estimators.mutual_information_estimate(
+        e[1 : cap + 1], d[:cap], seed=seed
+    )
+    guard = _SIGMA_GUARD * math.hypot(white.mi_lag1_se, mi_dist_se)
+    return {
+        "mi_dist_lag1_bits": mi_dist,
+        "mi_dist_lag1_se": mi_dist_se,
+        "mi_identity_consistent": abs(white.mi_lag1_bits - mi_dist) <= guard,
+    }
 
 
 def tightness_report(
@@ -224,12 +215,15 @@ def tightness_report(
     max_lag: int = 10,
     seed=0,
 ) -> TightnessReport:
-    """Whiteness, GG(p) shape, and past-independence checks for one trace."""
+    """Whiteness, GG(p) shape, and past-independence checks for one trace.
+
+    The scoring path's certificate plus the e-vs-d MI identity check.
+    """
     e = np.asarray(trace.e, dtype=float).reshape(-1)[burn_in:]
     d = np.asarray(trace.d, dtype=float).reshape(-1)[burn_in:]
-    serial = _serial_diagnostics(e, d, max_lag=max_lag, seed=seed)
+    white = _estimators.whiteness_stats(e, max_lag=max_lag, seed=seed)
     fit = _estimators.density_fit_gg(e, p)
-    return _assemble_tightness(serial, fit, whiteness_alpha)
+    return _certificate(white, fit, whiteness_alpha, **_mi_identity(e, d, white, seed))
 
 
 def _step_bound(
@@ -343,10 +337,10 @@ def _score_cell(
         )
         return [report(2.0, bound, det.value, det.std_error, None, "analytic", product)]
 
-    serial = None
+    white = None
     if k is None and tightness:
-        e_first, d_first = traces[0].e[burn_in:], traces[0].d[burn_in:]
-        serial = _serial_diagnostics(e_first, d_first, seed=seed)
+        e_first = traces[0].e[burn_in:]
+        white = _estimators.whiteness_stats(e_first, seed=seed)
     scored = []
     for p in p_values:
         if k is None:
@@ -355,9 +349,8 @@ def _score_cell(
             bound, h_source = _step_bound(model, p, k, horizon, seed)
         empirical, std_error = _estimators.lp_norm_estimate(samples, p)
         tight = None
-        if serial is not None:
-            fit = _estimators.density_fit_gg(e_first, p)
-            tight = _assemble_tightness(serial, fit, 0.005)
+        if white is not None:
+            tight = _certificate(white, _estimators.density_fit_gg(e_first, p), 0.005)
         scored.append(report(p, bound, empirical, std_error, tight, h_source))
     return scored
 

@@ -286,7 +286,15 @@ def test_whiteness_fails_colored_trace():
 def test_whiteness_mi_nan_for_short_traces():
     report = el.whiteness_stats(_rng(19).standard_normal(1_500), max_lag=10)
     assert math.isnan(report.mi_lag1_bits)
+    assert report.mi_flag is None
     assert math.isfinite(report.portmanteau)
+
+
+def test_whiteness_keeps_the_mi_flag():
+    x = _rng(21).standard_normal(12_000)
+    assert el.whiteness_stats(x).mi_flag is None
+    # 2-decimal rounding ties many 4th neighbours of the lag pairs
+    assert el.whiteness_stats(np.round(x, 2)).mi_flag == "ties"
 
 
 def test_whiteness_validation():

@@ -3,6 +3,7 @@ certificates, controller resolution, and sweep output determinism.
 """
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import entrolim as el
+from entrolim import estimators
 from entrolim import verify as verify_module
 from entrolim.cli import ExperimentConfig
 
@@ -64,8 +66,13 @@ def test_verify_asymptotic_predictor_cell():
     assert report.tightness is not None
     assert report.tightness.whiteness_pass
     assert report.tightness.gg_fit_pass
-    assert report.tightness.mi_identity_consistent
+    assert report.tightness.mi_identity_consistent is None
     assert report.runtime_ms >= 0
+    # the identity check runs on the first pooled trace, with the certificate's seed
+    first, _, aux = el.spawn_seeds(3, 3)
+    trace = el.run_loop(AR1, el.predictor_controller(AR1), 20_000, first)
+    cert = el.tightness_report(trace, 2.0, burn_in=el.default_burn_in(AR1), seed=aux)
+    assert cert.mi_identity_consistent
 
 
 def test_verify_asymptotic_zero_cell_has_slack():
@@ -193,6 +200,65 @@ def test_tightness_white_trace():
     assert math.isfinite(cert.mi_err_lag1_bits)
     assert math.isfinite(cert.mi_dist_lag1_bits)
     assert cert.mi_identity_consistent
+
+
+def test_tightness_identity_is_none_when_not_run():
+    short = el.run_loop(AR1, el.predictor_controller(AR1), 3_000, seed=14)
+    cert = el.tightness_report(short, 2.0, burn_in=1_000)
+    assert math.isnan(cert.mi_err_lag1_bits)
+    assert cert.mi_dist_lag1_bits is None
+    assert cert.mi_dist_lag1_se is None
+    assert cert.mi_identity_consistent is None
+    long = el.run_loop(AR1, el.predictor_controller(AR1), 21_000, seed=15)
+    assert el.tightness_report(long, 2.0, burn_in=1_000).mi_identity_consistent is True
+
+
+def _certified_config():
+    # 11k post-burn-in samples: past the 10k the lag-1 kNN MI needs
+    p_values = [1.0, 2.0, math.inf]
+    return _config([AR1], ["ar1"], [{"kind": "predictor"}], p_values, horizon=12_000)
+
+
+def test_sweep_certificate_is_tightness_report_without_the_identity():
+    config = _certified_config()
+    result = el.sweep(config)
+    assert not result.errors
+    (cell,) = verify_module.run_plan(config, 1)
+    trace = el.run_loop(AR1, el.predictor_controller(AR1), 12_000, cell.trace_seed)
+    for row in result.rows:
+        got = row.report.tightness
+        want = el.tightness_report(
+            trace, row.p, burn_in=el.default_burn_in(AR1), seed=cell.trace_seed
+        )
+        for report_name in ("whiteness", "gg_fit"):
+            got_part, want_part = getattr(got, report_name), getattr(want, report_name)
+            for field in dataclasses.fields(got_part):
+                got_value = getattr(got_part, field.name)
+                assert np.array_equal(got_value, getattr(want_part, field.name)), field
+        assert got.mi_err_lag1_bits == want.mi_err_lag1_bits
+        assert got.mi_err_lag1_se == want.mi_err_lag1_se
+        assert got.whiteness_pass == want.whiteness_pass
+        assert got.gg_fit_pass == want.gg_fit_pass
+        assert math.isfinite(got.mi_err_lag1_bits)
+        assert want.mi_identity_consistent is not None
+        assert got.mi_dist_lag1_bits is None
+        assert got.mi_dist_lag1_se is None
+        assert got.mi_identity_consistent is None
+
+
+def test_certified_cell_builds_one_two_dimensional_knn(monkeypatch):
+    dims = []
+    knn_radii = estimators._knn_radii
+
+    def recording(points, k):
+        dims.append(points.shape[1])
+        return knn_radii(points, k)
+
+    monkeypatch.setattr(estimators, "_knn_radii", recording)
+    result = el.sweep(_certified_config())
+    assert len(result.rows) == 3
+    # the lag-1 MI of e with itself: two 1-D marginals and one 2-D joint
+    assert sorted(dims) == [1, 1, 2]
 
 
 def test_tightness_colored_trace_fails_whiteness():
