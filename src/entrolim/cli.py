@@ -35,7 +35,6 @@ import math
 import os
 import re
 import sys
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -53,8 +52,7 @@ from .verify import (
     CellRow,
     NonFiniteLoopError,
     _format_value,
-    _pooled_traces,
-    _score_cell,
+    _score_pooled,
     resolve_controller,
     run_plan,
     sweep,
@@ -106,9 +104,9 @@ class ExperimentConfig:
 
 
 def _parse_p(value) -> float:
-    if isinstance(value, str):
-        if value.strip().lower() in {"inf", "infinity"}:
-            return math.inf
+    if isinstance(value, str) and value.strip().lower() in {"inf", "infinity"}:
+        return math.inf
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"p_values: cannot parse {value!r} as a norm exponent")
     try:
         p = float(value)
@@ -117,6 +115,14 @@ def _parse_p(value) -> float:
     if not p >= 1.0:
         raise ConfigError(f"p_values: exponent must be >= 1, got {p}")
     return p
+
+
+def _parse_int(raw: dict, key: str, default: int) -> int:
+    """An integer config value; booleans, strings and fractions are errors."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+    return int(value)
 
 
 def config_from_dict(raw) -> ExperimentConfig:
@@ -162,12 +168,9 @@ def config_from_dict(raw) -> ExperimentConfig:
         raise ConfigError("p_values: need a non-empty list")
     p_values = tuple(_parse_p(v) for v in p_raw)
 
-    try:
-        horizon = int(raw.get("horizon", 20_000))
-        trials = int(raw.get("trials", 1))
-        master_seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"horizon/trials/seed must be integers: {exc}") from exc
+    horizon = _parse_int(raw, "horizon", 20_000)
+    trials = _parse_int(raw, "trials", 1)
+    master_seed = _parse_int(raw, "seed", 0)
     if horizon < 2:
         raise ConfigError(f"horizon: must be >= 2, got {horizon}")
     if trials < 1:
@@ -356,20 +359,13 @@ def cmd_verify(config: ExperimentConfig, out_dir: Optional[str]) -> int:
 
     rows: list[CellRow] = []
     for cell, controller in pairs:
-        start = time.perf_counter()
-        traces, aux_seed = _pooled_traces(
-            cell.model, controller, config.horizon, cell.trace_seed, config.trials, None
-        )
-        scored = _score_cell(
+        scored = _score_pooled(
             cell.model,
-            traces,
+            controller,
             config.p_values,
             horizon=config.horizon,
-            k=None,
-            burn_in=None,
-            tightness=True,
-            seed=aux_seed,
-            start=start,
+            seed=cell.trace_seed,
+            trials=config.trials,
         )
         for p, rep in scored:
             rows.append(

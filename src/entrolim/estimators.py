@@ -53,6 +53,16 @@ _JACKKNIFE_FOLDS = 20
 #: tightness certificate.
 _KS_COEFF = 1.63
 
+#: The whiteness gate: a Ljung-Box portmanteau over lags 1.._LJUNG_BOX_LAGS
+#: passes when its p-value is at least _LJUNG_BOX_ALPHA.
+_LJUNG_BOX_ALPHA = 0.005
+_LJUNG_BOX_LAGS = 10
+
+#: The fewest samples a kNN MI or conditional entropy is trusted on, and the
+#: most a lag-1 MI uses (longer traces are truncated for it).
+_KNN_MIN_SAMPLES = 10_000
+_MI_MAX_SAMPLES = 20_000
+
 
 @dataclass(frozen=True)
 class EntropyEstimate:
@@ -91,8 +101,8 @@ class WhitenessReport:
         if np.max(np.abs(self.autocorrelations)) > 1.0 + 1e-9:
             raise ValueError("autocorrelation outside [-1, 1]")
 
-    def passed(self, alpha: float = 0.005) -> bool:
-        return self.portmanteau_pvalue >= alpha
+    def passed(self) -> bool:
+        return self.portmanteau_pvalue >= _LJUNG_BOX_ALPHA
 
 
 @dataclass(frozen=True)
@@ -331,11 +341,11 @@ def conditional_entropy_estimate(
     Delay-embeds the path and differences two joint kNN entropies
     (h(window of memory+1) - h(window of memory)); memory = 0 reduces to
     the marginal entropy.  memory <= 3 keeps the joint dimension inside the
-    kNN comfort zone.
+    kNN comfort zone; the path needs at least _KNN_MIN_SAMPLES points.
     """
     x = np.asarray(path, dtype=float).reshape(-1)
-    if x.size < 10_000:
-        raise ValueError(f"need at least 10000 samples, got {x.size}")
+    if x.size < _KNN_MIN_SAMPLES:
+        raise ValueError(f"need at least {_KNN_MIN_SAMPLES} samples, got {x.size}")
     if not 0 <= memory <= 3:
         raise ValueError(f"memory must be in [0, 3], got {memory}")
     if memory == 0:
@@ -357,19 +367,15 @@ def conditional_entropy_estimate(
 
 
 def mutual_information_estimate(
-    x: np.ndarray,
-    y: np.ndarray,
-    k_neighbors: int = 4,
-    seed=0,
-    min_samples: int = 10_000,
+    x: np.ndarray, y: np.ndarray, k_neighbors: int = 4, seed=0
 ) -> tuple[float, float, Optional[str]]:
     """I(x; y) = h(x) + h(y) - h(x, y) in bits, clipped at zero.
 
-    Returns (mi_bits, std_error_bits, flag).  The error combines the
-    per-point terms of the three kNN estimates (shared-sample covariance
-    included).  Functionally dependent inputs drive h(x, y) far down and
-    surface as a large MI with the "degenerate" flag: read those as
-    lower-bounded, not converged.
+    Needs at least _KNN_MIN_SAMPLES pairs.  Returns (mi_bits,
+    std_error_bits, flag).  The error combines the per-point terms of the
+    three kNN estimates (shared-sample covariance included).  Functionally
+    dependent inputs drive h(x, y) far down and surface as a large MI with
+    the "degenerate" flag: read those as lower-bounded, not converged.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -380,8 +386,8 @@ def mutual_information_estimate(
     if xv.shape[0] != yv.shape[0]:
         raise ValueError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
     n = xv.shape[0]
-    if n < min_samples:
-        raise ValueError(f"need at least {min_samples} samples, got {n}")
+    if n < _KNN_MIN_SAMPLES:
+        raise ValueError(f"need at least {_KNN_MIN_SAMPLES} samples, got {n}")
     if xv.shape[1] + yv.shape[1] > 4:
         raise ValueError("joint dimension capped at 4")
     joint = np.hstack([xv, yv])
@@ -401,42 +407,30 @@ def mutual_information_estimate(
 # whiteness
 
 
-def whiteness_stats(
-    errors: np.ndarray,
-    max_lag: int = 10,
-    *,
-    mi_min_samples: int = 10_000,
-    mi_max_samples: int = 20_000,
-    seed=0,
-) -> WhitenessReport:
-    """Ljung-Box portmanteau over lags 1..max_lag plus a lag-1 kNN MI.
+def whiteness_stats(errors: np.ndarray, *, seed=0) -> WhitenessReport:
+    """Ljung-Box portmanteau over lags 1.._LJUNG_BOX_LAGS plus a lag-1 kNN MI.
 
-    Needs length >= 100 * max_lag.  The MI column is NaN when the trace is
-    too short for a trustworthy kNN estimate; long traces are truncated to
-    ``mi_max_samples`` points for it (the portmanteau always uses the full
+    Needs length >= 100 * _LJUNG_BOX_LAGS; ``WhitenessReport.passed`` reads
+    the p-value against _LJUNG_BOX_ALPHA.  The MI column is NaN below
+    _KNN_MIN_SAMPLES + 1 points; longer traces are truncated to
+    _MI_MAX_SAMPLES pairs for it (the portmanteau always uses the full
     trace).  ``mi_flag`` keeps the MI estimator's "ties" or "degenerate" flag.
     """
     x = np.asarray(errors, dtype=float).reshape(-1)
     n = x.size
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
-    if n < 100 * max_lag:
-        raise ValueError(f"need at least {100 * max_lag} samples, got {n}")
+    if n < 100 * _LJUNG_BOX_LAGS:
+        raise ValueError(f"need at least {100 * _LJUNG_BOX_LAGS} samples, got {n}")
     centered = x - x.mean()
     denom = float(centered @ centered)
     if denom == 0.0:
         raise ValueError("constant error trace; whiteness undefined")
-    acf = np.array(
-        [float(centered[lag:] @ centered[:-lag]) / denom for lag in range(1, max_lag + 1)]
-    )
-    lags = np.arange(1, max_lag + 1)
-    q_stat = n * (n + 2.0) * float(np.sum(acf**2 / (n - lags)))
-    pvalue = float(stats.chi2.sf(q_stat, max_lag))
-    if n - 1 >= mi_min_samples:
-        cap = min(n - 1, mi_max_samples)
-        mi, mi_se, mi_flag = mutual_information_estimate(
-            x[:cap], x[1 : cap + 1], seed=seed, min_samples=mi_min_samples
-        )
+    lags = range(1, _LJUNG_BOX_LAGS + 1)
+    acf = np.array([float(centered[lag:] @ centered[:-lag]) / denom for lag in lags])
+    q_stat = n * (n + 2.0) * float(np.sum(acf**2 / (n - np.array(lags))))
+    pvalue = float(stats.chi2.sf(q_stat, _LJUNG_BOX_LAGS))
+    if n - 1 >= _KNN_MIN_SAMPLES:
+        cap = min(n - 1, _MI_MAX_SAMPLES)
+        mi, mi_se, mi_flag = mutual_information_estimate(x[:cap], x[1 : cap + 1], seed=seed)
     else:
         mi, mi_se, mi_flag = math.nan, math.nan, None
     return WhitenessReport(

@@ -261,18 +261,8 @@ def predictor_controller(model: DisturbanceModel) -> ControllerPolicy:
         )
 
     taps_by_order = _prediction_taps(model)
-    top = len(taps_by_order) - 1
-
-    def step(e_hist, z_hist):
-        order = min(e_hist.shape[0], top)
-        if order == 0:
-            return 0.0
-        taps = taps_by_order[order]
-        d_recent = e_hist[-order:] - z_hist[-order:]
-        return -float(taps @ d_recent[::-1])
-
     return ControllerPolicy(
-        step=step,
+        step=_fir_step(taps_by_order, negate=True),
         initial_output=0.0,
         descriptor=descriptor,
         kernel=_fir_kernel(taps_by_order, negate=True),
@@ -302,6 +292,21 @@ def _innovation_variance(model) -> float:
     raise ValueError(f"no innovation variance known for {model.descriptor}")
 
 
+def _fir_step(ladder: Sequence[np.ndarray], negate: bool):
+    """The scalar FIR step that ``_fir_kernel`` repeats exactly."""
+    top = len(ladder) - 1
+
+    def step(e_hist, z_hist):
+        order = min(e_hist.shape[0], top)
+        if order == 0:
+            return 0.0
+        d_recent = e_hist[-order:] - z_hist[-order:]
+        s = float(ladder[order] @ d_recent[::-1])
+        return -s if negate else s
+
+    return step
+
+
 def _fir_kernel(ladder: Sequence[np.ndarray], negate: bool) -> Kernel:
     """Exact kernel of the scalar FIR step z_k = s or -s on d_j = e_j - z_j,
 
@@ -310,7 +315,7 @@ def _fir_kernel(ladder: Sequence[np.ndarray], negate: bool) -> Kernel:
     with d_recent the last min(k, top) reconstructed disturbances.  Each
     step makes that same dot, with the same taps array and a reversed
     (negatively strided) view of a preallocated d array as the operand, so
-    numpy picks the same loop and the sum rounds as in ``step``.
+    numpy picks the same loop and the sum rounds as in ``_fir_step``.
     """
     top = len(ladder) - 1
     frozen = ladder[top]
@@ -429,18 +434,12 @@ def learned_controller(
     except np.linalg.LinAlgError:
         taps = np.linalg.solve(gram + 1e-8 * np.eye(memory), moment)
 
-    def step(e_hist, z_hist):
-        avail = min(e_hist.shape[0], memory)
-        if avail == 0:
-            return 0.0
-        d_recent = e_hist[-avail:] - z_hist[-avail:]
-        return float(taps[:avail] @ d_recent[::-1])
-
+    ladder = [taps[:avail] for avail in range(memory + 1)]
     return ControllerPolicy(
-        step=step,
+        step=_fir_step(ladder, negate=False),
         initial_output=0.0,
         descriptor=f"learned[memory={memory}]",
-        kernel=_fir_kernel([taps[:avail] for avail in range(memory + 1)], negate=False),
+        kernel=_fir_kernel(ladder, negate=False),
     )
 
 

@@ -150,7 +150,7 @@ def szego_entropy_integral_bits(
     return integral / math.pi  # (1/2pi) * 2 * Integral_[0,pi]
 
 
-def negentropy_rate_bits(model, **quad_kw) -> float:
+def negentropy_rate_bits(model) -> float:
     """Gap J >= 0 between the Gaussian spectral entropy rate and the model's.
 
     ``model`` must provide power_spectrum() and entropy_rate_bits().  J is 0
@@ -158,7 +158,7 @@ def negentropy_rate_bits(model, **quad_kw) -> float:
     -1e-6 bits) means the two routes disagree and is raised as an error
     rather than clamped.
     """
-    gap = szego_entropy_integral_bits(model.power_spectrum(), **quad_kw)
+    gap = szego_entropy_integral_bits(model.power_spectrum())
     gap -= model.entropy_rate_bits()
     if gap < -1e-6:
         raise RuntimeError(

@@ -1,20 +1,28 @@
 """Monte Carlo confrontation of the analytic bounds with simulated loops.
 
-A verification cell pairs one disturbance model and one controller; the
-harness simulates the loop, estimates the error norm at each requested p,
-and compares it against the analytic floor.  ``verify_bound``,
-``verify_mimo_bound``, ``sweep`` and ``entrolim verify`` share one scorer
-and one rule: a cell *violates* only when ``empirical < bound - 3 *
-std_error``; anything closer is sampling noise by contract.  A vector cell
-applies the rule to the determinant of the pooled second-moment matrix and
-to the product of per-channel second moments (Hadamard), and violates when
-either does.  A loop error that is not finite at some step is an error,
-never a verdict: the scorer raises NonFiniteLoopError (a ValueError)
-naming the step, and a sweep records an error cell.  The gap_ratio
-(empirical / bound) doubles as a tightness certificate: ratios near 1 must
-come with white, GG-shaped errors or something is wrong, and that is
-checked, not assumed.  The identity between the error's lag-1 MI with its
-own past and with the disturbance's is a library diagnostic of
+A verification cell pairs one disturbance model and one controller.
+``_score_cell`` is the one cell runner: it simulates the cell's traces
+(k + 1 steps when k is fixed), estimates the error norm at each requested
+p and compares it with the analytic floor.  ``sweep`` runs it on one trace
+per cell; ``verify_bound``, ``verify_mimo_bound`` and ``entrolim verify``
+run it through ``_score_pooled``, on ``trials`` traces whose seeds are
+split off the given seed.  One rule makes every verdict: a cell *violates*
+only when ``empirical < bound - 3 * std_error`` (``_SIGMA_GUARD``);
+anything closer is sampling noise by contract.  A vector cell applies the
+rule to the determinant of the pooled second-moment matrix and to the
+product of per-channel second moments (Hadamard), and violates when either
+does.  A loop error that is not finite at some step is an error, never a
+verdict: the runner raises NonFiniteLoopError (a ValueError) naming the
+step, and a sweep records an error cell.
+
+The gap_ratio (empirical / bound) doubles as a tightness certificate:
+ratios near 1 must come with white, GG-shaped errors or something is
+wrong, and that is checked, not assumed.  Its gates are constants of
+``estimators``, each read in one place: Ljung-Box over ``_LJUNG_BOX_LAGS``
+lags at ``_LJUNG_BOX_ALPHA``, the lag-1 kNN MI on at least
+``_KNN_MIN_SAMPLES`` and at most ``_MI_MAX_SAMPLES`` pairs, and KS at
+``_KS_COEFF`` / sqrt(n).  The identity between the error's lag-1 MI with
+its own past and with the disturbance's is a library diagnostic of
 ``tightness_report``; ``sweep`` and ``entrolim verify`` do not compute it.
 
 Asymptotic cells measure within-trace statistics after a burn-in of
@@ -23,13 +31,13 @@ across independent trials at exactly index k, where the stationary start
 makes the analytic conditional entropy exact.
 
 ``run_plan`` alone decides which controller runs on which seed.  ``sweep``
-runs its cells with the config's trials, one trace per cell, with optional
-thread parallelism and deterministic CSV/JSON output (rows in plan order;
-identical config and seed reproduce identical bytes except for the
-wall-clock runtime_ms column); ``entrolim verify`` runs it with one trial
-per (model, controller) pair and pools ``trials`` traces there.  The first
-row of a cell carries the simulation and the whiteness test in its
-runtime_ms; later rows carry only the scoring of their own p.
+runs its cells with the config's trials, with optional thread parallelism
+and deterministic CSV/JSON output (rows in plan order; identical config
+and seed reproduce identical bytes except for the wall-clock runtime_ms
+column); ``entrolim verify`` runs it with one trial per (model,
+controller) pair and pools ``trials`` traces there.  The first row of a
+cell carries the simulation and the whiteness test in its runtime_ms;
+later rows carry only the scoring of their own p.
 """
 
 from __future__ import annotations
@@ -127,7 +135,7 @@ class TightnessReport:
     The lag-1 mutual informations are the estimator-level proxies for the
     matched pair I(e_k; past e) and I(e_k; past d), which agree on every
     honest trace.  Only ``tightness_report`` computes the e-vs-d identity
-    fields, and not below 10k samples; None means not computed.
+    fields, and only when the e-vs-e MI ran; None means not computed.
     """
 
     whiteness: _estimators.WhitenessReport
@@ -168,14 +176,11 @@ class VerificationReport:
 
 
 def _certificate(
-    white: _estimators.WhitenessReport,
-    fit: _estimators.GGFitReport,
-    whiteness_alpha: float,
-    **identity,
+    white: _estimators.WhitenessReport, fit: _estimators.GGFitReport, **identity
 ) -> TightnessReport:
     return TightnessReport(
         whiteness=white,
-        whiteness_pass=white.passed(whiteness_alpha),
+        whiteness_pass=white.passed(),
         gg_fit=fit,
         gg_fit_pass=fit.passed,
         mi_err_lag1_bits=white.mi_lag1_bits,
@@ -194,7 +199,7 @@ def _mi_identity(
     """
     if math.isnan(white.mi_lag1_bits):
         return {}
-    cap = min(e.size - 1, 20_000)
+    cap = min(e.size - 1, _estimators._MI_MAX_SAMPLES)
     mi_dist, mi_dist_se, _ = _estimators.mutual_information_estimate(
         e[1 : cap + 1], d[:cap], seed=seed
     )
@@ -207,23 +212,19 @@ def _mi_identity(
 
 
 def tightness_report(
-    trace: SimulationTrace,
-    p: float,
-    *,
-    burn_in: int = 0,
-    whiteness_alpha: float = 0.005,
-    max_lag: int = 10,
-    seed=0,
+    trace: SimulationTrace, p: float, *, burn_in: int = 0, seed=0
 ) -> TightnessReport:
     """Whiteness, GG(p) shape, and past-independence checks for one trace.
 
-    The scoring path's certificate plus the e-vs-d MI identity check.
+    The scoring path's certificate, under the same gate constants (see the
+    module docstring), plus the e-vs-d MI identity check; both lag-1 MIs
+    use at most ``estimators._MI_MAX_SAMPLES`` pairs.
     """
     e = np.asarray(trace.e, dtype=float).reshape(-1)[burn_in:]
     d = np.asarray(trace.d, dtype=float).reshape(-1)[burn_in:]
-    white = _estimators.whiteness_stats(e, max_lag=max_lag, seed=seed)
+    white = _estimators.whiteness_stats(e, seed=seed)
     fit = _estimators.density_fit_gg(e, p)
-    return _certificate(white, fit, whiteness_alpha, **_mi_identity(e, d, white, seed))
+    return _certificate(white, fit, **_mi_identity(e, d, white, seed))
 
 
 def _step_bound(
@@ -261,25 +262,29 @@ def _step_bound(
 
 def _score_cell(
     model: DisturbanceModel,
-    traces: list[SimulationTrace],
+    controller: ControllerPolicy,
+    run_seeds,
     p_values,
     *,
     horizon: int,
-    k: Optional[int],
-    burn_in: Optional[int],
-    tightness: bool,
     seed: int,
-    start: float,
+    k: Optional[int] = None,
+    burn_in: Optional[int] = None,
+    tightness: bool = True,
 ) -> list[tuple[float, VerificationReport]]:
-    """Score already simulated traces of one cell; every verdict comes from here.
+    """Simulate and score one cell; every verdict comes from here.
 
-    ``traces`` are pooled trials (``verify``) or one trace (a ``sweep``
-    cell); ``seed`` drives the diagnostics and the step-k entropy estimate.
+    One trace per run seed: several pooled trials (``verify``) or one (a
+    ``sweep`` cell), of ``horizon`` steps, or k + 1 steps when k is fixed.
+    ``seed`` drives the diagnostics and the step-k entropy estimate.
     Returns (p, report) per p for a scalar model, and one determinant
     report filed under p = 2 for a vector model, whose floor does not
-    depend on p.  The first runtime counts from ``start``, each later one
-    from the report before it.
+    depend on p.  The first runtime counts from the start of the
+    simulation, each later one from the report before it.
     """
+    start = time.perf_counter()
+    length = horizon if k is None else k + 1
+    traces = [run_loop(model, controller, length, s) for s in run_seeds]
     if k is None:
         if burn_in is None:
             burn_in = default_burn_in(model)
@@ -350,42 +355,21 @@ def _score_cell(
         empirical, std_error = _estimators.lp_norm_estimate(samples, p)
         tight = None
         if white is not None:
-            tight = _certificate(white, _estimators.density_fit_gg(e_first, p), 0.005)
+            tight = _certificate(white, _estimators.density_fit_gg(e_first, p))
         scored.append(report(p, bound, empirical, std_error, tight, h_source))
     return scored
 
 
-def _pooled_traces(model, controller, horizon: int, seed: int, trials: int, k):
-    """``trials`` traces on seeds split off ``seed``, and the seed after them.
+def _score_pooled(model, controller, p_values, horizon, seed, trials, **options):
+    """``_score_cell`` on ``trials`` traces pooled from seeds split off ``seed``.
 
-    A fixed k simulates only the first k + 1 steps of each trace.
+    The seed after theirs drives the diagnostics; ``options`` passes on
+    ``_score_cell``'s k, burn_in and tightness.
     """
-    seeds = spawn_seeds(seed, trials + 1)
-    length = horizon if k is None else k + 1
-    traces = [run_loop(model, controller, length, s) for s in seeds[:trials]]
-    return traces, seeds[-1]
-
-
-def _verify(model, controller, p_values, tightness, horizon, seed, trials, k, burn_in):
-    """The body of ``verify_bound`` (one p) and ``verify_mimo_bound`` (no p)."""
-    start = time.perf_counter()
-    if p_values and model.dim != 1:
-        raise ValueError("verify_bound is scalar; use verify_mimo_bound")
-    if not p_values and model.dim < 2:
-        raise ValueError("vector model required; verify_bound handles scalar cells")
-    traces, aux_seed = _pooled_traces(model, controller, horizon, seed, trials, k)
-    ((_, report),) = _score_cell(
-        model,
-        traces,
-        p_values,
-        horizon=horizon,
-        k=k,
-        burn_in=burn_in,
-        tightness=tightness,
-        seed=aux_seed,
-        start=start,
+    *run_seeds, aux_seed = spawn_seeds(seed, trials + 1)
+    return _score_cell(
+        model, controller, run_seeds, p_values, horizon=horizon, seed=aux_seed, **options
     )
-    return report
 
 
 def verify_bound(
@@ -408,7 +392,11 @@ def verify_bound(
     step-k floor (the tightness block is skipped there; across-trial
     samples carry no serial structure to test).
     """
-    return _verify(model, controller, (p,), tightness, horizon, seed, trials, k, burn_in)
+    if model.dim != 1:
+        raise ValueError("verify_bound is scalar; use verify_mimo_bound")
+    options = dict(k=k, burn_in=burn_in, tightness=tightness)
+    ((_, report),) = _score_pooled(model, controller, (p,), horizon, seed, trials, **options)
+    return report
 
 
 def verify_mimo_bound(
@@ -428,7 +416,11 @@ def verify_mimo_bound(
     moments is compared against the same value (Hadamard), reported in the
     ``product`` block.  The cell violates when either comparison does.
     """
-    return _verify(model, controller, (), False, horizon, seed, trials, k, burn_in)
+    if model.dim < 2:
+        raise ValueError("vector model required; verify_bound handles scalar cells")
+    options = dict(k=k, burn_in=burn_in)
+    ((_, report),) = _score_pooled(model, controller, (), horizon, seed, trials, **options)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -616,20 +608,16 @@ def sweep(
         model, trace_seed = cell.model, cell.trace_seed
         try:
             controller = resolve_controller(cell.spec, model, cell.controller_seed)
-            cell_start = time.perf_counter()
             # vector cells simulate on the first child of the trace seed
             run_seed = trace_seed if model.dim == 1 else spawn_seeds(trace_seed, 1)[0]
-            trace = run_loop(model, controller, config.horizon, run_seed)
             scored = _score_cell(
                 model,
-                [trace],
+                controller,
+                [run_seed],
                 config.p_values,
                 horizon=config.horizon,
-                k=None,
-                burn_in=None,
-                tightness=tightness,
                 seed=trace_seed,
-                start=cell_start,
+                tightness=tightness,
             )
             rows = [
                 CellRow(

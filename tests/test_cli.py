@@ -71,6 +71,17 @@ def test_config_parses_inf_strings():
         ({"models": [AR1_SPEC], "p_values": ["two"]}, "cannot parse"),
         ({"models": [AR1_SPEC], "horizon": 1}, "horizon"),
         ({"models": [AR1_SPEC], "trials": 0}, "trials"),
+        ({"models": [AR1_SPEC], "horizon": 12000.9}, "horizon"),
+        ({"models": [AR1_SPEC], "horizon": "3000"}, "horizon"),
+        ({"models": [AR1_SPEC], "horizon": True}, "horizon"),
+        ({"models": [AR1_SPEC], "trials": 1.5}, "trials"),
+        ({"models": [AR1_SPEC], "trials": "2"}, "trials"),
+        ({"models": [AR1_SPEC], "trials": True}, "trials"),
+        ({"models": [AR1_SPEC], "seed": True}, "seed"),
+        ({"models": [AR1_SPEC], "seed": "7"}, "seed"),
+        ({"models": [AR1_SPEC], "seed": 0.5}, "seed"),
+        ({"models": [AR1_SPEC], "p_values": [True]}, "p_values"),
+        ({"models": [AR1_SPEC], "p_values": [2, True]}, "p_values"),
         ([], "object"),
     ],
 )
@@ -258,7 +269,7 @@ def test_verify_reports_violation_exit(monkeypatch, tmp_path, capsys):
     path = _write_config(
         tmp_path, {"models": [AR1_SPEC], "horizon": 3_000, "p_values": [2]}
     )
-    real = cli._score_cell
+    real = verify_module._score_cell
 
     def doctored(*args, **kwargs):
         scored = real(*args, **kwargs)
@@ -266,7 +277,7 @@ def test_verify_reports_violation_exit(monkeypatch, tmp_path, capsys):
             object.__setattr__(report, "violation", True)
         return scored
 
-    monkeypatch.setattr(cli, "_score_cell", doctored)
+    monkeypatch.setattr(verify_module, "_score_cell", doctored)
     assert cli.main(["verify", "--config", path]) == cli.EXIT_VIOLATION
     assert "VIOLATION" in capsys.readouterr().out
 

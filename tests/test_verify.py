@@ -261,6 +261,36 @@ def test_certified_cell_builds_one_two_dimensional_knn(monkeypatch):
     assert sorted(dims) == [1, 1, 2]
 
 
+def test_whiteness_alpha_is_one_constant(monkeypatch, tmp_path):
+    # the sweep's whiteness_pass column and tightness_report read one alpha
+    trace = el.run_loop(AR1, el.predictor_controller(AR1), 12_000, seed=16)
+    burn_in = el.default_burn_in(AR1)
+    assert el.tightness_report(trace, 2.0, burn_in=burn_in).whiteness_pass
+    monkeypatch.setattr(estimators, "_LJUNG_BOX_ALPHA", 1.0)
+    assert not el.tightness_report(trace, 2.0, burn_in=burn_in).whiteness_pass
+    el.sweep(_certified_config(), out_dir=tmp_path)
+    with open(tmp_path / "report.csv", newline="") as handle:
+        column = [row["whiteness_pass"] for row in csv.DictReader(handle)]
+    assert column == ["false"] * 3
+
+
+def test_mi_cap_is_one_constant(monkeypatch):
+    # the e-vs-e (whiteness) and e-vs-d (identity) lag-1 MIs take one cap
+    trace = el.run_loop(AR1, el.predictor_controller(AR1), 12_000, seed=16)
+    sizes = []
+    real_mi = estimators.mutual_information_estimate
+
+    def recording(x, y, **kwargs):
+        sizes.append((len(x), len(y)))
+        return real_mi(x, y, **kwargs)
+
+    monkeypatch.setattr(estimators, "_MI_MAX_SAMPLES", 10_500)
+    monkeypatch.setattr(estimators, "mutual_information_estimate", recording)
+    cert = el.tightness_report(trace, 2.0, burn_in=el.default_burn_in(AR1))
+    assert sizes == [(10_500, 10_500)] * 2
+    assert cert.mi_identity_consistent is not None
+
+
 def test_tightness_colored_trace_fails_whiteness():
     trace = el.run_loop(AR1, el.zero_controller(), 20_000, seed=13)
     cert = el.tightness_report(trace, 2.0, burn_in=1_000)
