@@ -10,7 +10,7 @@ Layout:
     distributions   generalized Gaussian family and Gaussian vectors
     processes       disturbance models with analytic entropy schedules
     spectral        Szego integral, negentropy rate, Gaussianity-whiteness
-    bounds          the floors themselves (L_p, variance, maxdev, MIMO det)
+    bounds          the floors themselves (L_p and MIMO determinant)
     simulator       causal controllers, closed loops, causality audits
     estimators      entropy / MI / whiteness estimation from samples
     verify          Monte Carlo confrontation of bound vs simulation
@@ -47,12 +47,10 @@ from .bounds import (
     lp_bound_asymptotic,
     lp_bound_at_step,
     lp_constant,
-    maxdev_bound,
     mimo_det_bound,
     mimo_det_bound_asymptotic,
     mimo_det_bound_at_step,
     spectral_lp_bound,
-    variance_bound,
 )
 from .simulator import (
     CausalStage,
@@ -130,8 +128,6 @@ __all__ = [
     "gaussianity_whiteness",
     "lp_constant",
     "lp_bound",
-    "variance_bound",
-    "maxdev_bound",
     "mimo_det_bound",
     "lp_bound_at_step",
     "lp_bound_asymptotic",

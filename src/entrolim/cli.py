@@ -40,7 +40,12 @@ from pathlib import Path
 from typing import Optional
 
 from . import bounds as _bounds
-from .processes import DisturbanceModel, NotAnalyticError, model_from_config
+from .processes import (
+    DisturbanceModel,
+    NotAnalyticError,
+    model_from_config,
+    spec_number,
+)
 from .simulator import (
     causality_audit,
     closed_loop_causality_check,
@@ -51,6 +56,7 @@ from .spectral import SpectralIntegralError
 from .verify import (
     CellRow,
     NonFiniteLoopError,
+    _controller_settings,
     _format_value,
     _score_pooled,
     resolve_controller,
@@ -106,11 +112,9 @@ class ExperimentConfig:
 def _parse_p(value) -> float:
     if isinstance(value, str) and value.strip().lower() in {"inf", "infinity"}:
         return math.inf
-    if isinstance(value, (bool, str)):
-        raise ConfigError(f"p_values: cannot parse {value!r} as a norm exponent")
     try:
-        p = float(value)
-    except (TypeError, ValueError):
+        p = spec_number(value, "p_values")
+    except ValueError:
         raise ConfigError(f"p_values: cannot parse {value!r} as a norm exponent")
     if not p >= 1.0:
         raise ConfigError(f"p_values: exponent must be >= 1, got {p}")
@@ -118,11 +122,10 @@ def _parse_p(value) -> float:
 
 
 def _parse_int(raw: dict, key: str, default: int) -> int:
-    """An integer config value; booleans, strings and fractions are errors."""
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise ConfigError(f"{key}: must be an integer, got {value!r}")
-    return int(value)
+    try:
+        return spec_number(raw.get(key, default), key, integer=True)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_dict(raw) -> ExperimentConfig:
@@ -161,6 +164,10 @@ def config_from_dict(raw) -> ExperimentConfig:
                 f"controllers[{i}]: unknown kind {kind!r}, "
                 f"expected one of {sorted(_CONTROLLER_KINDS)}"
             )
+        try:
+            _controller_settings(spec, 0)
+        except ValueError as exc:
+            raise ConfigError(f"controllers[{i}]: {exc}") from exc
         controllers.append(dict(spec))
 
     p_raw = raw.get("p_values", [2])

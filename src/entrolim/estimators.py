@@ -63,6 +63,9 @@ _LJUNG_BOX_LAGS = 10
 _KNN_MIN_SAMPLES = 10_000
 _MI_MAX_SAMPLES = 20_000
 
+#: The neighbour order k of every kNN entropy and MI estimate.
+_KNN_NEIGHBOURS = 4
+
 
 @dataclass(frozen=True)
 class EntropyEstimate:
@@ -274,8 +277,6 @@ def _knn_terms_nats(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, Optio
     and from a kd-tree for two dimensions and up.
     """
     n, dim = points.shape
-    if not 1 <= k < n:
-        raise ValueError(f"k_neighbors must be in [1, n), got {k}")
     if not np.isfinite(points).all():
         raise ValueError("kNN points must be finite")
     flag = None
@@ -301,9 +302,7 @@ def _degenerate_support(points: np.ndarray) -> bool:
     return bool(eigenvalues[0] <= 1e-12 * max(eigenvalues[-1], 1e-300))
 
 
-def entropy_estimate_knn(
-    samples: np.ndarray, k_neighbors: int = 4, seed=0
-) -> EntropyEstimate:
+def entropy_estimate_knn(samples: np.ndarray, seed=0) -> EntropyEstimate:
     """Kozachenko-Leonenko joint entropy of (n, dim<=4) samples, in bits.
 
     Exactly duplicated points are jittered by 1e-12 of the data scale (and
@@ -319,7 +318,7 @@ def entropy_estimate_knn(
         raise ValueError(f"need at least 100 samples, got {n}")
     if dim > 4:
         raise ValueError(f"joint dimension capped at 4, got {dim}")
-    terms, flag = _knn_terms_nats(pts, k_neighbors, seed)
+    terms, flag = _knn_terms_nats(pts, _KNN_NEIGHBOURS, seed)
     if flag is None and _degenerate_support(pts):
         flag = "degenerate"
     value = float(terms.mean()) / _LN2
@@ -333,9 +332,7 @@ def entropy_estimate_knn(
     )
 
 
-def conditional_entropy_estimate(
-    path: np.ndarray, memory: int, k_neighbors: int = 4, seed=0
-) -> EntropyEstimate:
+def conditional_entropy_estimate(path: np.ndarray, memory: int, seed=0) -> EntropyEstimate:
     """h(d_k | d_{k-memory}..d_{k-1}) from one stationary path, in bits.
 
     Delay-embeds the path and differences two joint kNN entropies
@@ -349,12 +346,10 @@ def conditional_entropy_estimate(
     if not 0 <= memory <= 3:
         raise ValueError(f"memory must be in [0, 3], got {memory}")
     if memory == 0:
-        return entropy_estimate_knn(x, k_neighbors=k_neighbors, seed=seed)
+        return entropy_estimate_knn(x, seed=seed)
     windows = np.lib.stride_tricks.sliding_window_view(x, memory + 1)
-    joint = entropy_estimate_knn(windows, k_neighbors=k_neighbors, seed=seed)
-    past = entropy_estimate_knn(
-        windows[:, :memory], k_neighbors=k_neighbors, seed=seed
-    )
+    joint = entropy_estimate_knn(windows, seed=seed)
+    past = entropy_estimate_knn(windows[:, :memory], seed=seed)
     value = joint.value_bits - past.value_bits
     se = math.hypot(joint.std_error_bits, past.std_error_bits)
     return EntropyEstimate(
@@ -367,7 +362,7 @@ def conditional_entropy_estimate(
 
 
 def mutual_information_estimate(
-    x: np.ndarray, y: np.ndarray, k_neighbors: int = 4, seed=0
+    x: np.ndarray, y: np.ndarray, seed=0
 ) -> tuple[float, float, Optional[str]]:
     """I(x; y) = h(x) + h(y) - h(x, y) in bits, clipped at zero.
 
@@ -391,9 +386,9 @@ def mutual_information_estimate(
     if xv.shape[1] + yv.shape[1] > 4:
         raise ValueError("joint dimension capped at 4")
     joint = np.hstack([xv, yv])
-    terms_x, flag_x = _knn_terms_nats(xv, k_neighbors, seed)
-    terms_y, flag_y = _knn_terms_nats(yv, k_neighbors, seed)
-    terms_xy, flag_xy = _knn_terms_nats(joint, k_neighbors, seed)
+    terms_x, flag_x = _knn_terms_nats(xv, _KNN_NEIGHBOURS, seed)
+    terms_y, flag_y = _knn_terms_nats(yv, _KNN_NEIGHBOURS, seed)
+    terms_xy, flag_xy = _knn_terms_nats(joint, _KNN_NEIGHBOURS, seed)
     flag = flag_x or flag_y or flag_xy
     if flag is None and _degenerate_support(joint):
         flag = "degenerate"

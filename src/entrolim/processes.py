@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,6 +54,7 @@ __all__ = [
     "prediction_variances",
     "arma_autocovariance",
     "model_from_config",
+    "spec_number",
     "CapacityError",
     "NotAnalyticError",
 ]
@@ -183,7 +185,7 @@ def _rational_spectrum(sigma2: float, ar: tuple, ma: tuple) -> SpectralDensity:
             return float(out)
         return out
 
-    return SpectralDensity(evaluate=evaluate, rational=(sigma2, tuple(ar), tuple(ma)))
+    return SpectralDensity(evaluate=evaluate)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -289,10 +291,7 @@ class IID(DisturbanceModel):
     def power_spectrum(self):
         level = self.innovation.variance()
         return SpectralDensity(
-            evaluate=lambda omega: np.full_like(
-                np.asarray(omega, dtype=float), level
-            ),
-            rational=(level, (), ()),
+            evaluate=lambda omega: np.full_like(np.asarray(omega, dtype=float), level)
         )
 
 
@@ -617,6 +616,32 @@ def entropy_schedule(model: DisturbanceModel, horizon: int) -> EntropySchedule:
 # config parsing
 
 
+def spec_number(value, key: str, *, integer: bool = False):
+    """A number of a JSON spec, read one way for every field.
+
+    Booleans, strings and other non-numbers raise ValueError naming
+    ``key``; with ``integer``, so do fractions, while integral floats such
+    as 3000.0 pass and come back as int.
+    """
+    what = "an integer" if integer else "a number"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key}: must be {what}, got {value!r}")
+    if not integer:
+        return float(value)
+    if value % 1:
+        raise ValueError(f"{key}: must be {what}, got {value!r}")
+    return int(value)
+
+
+def _spec_numbers(values, key: str, depth: int = 1) -> tuple:
+    """A list of numbers (depth 1) or of such lists (depth 2), by ``spec_number``."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key}: must be a list, got {values!r}")
+    if depth == 1:
+        return tuple(spec_number(v, key) for v in values)
+    return tuple(_spec_numbers(v, key, depth - 1) for v in values)
+
+
 def _innovation_from_config(spec: dict, field: str) -> GeneralizedGaussian:
     if not isinstance(spec, dict):
         raise ValueError(f"{field}: expected an object, got {type(spec).__name__}")
@@ -624,23 +649,23 @@ def _innovation_from_config(spec: dict, field: str) -> GeneralizedGaussian:
     if family == "gaussian":
         if "variance" not in spec:
             raise ValueError(f"{field}: gaussian innovation needs 'variance'")
-        return GeneralizedGaussian.gaussian(math.sqrt(float(spec["variance"])))
+        variance = spec_number(spec["variance"], f"{field}.variance")
+        return GeneralizedGaussian.gaussian(math.sqrt(variance))
     if family == "gg":
-        try:
-            p_raw = spec["p"]
-            mu = float(spec["mu"])
-        except KeyError as missing:
-            raise ValueError(f"{field}: gg innovation needs 'p' and 'mu'") from missing
-        p = math.inf if p_raw in ("inf", "Infinity") else float(p_raw)
-        return GeneralizedGaussian(p, mu)
+        if "p" not in spec or "mu" not in spec:
+            raise ValueError(f"{field}: gg innovation needs 'p' and 'mu'")
+        p_raw = spec["p"]
+        p = math.inf if p_raw in ("inf", "Infinity") else spec_number(p_raw, f"{field}.p")
+        return GeneralizedGaussian(p, spec_number(spec["mu"], f"{field}.mu"))
     raise ValueError(f"{field}: unknown innovation family {family!r}")
 
 
 def model_from_config(spec: dict) -> DisturbanceModel:
     """Build a disturbance model from its JSON-config dictionary.
 
-    Recognized kinds: iid, gauss_arma, gengauss_ar, vector_gauss_ar.  Field
-    errors raise ValueError with the offending field named.
+    Recognized kinds: iid, gauss_arma, gengauss_ar, vector_gauss_ar.  Every
+    number goes through ``spec_number``; field errors raise ValueError with
+    the offending field named.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"model spec must be an object, got {type(spec).__name__}")
@@ -649,17 +674,19 @@ def model_from_config(spec: dict) -> DisturbanceModel:
         return IID(_innovation_from_config(spec.get("innovation", {}), "innovation"))
     if kind == "gauss_arma":
         innovation = spec.get("innovation", {"family": "gaussian", "variance": 1.0})
-        if innovation.get("family", "gaussian") != "gaussian":
+        family = isinstance(innovation, dict) and innovation.get("family", "gaussian")
+        if family != "gaussian":
             raise ValueError("innovation: gauss_arma takes a gaussian innovation")
-        variance = float(innovation.get("variance", 1.0))
         return GaussARMA(
-            ar=tuple(spec.get("ar", ())),
-            ma=tuple(spec.get("ma", ())),
-            innovation_variance=variance,
+            ar=_spec_numbers(spec.get("ar", ()), "ar"),
+            ma=_spec_numbers(spec.get("ma", ()), "ma"),
+            innovation_variance=spec_number(
+                innovation.get("variance", 1.0), "innovation.variance"
+            ),
         )
     if kind == "gengauss_ar":
         return GenGaussAR(
-            ar=tuple(spec.get("ar", ())),
+            ar=_spec_numbers(spec.get("ar", ()), "ar"),
             innovation=_innovation_from_config(
                 spec.get("innovation", {}), "innovation"
             ),
@@ -670,7 +697,9 @@ def model_from_config(spec: dict) -> DisturbanceModel:
                 "vector_gauss_ar needs 'transition' and 'innovation_covariance'"
             )
         return VectorGaussAR(
-            transition=tuple(map(tuple, spec["transition"])),
-            innovation_covariance=tuple(map(tuple, spec["innovation_covariance"])),
+            transition=_spec_numbers(spec["transition"], "transition", 2),
+            innovation_covariance=_spec_numbers(
+                spec["innovation_covariance"], "innovation_covariance", 2
+            ),
         )
     raise ValueError(f"kind: unknown model kind {kind!r}")

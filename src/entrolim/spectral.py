@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -48,15 +48,12 @@ class SpectralDensity:
     """Power spectral density on [-pi, pi].
 
     ``evaluate`` maps angular frequency (scalar or array) to S(w) >= 0.
-    ``rational`` optionally records (innovation_variance, ar, ma) when the
-    spectrum is the rational one of an ARMA model; purely informational.
 
     Even symmetry and nonnegativity are checked at construction on a
     sampled grid; a violation raises ValueError.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    rational: Optional[tuple] = None
 
     def __post_init__(self):
         probe = np.linspace(0.0, math.pi, 65)

@@ -59,6 +59,7 @@ from .processes import (
     DisturbanceModel,
     NotAnalyticError,
     VectorGaussAR,
+    spec_number,
 )
 from .simulator import (
     ControllerPolicy,
@@ -134,19 +135,33 @@ class TightnessReport:
 
     The lag-1 mutual informations are the estimator-level proxies for the
     matched pair I(e_k; past e) and I(e_k; past d), which agree on every
-    honest trace.  Only ``tightness_report`` computes the e-vs-d identity
-    fields, and only when the e-vs-e MI ran; None means not computed.
+    honest trace.  The pass flags and the e-vs-e MI are read off the nested
+    whiteness and GG-fit reports.  Only ``tightness_report`` computes the
+    e-vs-d identity fields, and only when the e-vs-e MI ran; None means not
+    computed.
     """
 
     whiteness: _estimators.WhitenessReport
-    whiteness_pass: bool
     gg_fit: _estimators.GGFitReport
-    gg_fit_pass: bool
-    mi_err_lag1_bits: float
-    mi_err_lag1_se: float
     mi_dist_lag1_bits: Optional[float] = None
     mi_dist_lag1_se: Optional[float] = None
     mi_identity_consistent: Optional[bool] = None
+
+    @property
+    def whiteness_pass(self) -> bool:
+        return self.whiteness.passed()
+
+    @property
+    def gg_fit_pass(self) -> bool:
+        return self.gg_fit.passed
+
+    @property
+    def mi_err_lag1_bits(self) -> float:
+        return self.whiteness.mi_lag1_bits
+
+    @property
+    def mi_err_lag1_se(self) -> float:
+        return self.whiteness.mi_lag1_se
 
 
 @dataclass(frozen=True)
@@ -155,18 +170,23 @@ class ProductBoundCheck:
 
     bound: float
     empirical: float
-    gap_ratio: float
     violation: bool
+
+    @property
+    def gap_ratio(self) -> float:
+        return self.empirical / self.bound
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """One cell's outcome: analytic floor vs empirical norm plus diagnostics."""
+    """One cell's outcome: analytic floor vs empirical norm plus diagnostics.
+
+    ``gap_ratio`` (empirical / bound) is derived, never stored.
+    """
 
     bound: _bounds.BoundReport
     empirical: float
     std_error: float
-    gap_ratio: float
     violation: bool
     tightness: Optional[TightnessReport]
     seeds: tuple[int, ...]
@@ -174,19 +194,9 @@ class VerificationReport:
     h_source: str = "analytic"
     product: Optional[ProductBoundCheck] = None
 
-
-def _certificate(
-    white: _estimators.WhitenessReport, fit: _estimators.GGFitReport, **identity
-) -> TightnessReport:
-    return TightnessReport(
-        whiteness=white,
-        whiteness_pass=white.passed(),
-        gg_fit=fit,
-        gg_fit_pass=fit.passed,
-        mi_err_lag1_bits=white.mi_lag1_bits,
-        mi_err_lag1_se=white.mi_lag1_se,
-        **identity,
-    )
+    @property
+    def gap_ratio(self) -> float:
+        return self.empirical / self.bound.value
 
 
 def _mi_identity(
@@ -224,7 +234,7 @@ def tightness_report(
     d = np.asarray(trace.d, dtype=float).reshape(-1)[burn_in:]
     white = _estimators.whiteness_stats(e, seed=seed)
     fit = _estimators.density_fit_gg(e, p)
-    return _certificate(white, fit, **_mi_identity(e, d, white, seed))
+    return TightnessReport(white, fit, **_mi_identity(e, d, white, seed))
 
 
 def _step_bound(
@@ -244,20 +254,10 @@ def _step_bound(
     path = np.asarray(model.sample_path(max(horizon, 20_000), seed), dtype=float)
     series = path.reshape(-1)
     if k == 0:
-        h_bits = _estimators.entropy_estimate_1d(series).value_bits
+        est = _estimators.entropy_estimate_1d(series)
     else:
         est = _estimators.conditional_entropy_estimate(series, memory=k, seed=seed)
-        h_bits = est.value_bits
-    c = _bounds.lp_constant(p)
-    bound = _bounds.BoundReport(
-        form="at_step",
-        p=float(p),
-        k=int(k),
-        h_bits=h_bits,
-        constant=c,
-        value=2.0**h_bits / c,
-    )
-    return bound, "estimated"
+    return _bounds.BoundReport("at_step", float(p), int(k), est.value_bits), "estimated"
 
 
 def _score_cell(
@@ -313,7 +313,6 @@ def _score_cell(
             bound=bound,
             empirical=empirical,
             std_error=std_error,
-            gap_ratio=empirical / bound.value,
             violation=violates(empirical, bound.value, std_error)
             or (product is not None and product.violation),
             tightness=tight,
@@ -337,7 +336,6 @@ def _score_cell(
         product = ProductBoundCheck(
             bound=bound.value,
             empirical=power,
-            gap_ratio=power / bound.value,
             violation=violates(power, bound.value, det.std_error),
         )
         return [report(2.0, bound, det.value, det.std_error, None, "analytic", product)]
@@ -355,7 +353,7 @@ def _score_cell(
         empirical, std_error = _estimators.lp_norm_estimate(samples, p)
         tight = None
         if white is not None:
-            tight = _certificate(white, _estimators.density_fit_gg(e_first, p))
+            tight = TightnessReport(white, _estimators.density_fit_gg(e_first, p))
         scored.append(report(p, bound, empirical, std_error, tight, h_source))
     return scored
 
@@ -450,7 +448,7 @@ class PlanCell:
         """
         kind = self.spec.get("kind")
         if kind == "random":
-            return int(self.spec.get("seed", self.controller_seed))
+            return _controller_settings(self.spec, self.controller_seed)["seed"]
         if kind in ("zero", "predictor", "anticipatory"):
             return None
         return self.controller_seed
@@ -476,14 +474,34 @@ def run_plan(
     ]
 
 
+def _controller_settings(spec: dict, seed: int) -> dict:
+    """The numbers a controller spec's kind reads, defaults filled in.
+
+    ``random`` reads seed (default ``seed``), memory and gain_cap, and
+    ``learned`` memory and train_steps, each through ``spec_number``; the
+    other kinds read none.  ``config_from_dict`` checks every spec with it.
+    """
+    def read(key, default, integer=True):
+        return spec_number(spec.get(key, default), key, integer=integer)
+
+    kind = spec.get("kind")
+    if kind == "random":
+        gain_cap = read("gain_cap", 2.0, integer=False)
+        return dict(seed=read("seed", seed), memory=read("memory", 3), gain_cap=gain_cap)
+    if kind == "learned":
+        return dict(memory=read("memory", 2), train_steps=read("train_steps", 50_000))
+    return {}
+
+
 def resolve_controller(
     spec: dict, model: DisturbanceModel, seed: int
 ) -> ControllerPolicy:
     """Instantiate a controller described by a config dictionary.
 
-    Kinds: zero, predictor, random (memory, gain_cap), learned (memory,
-    train_steps), anticipatory (negative-control fixture that fails the
-    causality audit on purpose).
+    Kinds: zero, predictor, random (seed, memory, gain_cap), learned
+    (memory, train_steps), anticipatory (negative-control fixture that fails
+    the causality audit on purpose).  A spec number that is not a number,
+    or a fraction where an integer is read, raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"controller spec must be an object, got {type(spec).__name__}")
@@ -492,22 +510,16 @@ def resolve_controller(
         return zero_controller(model.dim)
     if kind == "predictor":
         return predictor_controller(model)
+    if kind in ("random", "learned") and model.dim != 1:
+        raise ValueError(f"{kind} controllers support scalar models only")
     if kind == "random":
-        if model.dim != 1:
-            raise ValueError("random controllers support scalar models only")
-        return random_causal_controller(
-            int(spec.get("seed", seed)),
-            memory=int(spec.get("memory", 3)),
-            gain_cap=float(spec.get("gain_cap", 2.0)),
-        )
+        return random_causal_controller(**_controller_settings(spec, seed))
     if kind == "learned":
-        if model.dim != 1:
-            raise ValueError("learned controllers support scalar models only")
-        memory = int(spec.get("memory", 2))
-        train_steps = int(spec.get("train_steps", 50_000))
+        settings = _controller_settings(spec, seed)
         train_seed, _ = spawn_seeds(seed, 2)
-        trace = run_loop(model, zero_controller(model.dim), train_steps, train_seed)
-        return learned_controller([trace], memory)
+        steps = settings["train_steps"]
+        trace = run_loop(model, zero_controller(model.dim), steps, train_seed)
+        return learned_controller([trace], settings["memory"])
     if kind == "anticipatory":
         return anticipatory_double()
     raise ValueError(f"kind: unknown controller kind {kind!r}")

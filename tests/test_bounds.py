@@ -49,22 +49,16 @@ def test_bound_monotone_in_entropy():
 
 
 def test_variance_and_maxdev_frozen():
-    # h = 2.5 bits: 2^(2h)/(2 pi e) and 2^h / 2
-    assert el.variance_bound(2.5) == pytest.approx(1.8735946087782134, rel=1e-13)
-    assert el.maxdev_bound(2.5) == pytest.approx(2.8284271247461903, rel=1e-14)
+    # h = 2.5 bits: the variance floor 2^(2h)/(2 pi e) is the one-dimensional
+    # determinant floor, the max-deviation floor 2^h / 2 the p = inf bound
+    assert el.mimo_det_bound(2.5, 1) == pytest.approx(1.8735946087782134, rel=1e-13)
+    assert el.lp_bound(2.5, math.inf) == pytest.approx(2.8284271247461903, rel=1e-14)
 
 
 def test_variance_bound_is_squared_gaussian_lp_bound():
-    for h in (0.0, 1.3, 2.5):
-        assert el.variance_bound(h) == pytest.approx(
-            el.lp_bound(h, 2.0) ** 2, rel=1e-12
-        )
-
-
-def test_mimo_det_reduces_to_variance_in_one_dim():
-    for h in (0.7, 2.5):
+    for h in (0.0, 0.7, 1.3, 2.5):
         assert el.mimo_det_bound(h, 1) == pytest.approx(
-            el.variance_bound(h), rel=1e-13
+            el.lp_bound(h, 2.0) ** 2, rel=1e-12
         )
 
 
@@ -111,15 +105,6 @@ def test_route_agreement_fixed_models():
             assert abs(gw - direct) < 1e-8 * max(1.0, direct)
 
 
-def test_maxdev_matches_inf_norm_bound():
-    # the max-deviation floor is exactly the p = inf bound
-    model = el.GaussARMA(ar=(0.6,))
-    h = model.entropy_rate_bits()
-    assert el.maxdev_bound(h) == pytest.approx(
-        el.lp_bound_asymptotic(model, math.inf).value, rel=1e-14
-    )
-
-
 def test_mimo_reports():
     model = el.VectorGaussAR(
         transition=((0.5, 0.1), (0.0, 0.3)),
@@ -133,26 +118,52 @@ def test_mimo_reports():
     assert rep0.value == pytest.approx(det_s, rel=1e-10)
 
 
-def test_report_consistency_guard():
-    with pytest.raises(ValueError):
-        el.BoundReport(
-            form="asymptotic", p=2.0, k=None, h_bits=1.0,
-            constant=el.lp_constant(2.0), value=123.0,
+def test_report_values_are_the_two_formulas():
+    # every report, from every route, derives its value from lp_bound or
+    # mimo_det_bound, bit for bit, and its constant from the same inputs
+    ar1 = el.GaussARMA(ar=(0.9,))
+    unif = el.IID(el.GeneralizedGaussian.uniform(1.0))
+    # below its AR order a GenGaussAR has no analytic conditional entropy
+    lapar = el.GenGaussAR(ar=(0.5, 0.3), innovation=el.GeneralizedGaussian.laplace(1.0))
+    vec = el.VectorGaussAR(
+        transition=((0.5, 0.1), (0.0, 0.3)),
+        innovation_covariance=((1.0, 0.2), (0.2, 0.5)),
+    )
+    reports = [
+        route(model, p)
+        for model in (ar1, unif)
+        for p in (1.0, 2.0, 4.0, math.inf)
+        for route in (
+            lambda m, p: el.lp_bound_at_step(m, p, 2),
+            el.lp_bound_asymptotic,
+            el.spectral_lp_bound,
+            el.gw_lp_bound,
         )
+    ]
+    reports += [el.mimo_det_bound_at_step(vec, 1), el.mimo_det_bound_asymptotic(vec)]
+    estimated = el.verify_bound(
+        lapar, el.zero_controller(), 2.0, horizon=20_000, seed=4, trials=50, k=1
+    )
+    assert estimated.h_source == "estimated"
+    reports.append(estimated.bound)
+    assert {r.form for r in reports} == {
+        "at_step", "asymptotic", "spectral", "gw", "mimo_det"
+    }
+    for r in reports:
+        if r.form == "mimo_det":
+            assert r.value == el.mimo_det_bound(r.h_bits, r.dimension)
+            assert r.constant == TWO_PI_E**r.dimension
+        else:
+            assert r.value == el.lp_bound(r.h_bits, r.p)
+            assert r.constant == el.lp_constant(r.p)
+
+
+def test_report_refuses_p_below_one():
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        el.BoundReport("asymptotic", 0.5, None, 1.0)
 
 
 @pytest.mark.parametrize("form", ["maxdev", "variance", "mimo_product"])
 def test_report_rejects_forms_nothing_produces(form):
     with pytest.raises(ValueError, match="unknown bound form"):
-        el.BoundReport(form=form, p=None, k=None, h_bits=1.0, constant=2.0, value=1.0)
-
-
-def test_report_json_dict():
-    model = el.GaussARMA(ar=(0.9,))
-    d = el.lp_bound_asymptotic(model, math.inf).to_json_dict()
-    assert d["p"] == "inf"
-    assert d["k_or_asymptotic"] == "asymptotic"
-    assert d["bound"] == pytest.approx(2.0 ** model.entropy_rate_bits() / 2.0)
-    d0 = el.lp_bound_at_step(model, 1.0, 3).to_json_dict()
-    assert d0["k_or_asymptotic"] == 3
-    assert d0["C_p"] == pytest.approx(2 * math.e)
+        el.BoundReport(form, None, None, 1.0)

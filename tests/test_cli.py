@@ -33,6 +33,34 @@ def _write_config(tmp_path, raw, name="cfg.json"):
     return str(path)
 
 
+# spec numbers that are not numbers, with the key the message must name; the
+# bad entry is the last controller, or the second of the config's models
+BAD_CONTROLLERS = [
+    ([{"kind": "random", "memory": 2.7}], "memory"),
+    ([{"kind": "random", "memory": True, "seed": 1.9}], "seed"),
+    ([{"kind": "random", "memory": True}], "memory"),
+    ([{"kind": "zero"}, {"kind": "learned", "memory": 1.5, "train_steps": 2000.7}], "memory"),
+    ([{"kind": "learned", "train_steps": 2000.7}], "train_steps"),
+    ([{"kind": "random", "gain_cap": True}], "gain_cap"),
+    ([{"kind": "random", "gain_cap": "2"}], "gain_cap"),
+]
+BAD_MODELS = [
+    ({"kind": "iid", "innovation": {"family": "gg", "p": True, "mu": 1.0}}, "innovation.p"),
+    ({"kind": "iid", "innovation": {"family": "gg", "p": 2, "mu": "1.5"}}, "innovation.mu"),
+    (
+        {"kind": "iid", "innovation": {"family": "gaussian", "variance": True}},
+        "innovation.variance",
+    ),
+    ({"kind": "gauss_arma", "innovation": {"variance": True}}, "innovation.variance"),
+    ({"kind": "gauss_arma", "ar": ["0.9"]}, "ar"),
+    ({"kind": "gauss_arma", "ma": [True]}, "ma"),
+    (
+        dict(VEC_SPEC, transition=[[0.5, True], [0.0, 0.3]], name="vec"),
+        "transition",
+    ),
+]
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -83,11 +111,35 @@ def test_config_parses_inf_strings():
         ({"models": [AR1_SPEC], "p_values": [True]}, "p_values"),
         ({"models": [AR1_SPEC], "p_values": [2, True]}, "p_values"),
         ([], "object"),
+        *[
+            (
+                {"models": [AR1_SPEC], "controllers": controllers},
+                rf"controllers\[{len(controllers) - 1}\]: {key}",
+            )
+            for controllers, key in BAD_CONTROLLERS
+        ],
+        *[
+            ({"models": [AR1_SPEC, spec]}, rf"models\[1\]: {key}")
+            for spec, key in BAD_MODELS
+        ],
     ],
 )
 def test_config_rejections(raw, message):
     with pytest.raises(cli.ConfigError, match=message):
         cli.config_from_dict(raw)
+
+
+@pytest.mark.parametrize("controllers, key", BAD_CONTROLLERS)
+def test_resolve_controller_refuses_spec_numbers(controllers, key):
+    # called directly, the resolver raises rather than truncate
+    with pytest.raises(ValueError, match=f"{key}: must be"):
+        el.resolve_controller(controllers[-1], el.GaussARMA(ar=(0.9,)), 5)
+
+
+@pytest.mark.parametrize("spec, key", BAD_MODELS)
+def test_model_from_config_refuses_spec_numbers(spec, key):
+    with pytest.raises(ValueError, match=f"{key}: must be"):
+        el.model_from_config({k: v for k, v in spec.items() if k != "name"})
 
 
 def test_load_config_rejects_bad_json(tmp_path):

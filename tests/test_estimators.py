@@ -118,8 +118,6 @@ def test_knn_entropy_validation():
     pts = _rng(8).standard_normal((200, 5))
     with pytest.raises(ValueError, match="dimension"):
         el.entropy_estimate_knn(pts)
-    with pytest.raises(ValueError, match="k_neighbors"):
-        el.entropy_estimate_knn(_rng(8).standard_normal((200, 2)), k_neighbors=0)
     with pytest.raises(ValueError, match="100"):
         el.entropy_estimate_knn(_rng(8).standard_normal((50, 2)))
 
@@ -256,10 +254,6 @@ def test_mi_validation():
         el.mutual_information_estimate(g.standard_normal(100), g.standard_normal(99))
     with pytest.raises(ValueError, match="at least"):
         el.mutual_information_estimate(g.standard_normal(100), g.standard_normal(100))
-    with pytest.raises(ValueError, match="k_neighbors"):
-        el.mutual_information_estimate(
-            g.standard_normal(10_000), g.standard_normal(10_000), k_neighbors=0
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,28 @@ def test_sweep_certificate_is_tightness_report_without_the_identity():
         assert got.mi_identity_consistent is None
 
 
+def test_sweep_rows_derive_ratios_and_flags():
+    # the ratio and the certificate flags are read off what the row measured
+    p_values = [1.0, 2.0, math.inf]
+    config = _config(
+        [AR1, VEC], ["ar1", "vec"], [{"kind": "predictor"}], p_values, horizon=12_000
+    )
+    result = el.sweep(config)
+    assert not result.errors
+    assert len(result.rows) == 4
+    for row in result.rows:
+        rep = row.report
+        assert rep.gap_ratio == rep.empirical / rep.bound.value
+        if rep.product is not None:
+            assert rep.product.gap_ratio == rep.product.empirical / rep.product.bound
+            continue
+        tight = rep.tightness
+        assert tight.whiteness_pass == tight.whiteness.passed()
+        assert tight.gg_fit_pass == tight.gg_fit.passed
+        assert tight.mi_err_lag1_bits == tight.whiteness.mi_lag1_bits
+        assert tight.mi_err_lag1_se == tight.whiteness.mi_lag1_se
+
+
 def test_certified_cell_builds_one_two_dimensional_knn(monkeypatch):
     dims = []
     knn_radii = estimators._knn_radii
