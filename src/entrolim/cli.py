@@ -10,7 +10,8 @@ Subcommands:
 All subcommands read one JSON config (see the package README for the schema)
 and share --seed (master seed override) and --out (output directory) where
 applicable.  Thread count comes from --threads or the ENTROLIM_THREADS
-environment variable.
+environment variable.  ``verify.load_config`` reads the config; ``load_config``,
+``config_from_dict``, ``ConfigError`` and ``ExperimentConfig`` are re-exported.
 
 ``verify.run_plan`` decides which controller runs on which seed: ``simulate``
 and ``sweep`` run it with the config's trials, ``verify`` with one.  ``audit``
@@ -35,17 +36,12 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from . import bounds as _bounds
-from .processes import (
-    DisturbanceModel,
-    NotAnalyticError,
-    model_from_config,
-    spec_number,
-)
+from .processes import NotAnalyticError
 from .simulator import (
     causality_audit,
     closed_loop_causality_check,
@@ -55,10 +51,13 @@ from .simulator import (
 from .spectral import SpectralIntegralError
 from .verify import (
     CellRow,
+    ConfigError,
+    ExperimentConfig,
     NonFiniteLoopError,
-    _controller_settings,
     _format_value,
     _score_pooled,
+    config_from_dict,
+    load_config,
     resolve_controller,
     run_plan,
     sweep,
@@ -88,119 +87,6 @@ EXIT_NUMERIC = 6
 
 _ROUTE_AGREEMENT = 1e-8
 _AUDIT_SALT = 0x5EED
-_CONTROLLER_KINDS = {"zero", "predictor", "random", "learned", "anticipatory"}
-_CONFIG_KEYS = {"models", "controllers", "p_values", "horizon", "trials", "seed"}
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or inconsistent experiment configs."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment description shared by every subcommand."""
-
-    models: tuple[DisturbanceModel, ...]
-    model_names: tuple[str, ...]
-    controllers: tuple[dict, ...]
-    p_values: tuple[float, ...]
-    horizon: int
-    trials: int
-    master_seed: int
-
-
-def _parse_p(value) -> float:
-    if isinstance(value, str) and value.strip().lower() in {"inf", "infinity"}:
-        return math.inf
-    try:
-        p = spec_number(value, "p_values")
-    except ValueError:
-        raise ConfigError(f"p_values: cannot parse {value!r} as a norm exponent")
-    if not p >= 1.0:
-        raise ConfigError(f"p_values: exponent must be >= 1, got {p}")
-    return p
-
-
-def _parse_int(raw: dict, key: str, default: int) -> int:
-    try:
-        return spec_number(raw.get(key, default), key, integer=True)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def config_from_dict(raw) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    models_raw = raw.get("models")
-    if not isinstance(models_raw, list) or not models_raw:
-        raise ConfigError("models: need a non-empty list of model objects")
-    models, names = [], []
-    for i, spec in enumerate(models_raw):
-        if not isinstance(spec, dict):
-            raise ConfigError(f"models[{i}]: must be an object")
-        try:
-            model = model_from_config({k: v for k, v in spec.items() if k != "name"})
-        except ValueError as exc:
-            raise ConfigError(f"models[{i}]: {exc}") from exc
-        models.append(model)
-        names.append(str(spec.get("name", f"model{i}")))
-    if len(set(names)) != len(names):
-        raise ConfigError("models: names must be unique")
-
-    controllers_raw = raw.get("controllers", [{"kind": "zero"}])
-    if not isinstance(controllers_raw, list) or not controllers_raw:
-        raise ConfigError("controllers: need a non-empty list of controller objects")
-    controllers = []
-    for i, spec in enumerate(controllers_raw):
-        if not isinstance(spec, dict):
-            raise ConfigError(f"controllers[{i}]: must be an object")
-        kind = spec.get("kind")
-        if kind not in _CONTROLLER_KINDS:
-            raise ConfigError(
-                f"controllers[{i}]: unknown kind {kind!r}, "
-                f"expected one of {sorted(_CONTROLLER_KINDS)}"
-            )
-        try:
-            _controller_settings(spec, 0)
-        except ValueError as exc:
-            raise ConfigError(f"controllers[{i}]: {exc}") from exc
-        controllers.append(dict(spec))
-
-    p_raw = raw.get("p_values", [2])
-    if not isinstance(p_raw, list) or not p_raw:
-        raise ConfigError("p_values: need a non-empty list")
-    p_values = tuple(_parse_p(v) for v in p_raw)
-
-    horizon = _parse_int(raw, "horizon", 20_000)
-    trials = _parse_int(raw, "trials", 1)
-    master_seed = _parse_int(raw, "seed", 0)
-    if horizon < 2:
-        raise ConfigError(f"horizon: must be >= 2, got {horizon}")
-    if trials < 1:
-        raise ConfigError(f"trials: must be >= 1, got {trials}")
-
-    return ExperimentConfig(
-        models=tuple(models),
-        model_names=tuple(names),
-        controllers=tuple(controllers),
-        p_values=p_values,
-        horizon=horizon,
-        trials=trials,
-        master_seed=master_seed,
-    )
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as handle:
-            raw = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(raw)
 
 
 def _resolve_threads(value) -> int:

@@ -174,6 +174,13 @@ def lp_norm_estimate(samples: np.ndarray, p: float) -> tuple[float, float]:
 # scalar entropy (spacing estimator)
 
 
+def _jackknife_se(n: int, leave_out) -> float:
+    """Delete-block jackknife SE; ``leave_out(fold)`` is the statistic without ``fold``."""
+    g = _JACKKNIFE_FOLDS
+    values = np.array([leave_out(fold) for fold in np.array_split(np.arange(n), g)])
+    return math.sqrt((g - 1) / g * float(np.sum((values - values.mean()) ** 2)))
+
+
 def _spacing_entropy_nats(x: np.ndarray) -> float:
     n = x.size
     # Window growth n^(1/3), not the classical sqrt(n): the digamma
@@ -211,13 +218,7 @@ def entropy_estimate_1d(samples: np.ndarray) -> EntropyEstimate:
     if np.unique(x).size < 0.9 * n:
         flag = "ties"
     value = _spacing_entropy_nats(x) / _LN2
-    folds = np.array_split(np.arange(n), _JACKKNIFE_FOLDS)
-    leave_out = np.empty(_JACKKNIFE_FOLDS)
-    for j, fold in enumerate(folds):
-        keep = np.delete(x, fold)
-        leave_out[j] = _spacing_entropy_nats(keep) / _LN2
-    g = _JACKKNIFE_FOLDS
-    se = math.sqrt((g - 1) / g * float(np.sum((leave_out - leave_out.mean()) ** 2)))
+    se = _jackknife_se(n, lambda fold: _spacing_entropy_nats(np.delete(x, fold)) / _LN2)
     return EntropyEstimate(
         value_bits=value,
         std_error_bits=max(se, 1e-12),
@@ -490,14 +491,7 @@ def covariance_det_estimate(samples: np.ndarray) -> DetEstimate:
         raise ValueError(f"need at least {10 * m} samples, got {n}")
     gram = pts.T @ pts
     det = float(np.linalg.det(gram / n))
-    folds = np.array_split(np.arange(n), _JACKKNIFE_FOLDS)
-    leave_out = np.empty(_JACKKNIFE_FOLDS)
-    for j, fold in enumerate(folds):
-        block = pts[fold]
-        partial = (gram - block.T @ block) / (n - fold.size)
-        leave_out[j] = np.linalg.det(partial)
-    g = _JACKKNIFE_FOLDS
-    se = math.sqrt((g - 1) / g * float(np.sum((leave_out - leave_out.mean()) ** 2)))
+    se = _jackknife_se(n, lambda f: np.linalg.det((gram - pts[f].T @ pts[f]) / (n - f.size)))
     moment = gram / n
     eigenvalues = np.linalg.eigvalsh(moment)
     singular = bool(

@@ -55,6 +55,7 @@ __all__ = [
     "arma_autocovariance",
     "model_from_config",
     "spec_number",
+    "spec_exponent",
     "CapacityError",
     "NotAnalyticError",
 ]
@@ -619,18 +620,33 @@ def entropy_schedule(model: DisturbanceModel, horizon: int) -> EntropySchedule:
 def spec_number(value, key: str, *, integer: bool = False):
     """A number of a JSON spec, read one way for every field.
 
-    Booleans, strings and other non-numbers raise ValueError naming
-    ``key``; with ``integer``, so do fractions, while integral floats such
-    as 3000.0 pass and come back as int.
+    Booleans, strings, other non-numbers, NaN and +-inf (Python's ``json``
+    reads the last two) raise ValueError naming ``key``; with ``integer``,
+    so do fractions, while integral floats such as 3000.0 pass and come
+    back as int.
     """
-    what = "an integer" if integer else "a number"
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    what = "an integer" if integer else "a finite number"
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or (value % 1 if integer else not math.isfinite(value))
+    ):
         raise ValueError(f"{key}: must be {what}, got {value!r}")
-    if not integer:
-        return float(value)
-    if value % 1:
-        raise ValueError(f"{key}: must be {what}, got {value!r}")
-    return int(value)
+    return int(value) if integer else float(value)
+
+
+def spec_exponent(value, key: str) -> float:
+    """A norm exponent p >= 1: "inf" or "infinity" in any case, JSON's
+    Infinity, or else a number read by ``spec_number``."""
+    if str(value).strip().lower() in ("inf", "infinity"):
+        return math.inf
+    try:
+        p = spec_number(value, key)
+    except ValueError:
+        raise ValueError(f"{key}: must be a number or 'inf', cannot parse {value!r}") from None
+    if not p >= 1.0:
+        raise ValueError(f"{key}: exponent must be >= 1, got {p}")
+    return p
 
 
 def _spec_numbers(values, key: str, depth: int = 1) -> tuple:
@@ -654,8 +670,7 @@ def _innovation_from_config(spec: dict, field: str) -> GeneralizedGaussian:
     if family == "gg":
         if "p" not in spec or "mu" not in spec:
             raise ValueError(f"{field}: gg innovation needs 'p' and 'mu'")
-        p_raw = spec["p"]
-        p = math.inf if p_raw in ("inf", "Infinity") else spec_number(p_raw, f"{field}.p")
+        p = spec_exponent(spec["p"], f"{field}.p")
         return GeneralizedGaussian(p, spec_number(spec["mu"], f"{field}.mu"))
     raise ValueError(f"{field}: unknown innovation family {family!r}")
 
@@ -664,8 +679,9 @@ def model_from_config(spec: dict) -> DisturbanceModel:
     """Build a disturbance model from its JSON-config dictionary.
 
     Recognized kinds: iid, gauss_arma, gengauss_ar, vector_gauss_ar.  Every
-    number goes through ``spec_number``; field errors raise ValueError with
-    the offending field named.
+    number goes through ``spec_number``, a gg innovation's p through
+    ``spec_exponent``; field errors raise ValueError with the offending
+    field named.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"model spec must be an object, got {type(spec).__name__}")

@@ -373,10 +373,9 @@ def random_causal_controller(
         return min(max(bias + s, -cap), cap)
 
     def step(e_hist, z_hist):
-        avail = min(e_hist.shape[0], memory)
-        if avail == 0:
-            return min(max(bias, -cap), cap)
-        return law(e_hist[::-1][:avail].tolist())
+        # law([]) would give bias + 0.0, which is +0.0 for a -0.0 bias
+        recent = e_hist[::-1][:memory].tolist()
+        return law(recent) if recent else min(max(bias, -cap), cap)
 
     def kernel(x, closed):
         z = np.zeros_like(x)

@@ -30,14 +30,17 @@ max(10 x model memory, 1000) steps; per-step cells (k fixed) measure
 across independent trials at exactly index k, where the stationary start
 makes the analytic conditional entropy exact.
 
-``run_plan`` alone decides which controller runs on which seed.  ``sweep``
-runs its cells with the config's trials, with optional thread parallelism
-and deterministic CSV/JSON output (rows in plan order; identical config
-and seed reproduce identical bytes except for the wall-clock runtime_ms
-column); ``entrolim verify`` runs it with one trial per (model,
-controller) pair and pools ``trials`` traces there.  The first row of a
-cell carries the simulation and the whiteness test in its runtime_ms;
-later rows carry only the scoring of their own p.
+``config_from_dict`` reads the experiment config: models through
+``processes.model_from_config``, controllers through
+``_controller_settings``, the one declaration of each controller kind and
+of the seed it draws on.  ``run_plan`` alone decides which controller runs
+on which seed.  ``sweep`` runs its cells with the config's trials, with
+optional thread parallelism and deterministic CSV/JSON output (rows in
+plan order; identical config and seed reproduce identical bytes except
+for the wall-clock runtime_ms column); ``entrolim verify`` runs it with
+one trial per (model, controller) pair and pools ``trials`` traces
+there.  The first row of a cell carries the simulation and the whiteness
+test in its runtime_ms; later rows carry only the scoring of their own p.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -59,6 +62,8 @@ from .processes import (
     DisturbanceModel,
     NotAnalyticError,
     VectorGaussAR,
+    model_from_config,
+    spec_exponent,
     spec_number,
 )
 from .simulator import (
@@ -71,9 +76,6 @@ from .simulator import (
     run_loop,
     zero_controller,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .cli import ExperimentConfig
 
 __all__ = [
     "NonFiniteLoopError",
@@ -422,7 +424,91 @@ def verify_mimo_bound(
 
 
 # ---------------------------------------------------------------------------
-# the run plan and controller resolution (shared by sweep and the CLI)
+# the experiment config, the run plan and controller resolution (shared by
+# sweep and the CLI)
+
+_CONFIG_KEYS = {"models", "controllers", "p_values", "horizon", "trials", "seed"}
+
+
+class ConfigError(ValueError):
+    """Raised for malformed or inconsistent experiment configs."""
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated experiment description shared by every subcommand."""
+
+    models: tuple[DisturbanceModel, ...]
+    model_names: tuple[str, ...]
+    controllers: tuple[dict, ...]
+    p_values: tuple[float, ...]
+    horizon: int
+    trials: int
+    master_seed: int
+
+
+def config_from_dict(raw) -> ExperimentConfig:
+    """Validate a parsed JSON config; a fault raises ConfigError naming its field."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
+    unknown = set(raw) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+
+    def entries(key: str, default, read) -> list[tuple[dict, object]]:
+        """(spec, ``read(spec)``) for each spec of the non-empty list ``raw[key]``."""
+        specs = raw.get(key, default)
+        if not isinstance(specs, list) or not specs:
+            raise ConfigError(f"{key}: need a non-empty list of {key[:-1]} objects")
+        out = []
+        for i, spec in enumerate(specs):
+            try:
+                out.append((spec, read(spec)))
+            except ValueError as exc:
+                raise ConfigError(f"{key}[{i}]: {exc}") from exc
+        return out
+
+    models = entries("models", None, model_from_config)
+    names = [str(spec.get("name", f"model{i}")) for i, (spec, _) in enumerate(models)]
+    if len(set(names)) != len(names):
+        raise ConfigError("models: names must be unique")
+    controllers = entries("controllers", [{"kind": "zero"}], lambda s: _controller_settings(s, 0))
+
+    p_raw = raw.get("p_values", [2])
+    if not isinstance(p_raw, list) or not p_raw:
+        raise ConfigError("p_values: need a non-empty list")
+    try:
+        p_values = tuple(spec_exponent(v, "p_values") for v in p_raw)
+        horizon, trials, master_seed = (
+            spec_number(raw.get(key, default), key, integer=True)
+            for key, default in (("horizon", 20_000), ("trials", 1), ("seed", 0))
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if horizon < 2:
+        raise ConfigError(f"horizon: must be >= 2, got {horizon}")
+    if trials < 1:
+        raise ConfigError(f"trials: must be >= 1, got {trials}")
+
+    return ExperimentConfig(
+        models=tuple(model for _, model in models),
+        model_names=tuple(names),
+        controllers=tuple(dict(spec) for spec, _ in controllers),
+        p_values=p_values,
+        horizon=horizon,
+        trials=trials,
+        master_seed=master_seed,
+    )
+
+
+def load_config(path) -> ExperimentConfig:
+    """``config_from_dict`` of a JSON file; invalid JSON raises ConfigError."""
+    try:
+        with open(path) as handle:
+            raw = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    return config_from_dict(raw)
 
 
 @dataclass(frozen=True)
@@ -442,20 +528,12 @@ class PlanCell:
 
     @property
     def used_seed(self) -> Optional[int]:
-        """The seed ``resolve_controller`` builds this cell's controller from.
-
-        None for the kinds that ignore it; a random spec's own "seed" pins it.
-        """
-        kind = self.spec.get("kind")
-        if kind == "random":
-            return _controller_settings(self.spec, self.controller_seed)["seed"]
-        if kind in ("zero", "predictor", "anticipatory"):
-            return None
-        return self.controller_seed
+        """The seed its controller is built from; None for the kinds that ignore it."""
+        return _controller_settings(self.spec, self.controller_seed).get("seed")
 
 
 def run_plan(
-    config: "ExperimentConfig", trials: int, master_seed: Optional[int] = None
+    config: ExperimentConfig, trials: int, master_seed: Optional[int] = None
 ) -> list[PlanCell]:
     """The cells of ``config`` in model -> controller -> trial order.
 
@@ -475,22 +553,30 @@ def run_plan(
 
 
 def _controller_settings(spec: dict, seed: int) -> dict:
-    """The numbers a controller spec's kind reads, defaults filled in.
+    """The one declaration of the controller kinds: the numbers each reads.
 
-    ``random`` reads seed (default ``seed``), memory and gain_cap, and
-    ``learned`` memory and train_steps, each through ``spec_number``; the
-    other kinds read none.  ``config_from_dict`` checks every spec with it.
+    Every kind that draws on a seed carries it as "seed": ``random`` its
+    own (default ``seed``), read with memory and gain_cap through
+    ``spec_number``, and ``learned`` ``seed``, with memory and train_steps.
+    zero, predictor and anticipatory read none; other kinds raise ValueError.
     """
     def read(key, default, integer=True):
         return spec_number(spec.get(key, default), key, integer=integer)
 
+    if not isinstance(spec, dict):
+        raise ValueError(f"controller spec must be an object, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind == "random":
         gain_cap = read("gain_cap", 2.0, integer=False)
         return dict(seed=read("seed", seed), memory=read("memory", 3), gain_cap=gain_cap)
     if kind == "learned":
-        return dict(memory=read("memory", 2), train_steps=read("train_steps", 50_000))
-    return {}
+        return dict(seed=seed, memory=read("memory", 2), train_steps=read("train_steps", 50_000))
+    if kind in ("zero", "predictor", "anticipatory"):
+        return {}
+    raise ValueError(
+        f"kind: unknown kind {kind!r}, expected one of "
+        "['anticipatory', 'learned', 'predictor', 'random', 'zero']"
+    )
 
 
 def resolve_controller(
@@ -498,31 +584,25 @@ def resolve_controller(
 ) -> ControllerPolicy:
     """Instantiate a controller described by a config dictionary.
 
-    Kinds: zero, predictor, random (seed, memory, gain_cap), learned
-    (memory, train_steps), anticipatory (negative-control fixture that fails
-    the causality audit on purpose).  A spec number that is not a number,
-    or a fraction where an integer is read, raises ValueError.
+    The kinds and their numbers are those of ``_controller_settings``;
+    anticipatory is a negative-control fixture that fails the causality
+    audit on purpose.  A spec it refuses raises ValueError.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"controller spec must be an object, got {type(spec).__name__}")
-    kind = spec.get("kind")
+    settings = _controller_settings(spec, seed)
+    kind = spec["kind"]
     if kind == "zero":
         return zero_controller(model.dim)
     if kind == "predictor":
         return predictor_controller(model)
-    if kind in ("random", "learned") and model.dim != 1:
-        raise ValueError(f"{kind} controllers support scalar models only")
-    if kind == "random":
-        return random_causal_controller(**_controller_settings(spec, seed))
-    if kind == "learned":
-        settings = _controller_settings(spec, seed)
-        train_seed, _ = spawn_seeds(seed, 2)
-        steps = settings["train_steps"]
-        trace = run_loop(model, zero_controller(model.dim), steps, train_seed)
-        return learned_controller([trace], settings["memory"])
     if kind == "anticipatory":
         return anticipatory_double()
-    raise ValueError(f"kind: unknown controller kind {kind!r}")
+    if model.dim != 1:
+        raise ValueError(f"{kind} controllers support scalar models only")
+    if kind == "random":
+        return random_causal_controller(**settings)
+    train_seed, _ = spawn_seeds(settings["seed"], 2)
+    trace = run_loop(model, zero_controller(model.dim), settings["train_steps"], train_seed)
+    return learned_controller([trace], settings["memory"])
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +677,7 @@ def _row_record(row: CellRow) -> dict:
 
 
 def sweep(
-    config: "ExperimentConfig",
+    config: ExperimentConfig,
     *,
     threads: int = 1,
     out_dir=None,
@@ -660,7 +740,7 @@ def sweep(
 
     wall_ms = int(1000 * (time.perf_counter() - start))
     violations = sum(1 for row in rows if row.report.violation)
-    worst = min((row.report.gap_ratio for row in rows), default=math.nan)
+    worst = min((row.report.gap_ratio for row in rows), default=None)
     summary = {
         "cells": len(rows),
         "violations": violations,

@@ -43,6 +43,9 @@ BAD_CONTROLLERS = [
     ([{"kind": "learned", "train_steps": 2000.7}], "train_steps"),
     ([{"kind": "random", "gain_cap": True}], "gain_cap"),
     ([{"kind": "random", "gain_cap": "2"}], "gain_cap"),
+    ([{"kind": "random", "gain_cap": math.inf}], "gain_cap"),
+    ([{"kind": "random", "gain_cap": math.nan}], "gain_cap"),
+    ([{"kind": "learned", "memory": math.nan}], "memory"),
 ]
 BAD_MODELS = [
     ({"kind": "iid", "innovation": {"family": "gg", "p": True, "mu": 1.0}}, "innovation.p"),
@@ -58,6 +61,13 @@ BAD_MODELS = [
         dict(VEC_SPEC, transition=[[0.5, True], [0.0, 0.3]], name="vec"),
         "transition",
     ),
+    ({"kind": "gauss_arma", "ar": [math.nan]}, "ar"),
+    ({"kind": "gauss_arma", "ma": [-math.inf]}, "ma"),
+    ({"kind": "gengauss_ar", "ar": [math.inf], "innovation": {"p": 2, "mu": 1.0}}, "ar"),
+    ({"kind": "gauss_arma", "innovation": {"variance": math.inf}}, "innovation.variance"),
+    ({"kind": "iid", "innovation": {"family": "gg", "p": 2, "mu": math.nan}}, "innovation.mu"),
+    ({"kind": "iid", "innovation": {"family": "gg", "p": math.nan, "mu": 1.0}}, "innovation.p"),
+    (dict(VEC_SPEC, transition=[[0.5, 0.1], [math.nan, 0.3]], name="vec"), "transition"),
 ]
 
 
@@ -80,6 +90,32 @@ def test_config_parses_inf_strings():
         {"models": [AR1_SPEC], "p_values": [1, 2.5, "inf", "Infinity"]}
     )
     assert config.p_values == (1.0, 2.5, math.inf, math.inf)
+
+
+@pytest.mark.parametrize("p", ["inf", "INF", " Infinity ", "infinity", math.inf])
+def test_innovation_p_reads_inf_like_p_values(p):
+    spec = {"kind": "iid", "innovation": {"family": "gg", "p": p, "mu": 1.0}}
+    config = cli.config_from_dict({"models": [spec], "p_values": [p]})
+    assert config.models[0].innovation.power == math.inf
+    assert config.p_values == (math.inf,)
+
+
+@pytest.mark.parametrize("p", [0.5, -math.inf, "-inf"])
+def test_norm_exponents_below_one_are_refused_with_their_key(p):
+    spec = {"kind": "iid", "innovation": {"family": "gg", "p": p, "mu": 1.0}}
+    with pytest.raises(cli.ConfigError, match=r"models\[0\]: innovation\.p: "):
+        cli.config_from_dict({"models": [spec]})
+    with pytest.raises(cli.ConfigError, match=r"p_values: "):
+        cli.config_from_dict({"models": [AR1_SPEC], "p_values": [p]})
+
+
+def test_non_finite_config_number_exits_2_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"models": [{"kind": "gauss_arma", "ar": [NaN]}]}')
+    assert cli.main(["bound", "--config", str(path)]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: models[0]: ar: must be a finite number, got nan\n"
 
 
 @pytest.mark.parametrize(
@@ -650,6 +686,26 @@ def test_sweep_exit_codes_for_failures(monkeypatch, tmp_path):
     ]:
         monkeypatch.setattr(cli, "sweep", erroring_sweep(errors))
         assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "y")]) == code
+
+
+def test_all_error_sweep_writes_strict_json(tmp_path, capsys):
+    # no row is scored, so there is no worst gap ratio: null, never NaN
+    path = _write_config(
+        tmp_path, {"models": [VEC_SPEC], "controllers": [{"kind": "random"}], "horizon": 3_000}
+    )
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == cli.EXIT_CONFIG
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    printed = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    written = json.loads((tmp_path / "s" / "summary.json").read_text(), parse_constant=refuse)
+    assert printed == written
+    assert written["cells"] == 0
+    assert written["worst_gap_ratio"] is None
+    assert [e["message"] for e in written["errors"]] == [
+        "ValueError: random controllers support scalar models only"
+    ]
 
 
 def test_readme_example_config_runs(tmp_path, capsys):
