@@ -16,6 +16,9 @@ environment variable.  ``verify.load_config`` reads the config; ``load_config``,
 ``verify.run_plan`` decides which controller runs on which seed: ``simulate``
 and ``sweep`` run it with the config's trials, ``verify`` with one.  ``audit``
 audits every distinct controller of both plans; ``sweep`` does not audit.
+``sweep`` and ``verify`` score the plan's cells through ``verify.run_cells``;
+``verify`` hands it the controllers its audit resolved, pools ``trials``
+traces per cell and stops at the first cell that raises.
 
 Exit codes:
     0   success
@@ -55,10 +58,10 @@ from .verify import (
     ExperimentConfig,
     NonFiniteLoopError,
     _format_value,
-    _score_pooled,
     config_from_dict,
     load_config,
     resolve_controller,
+    run_cells,
     run_plan,
     sweep,
     write_rows_csv,
@@ -250,26 +253,14 @@ def cmd_verify(config: ExperimentConfig, out_dir: Optional[str]) -> int:
     if audit_failed:
         return EXIT_CAUSALITY
 
+    cells, controllers = zip(*pairs)
     rows: list[CellRow] = []
-    for cell, controller in pairs:
-        scored = _score_pooled(
-            cell.model,
-            controller,
-            config.p_values,
-            horizon=config.horizon,
-            seed=cell.trace_seed,
-            trials=config.trials,
-        )
+    outcomes = run_cells(cells, config, pooled=config.trials, controllers=controllers)
+    for cell, scored, error in outcomes:
+        if error is not None:
+            raise error
         for p, rep in scored:
-            rows.append(
-                CellRow(
-                    cell_id=f"v{len(rows):05d}",
-                    model=cell.model_name,
-                    controller=cell.label,
-                    p=p,
-                    report=rep,
-                )
-            )
+            rows.append(CellRow(f"v{len(rows):05d}", cell.model_name, cell.label, p, rep))
             norm = f"p={_p_label(p):<4}" if cell.model.dim == 1 else "det-floor"
             print(
                 f"{'VIOLATION' if rep.violation else 'ok':9s} "

@@ -159,6 +159,12 @@ def arma_autocovariance(
     return out
 
 
+def _require_finite(name: str, value) -> None:
+    """Refuse a model parameter holding NaN or +-inf, naming it."""
+    if not np.isfinite(np.asarray(value, dtype=float)).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _poly_roots_outside(coeffs_ascending: np.ndarray, what: str) -> None:
     """Require all roots of 1 + c_1 z + ... + c_n z^n outside the unit circle."""
     if len(coeffs_ascending) <= 1:
@@ -314,6 +320,8 @@ class GaussARMA(DisturbanceModel):
     def __post_init__(self):
         object.__setattr__(self, "ar", tuple(float(a) for a in self.ar))
         object.__setattr__(self, "ma", tuple(float(b) for b in self.ma))
+        for name in ("ar", "ma", "innovation_variance"):
+            _require_finite(name, getattr(self, name))
         if not self.innovation_variance > 0.0:
             raise ValueError(
                 f"innovation variance must be positive, got {self.innovation_variance!r}"
@@ -388,6 +396,7 @@ class GenGaussAR(DisturbanceModel):
 
     def __post_init__(self):
         object.__setattr__(self, "ar", tuple(float(a) for a in self.ar))
+        _require_finite("ar", self.ar)
         _poly_roots_outside(np.concatenate(([1.0], -np.asarray(self.ar))), "AR")
 
     @property
@@ -451,6 +460,8 @@ class VectorGaussAR(DisturbanceModel):
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.transition, dtype=float))
         q = np.atleast_2d(np.asarray(self.innovation_covariance, dtype=float))
+        _require_finite("transition", self.transition)
+        _require_finite("innovation_covariance", self.innovation_covariance)
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"transition matrix must be square, got {a.shape}")
         if q.shape != a.shape:
@@ -621,16 +632,21 @@ def spec_number(value, key: str, *, integer: bool = False):
     """A number of a JSON spec, read one way for every field.
 
     Booleans, strings, other non-numbers, NaN and +-inf (Python's ``json``
-    reads the last two) raise ValueError naming ``key``; with ``integer``,
+    reads the last two) raise ValueError naming ``key``, and so does an
+    integer beyond the float range where a float goes; with ``integer``,
     so do fractions, while integral floats such as 3000.0 pass and come
     back as int.
     """
     what = "an integer" if integer else "a finite number"
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or (value % 1 if integer else not math.isfinite(value))
-    ):
+    try:
+        bad = (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or (value % 1 if integer else not math.isfinite(value))
+        )
+    except OverflowError:  # math.isfinite of an int beyond the float range
+        bad = True
+    if bad:
         raise ValueError(f"{key}: must be {what}, got {value!r}")
     return int(value) if integer else float(value)
 

@@ -1,19 +1,18 @@
 """Monte Carlo confrontation of the analytic bounds with simulated loops.
 
 A verification cell pairs one disturbance model and one controller.
-``_score_cell`` is the one cell runner: it simulates the cell's traces
+``_score_cell`` simulates the cell's traces on its one trace-seed rule
 (k + 1 steps when k is fixed), estimates the error norm at each requested
-p and compares it with the analytic floor.  ``sweep`` runs it on one trace
-per cell; ``verify_bound``, ``verify_mimo_bound`` and ``entrolim verify``
-run it through ``_score_pooled``, on ``trials`` traces whose seeds are
-split off the given seed.  One rule makes every verdict: a cell *violates*
+p and compares it with the analytic floor.  ``verify_bound`` and
+``verify_mimo_bound`` call it directly, ``sweep`` and ``entrolim verify``
+through ``run_cells``.  One rule makes every verdict: a cell *violates*
 only when ``empirical < bound - 3 * std_error`` (``_SIGMA_GUARD``);
 anything closer is sampling noise by contract.  A vector cell applies the
 rule to the determinant of the pooled second-moment matrix and to the
 product of per-channel second moments (Hadamard), and violates when either
 does.  A loop error that is not finite at some step is an error, never a
-verdict: the runner raises NonFiniteLoopError (a ValueError) naming the
-step, and a sweep records an error cell.
+verdict: ``_score_cell`` raises NonFiniteLoopError (a ValueError) naming
+the step, a sweep records an error cell and ``entrolim verify`` stops.
 
 The gap_ratio (empirical / bound) doubles as a tightness certificate:
 ratios near 1 must come with white, GG-shaped errors or something is
@@ -34,13 +33,13 @@ makes the analytic conditional entropy exact.
 ``processes.model_from_config``, controllers through
 ``_controller_settings``, the one declaration of each controller kind and
 of the seed it draws on.  ``run_plan`` alone decides which controller runs
-on which seed.  ``sweep`` runs its cells with the config's trials, with
-optional thread parallelism and deterministic CSV/JSON output (rows in
-plan order; identical config and seed reproduce identical bytes except
-for the wall-clock runtime_ms column); ``entrolim verify`` runs it with
-one trial per (model, controller) pair and pools ``trials`` traces
-there.  The first row of a cell carries the simulation and the whiteness
-test in its runtime_ms; later rows carry only the scoring of their own p.
+on which seed, and ``run_cells`` is the one loop over its cells, in plan
+order, each failure isolated, optionally on threads.  ``sweep`` runs the
+plan with the config's trials, one trace per cell, and writes
+deterministic CSV/JSON output (reruns differ only in runtime_ms);
+``entrolim verify`` runs the one-trial plan and pools ``trials`` traces
+per cell.  The first row of a cell carries the simulation and the
+whiteness test in its runtime_ms; later rows only the scoring of their p.
 """
 
 from __future__ import annotations
@@ -88,6 +87,7 @@ __all__ = [
     "tightness_report",
     "sweep",
     "run_plan",
+    "run_cells",
     "resolve_controller",
     "spawn_seeds",
     "default_burn_in",
@@ -265,26 +265,33 @@ def _step_bound(
 def _score_cell(
     model: DisturbanceModel,
     controller: ControllerPolicy,
-    run_seeds,
     p_values,
     *,
     horizon: int,
     seed: int,
+    trials: Optional[int] = None,
     k: Optional[int] = None,
     burn_in: Optional[int] = None,
     tightness: bool = True,
 ) -> list[tuple[float, VerificationReport]]:
     """Simulate and score one cell; every verdict comes from here.
 
-    One trace per run seed: several pooled trials (``verify``) or one (a
-    ``sweep`` cell), of ``horizon`` steps, or k + 1 steps when k is fixed.
-    ``seed`` drives the diagnostics and the step-k entropy estimate.
-    Returns (p, report) per p for a scalar model, and one determinant
-    report filed under p = 2 for a vector model, whose floor does not
-    depend on p.  The first runtime counts from the start of the
-    simulation, each later one from the report before it.
+    The one trace-seed rule: with ``trials`` None a scalar model runs one
+    trace on ``seed``, which also drives the diagnostics and the step-k
+    entropy estimate.  Otherwise, and always for a vector model, the cell
+    pools the traces of the first n = ``trials or 1`` seeds of
+    ``spawn_seeds(seed, n + 1)``; the last one drives the diagnostics.
+    Traces have ``horizon`` steps, or k + 1 when k is fixed.  Returns
+    (p, report) per p for a scalar model, and one determinant report filed
+    under p = 2 for a vector model, whose floor does not depend on p.  The
+    first runtime counts from the start of the simulation, each later one
+    from the report before it.
     """
     start = time.perf_counter()
+    if trials is None and model.dim == 1:
+        run_seeds, aux_seed = [seed], seed
+    else:
+        *run_seeds, aux_seed = spawn_seeds(seed, (trials or 1) + 1)
     length = horizon if k is None else k + 1
     traces = [run_loop(model, controller, length, s) for s in run_seeds]
     if k is None:
@@ -345,31 +352,19 @@ def _score_cell(
     white = None
     if k is None and tightness:
         e_first = traces[0].e[burn_in:]
-        white = _estimators.whiteness_stats(e_first, seed=seed)
+        white = _estimators.whiteness_stats(e_first, seed=aux_seed)
     scored = []
     for p in p_values:
         if k is None:
             bound, h_source = _bounds.lp_bound_asymptotic(model, p), "analytic"
         else:
-            bound, h_source = _step_bound(model, p, k, horizon, seed)
+            bound, h_source = _step_bound(model, p, k, horizon, aux_seed)
         empirical, std_error = _estimators.lp_norm_estimate(samples, p)
         tight = None
         if white is not None:
             tight = TightnessReport(white, _estimators.density_fit_gg(e_first, p))
         scored.append(report(p, bound, empirical, std_error, tight, h_source))
     return scored
-
-
-def _score_pooled(model, controller, p_values, horizon, seed, trials, **options):
-    """``_score_cell`` on ``trials`` traces pooled from seeds split off ``seed``.
-
-    The seed after theirs drives the diagnostics; ``options`` passes on
-    ``_score_cell``'s k, burn_in and tightness.
-    """
-    *run_seeds, aux_seed = spawn_seeds(seed, trials + 1)
-    return _score_cell(
-        model, controller, run_seeds, p_values, horizon=horizon, seed=aux_seed, **options
-    )
 
 
 def verify_bound(
@@ -394,8 +389,10 @@ def verify_bound(
     """
     if model.dim != 1:
         raise ValueError("verify_bound is scalar; use verify_mimo_bound")
-    options = dict(k=k, burn_in=burn_in, tightness=tightness)
-    ((_, report),) = _score_pooled(model, controller, (p,), horizon, seed, trials, **options)
+    ((_, report),) = _score_cell(
+        model, controller, (p,), horizon=horizon, seed=seed, trials=trials,
+        k=k, burn_in=burn_in, tightness=tightness,
+    )
     return report
 
 
@@ -418,8 +415,9 @@ def verify_mimo_bound(
     """
     if model.dim < 2:
         raise ValueError("vector model required; verify_bound handles scalar cells")
-    options = dict(k=k, burn_in=burn_in)
-    ((_, report),) = _score_pooled(model, controller, (), horizon, seed, trials, **options)
+    ((_, report),) = _score_cell(
+        model, controller, (), horizon=horizon, seed=seed, trials=trials, k=k, burn_in=burn_in
+    )
     return report
 
 
@@ -609,6 +607,39 @@ def resolve_controller(
 # sweeps
 
 
+def run_cells(
+    cells, config: ExperimentConfig, *, pooled=None, controllers=None, tightness=True, threads=1
+):
+    """Score the cells of a run plan; yield (cell, scored, error) in plan order.
+
+    Each cell runs ``_score_cell`` on its trace seed with ``trials=pooled``
+    and the controller it resolves, or ``controllers[i]`` when given.  An
+    exception comes back as ``error``, with ``scored`` empty, and never
+    stops the other cells.  ``threads`` > 1 scores the cells in a thread pool.
+    """
+
+    def run(index: int):
+        cell = cells[index]
+        try:
+            if controllers is None:
+                controller = resolve_controller(cell.spec, cell.model, cell.controller_seed)
+            else:
+                controller = controllers[index]
+            scored = _score_cell(
+                cell.model, controller, config.p_values, horizon=config.horizon,
+                seed=cell.trace_seed, trials=pooled, tightness=tightness,
+            )
+            return cell, scored, None
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+            return cell, [], exc
+
+    if threads > 1 and len(cells) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(run, range(len(cells)))
+    else:
+        yield from map(run, range(len(cells)))
+
+
 @dataclass(frozen=True)
 class CellRow:
     """One CSV row of a sweep (one model x controller x seed x p)."""
@@ -693,50 +724,18 @@ def sweep(
     every controller a sweep resolves.
     """
     start = time.perf_counter()
-    cells = run_plan(config, config.trials)
-
-    def run_cell(index: int):
-        cell = cells[index]
-        model, trace_seed = cell.model, cell.trace_seed
-        try:
-            controller = resolve_controller(cell.spec, model, cell.controller_seed)
-            # vector cells simulate on the first child of the trace seed
-            run_seed = trace_seed if model.dim == 1 else spawn_seeds(trace_seed, 1)[0]
-            scored = _score_cell(
-                model,
-                controller,
-                [run_seed],
-                config.p_values,
-                horizon=config.horizon,
-                seed=trace_seed,
-                tightness=tightness,
-            )
-            rows = [
-                CellRow(
-                    cell_id=f"c{index:05d}{'det' if model.dim > 1 else f'p{pi}'}",
-                    model=cell.model_name,
-                    controller=cell.label,
-                    p=p,
-                    report=report,
-                )
-                for pi, (p, report) in enumerate(scored)
-            ]
-            return rows, None
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-            return [], (f"c{index:05d}", f"{type(exc).__name__}: {exc}")
-
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_cell, range(len(cells))))
-    else:
-        outcomes = [run_cell(i) for i in range(len(cells))]
-
     rows: list[CellRow] = []
     errors: list[tuple[str, str]] = []
-    for cell_rows, error in outcomes:
-        rows.extend(cell_rows)
+    outcomes = run_cells(
+        run_plan(config, config.trials), config, tightness=tightness, threads=threads
+    )
+    for index, (cell, scored, error) in enumerate(outcomes):
+        cell_id = f"c{index:05d}"
         if error is not None:
-            errors.append(error)
+            errors.append((cell_id, f"{type(error).__name__}: {error}"))
+        for pi, (p, report) in enumerate(scored):
+            tag = "det" if cell.model.dim > 1 else f"p{pi}"
+            rows.append(CellRow(cell_id + tag, cell.model_name, cell.label, p, report))
 
     wall_ms = int(1000 * (time.perf_counter() - start))
     violations = sum(1 for row in rows if row.report.violation)

@@ -68,6 +68,7 @@ BAD_MODELS = [
     ({"kind": "iid", "innovation": {"family": "gg", "p": 2, "mu": math.nan}}, "innovation.mu"),
     ({"kind": "iid", "innovation": {"family": "gg", "p": math.nan, "mu": 1.0}}, "innovation.p"),
     (dict(VEC_SPEC, transition=[[0.5, 0.1], [math.nan, 0.3]], name="vec"), "transition"),
+    ({"kind": "gauss_arma", "ar": [10**400]}, "ar"),
 ]
 
 

@@ -232,6 +232,33 @@ def test_rejects_unstable_and_noninvertible():
         GaussARMA(innovation_variance=0.0)
 
 
+_EYE2 = ((1.0, 0.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: GaussARMA(ar=(math.nan,)), "ar"),
+        (lambda: GaussARMA(ma=(-math.inf,)), "ma"),
+        (lambda: GaussARMA(innovation_variance=math.inf), "innovation_variance"),
+        (lambda: GaussARMA(innovation_variance=math.nan), "innovation_variance"),
+        (lambda: GenGaussAR(ar=(math.nan,), innovation=GeneralizedGaussian(2.0, 1.0)), "ar"),
+        (
+            lambda: VectorGaussAR(transition=((0.5, math.nan), (0.0, 0.3)), innovation_covariance=_EYE2),
+            "transition",
+        ),
+        (
+            lambda: VectorGaussAR(transition=_EYE2, innovation_covariance=((math.inf, 0.0), (0.0, 1.0))),
+            "innovation_covariance",
+        ),
+    ],
+)
+def test_constructors_refuse_non_finite_parameters(build, name):
+    # the config path refuses these in spec_number; Python callers get the same guard
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build()
+
+
 def test_capacity_error_past_horizon():
     model = GaussARMA(ar=(0.9,))
     with pytest.raises(CapacityError):

@@ -429,6 +429,35 @@ def test_sweep_vector_cells_emit_det_rows():
     assert row.report.product is not None
 
 
+def test_run_cells_yields_errors_in_plan_order_at_any_thread_count():
+    config = _config(
+        [AR1, VEC], ["ar1", "vec"], [{"kind": "random"}, {"kind": "zero"}], [1.0, 2.0],
+        horizon=3_000,
+    )
+    cells = verify_module.run_plan(config, 1)
+
+    def outcomes(threads):
+        return list(verify_module.run_cells(cells, config, tightness=False, threads=threads))
+
+    serial = outcomes(1)
+    assert [cell for cell, _, _ in serial] == cells
+    errors = [error for _, _, error in serial]
+    assert [error is None for error in errors] == [True, True, False, True]
+    assert isinstance(errors[2], ValueError)
+    assert str(errors[2]) == "random controllers support scalar models only"
+    assert [len(scored) for _, scored, _ in serial] == [2, 2, 0, 1]  # vec/zero still scores
+
+    def without_runtime(results):
+        return [
+            (cell, [(p, dataclasses.replace(rep, runtime_ms=0)) for p, rep in scored])
+            for cell, scored, _ in results
+        ]
+
+    threaded = outcomes(2)
+    assert [type(error) for _, _, error in threaded] == [type(error) for error in errors]
+    assert without_runtime(threaded) == without_runtime(serial)
+
+
 def test_sweep_isolates_cell_failures():
     class Broken:
         dim = 1
