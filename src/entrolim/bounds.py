@@ -29,9 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from scipy import special
-
 from . import spectral as _spectral
+from .distributions import _TWO_PI_E, lp_constant
 
 __all__ = [
     "lp_constant",
@@ -45,18 +44,6 @@ __all__ = [
     "mimo_det_bound_asymptotic",
     "BoundReport",
 ]
-
-_TWO_PI_E = 2.0 * math.pi * math.e
-
-
-def lp_constant(p: float) -> float:
-    """C_p = 2 Gamma((p+1)/p) (p e)^(1/p); C_inf = 2.  Requires p >= 1."""
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p!r}")
-    if math.isinf(p):
-        return 2.0
-    return 2.0 * special.gamma((p + 1.0) / p) * (p * math.e) ** (1.0 / p)
-
 
 def lp_bound(h_bits: float, p: float) -> float:
     """Norm floor 2^h_bits / C_p for the L_p error norm."""

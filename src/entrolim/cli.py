@@ -58,6 +58,7 @@ from .verify import (
     ExperimentConfig,
     NonFiniteLoopError,
     _format_value,
+    _nonnegative_seed,
     config_from_dict,
     load_config,
     resolve_controller,
@@ -348,7 +349,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = replace(config, master_seed=int(args.seed))
+            config = replace(config, master_seed=_nonnegative_seed(args.seed, "--seed"))
 
         if args.command == "bound":
             return cmd_bound(config, args.out)

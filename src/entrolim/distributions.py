@@ -27,6 +27,8 @@ from scipy import special
 
 __all__ = ["GeneralizedGaussian", "GaussianVector"]
 
+#: 2 pi e, the Gaussian entropy-power factor, and ln 2, from nats to bits.
+_TWO_PI_E = 2.0 * math.pi * math.e
 _LN2 = math.log(2.0)
 
 
@@ -35,6 +37,26 @@ def as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
+
+
+def lp_constant(p: float) -> float:
+    """C_p = 2 Gamma((p+1)/p) (p e)^(1/p); C_inf = 2.  Requires p >= 1.
+
+    GG(p, mu) has entropy log2(C_p mu): the floor 2^h / C_p's equality case.
+    """
+    if not p >= 1.0:
+        raise ValueError(f"p must be >= 1, got {p!r}")
+    if math.isinf(p):
+        return 2.0
+    return 2.0 * special.gamma((p + 1.0) / p) * (p * math.e) ** (1.0 / p)
+
+
+def _gaussian_entropy_bits(cov: np.ndarray) -> float:
+    """log2 sqrt((2 pi e)^m det(cov)), the entropy of N(0, cov) in bits."""
+    sign, logdet = np.linalg.slogdet(cov)
+    if sign <= 0:
+        raise ValueError("covariance determinant not positive")
+    return 0.5 * (cov.shape[0] * math.log2(_TWO_PI_E) + logdet / _LN2)
 
 
 @dataclass(frozen=True)
@@ -116,17 +138,12 @@ class GeneralizedGaussian:
         return out
 
     def entropy_bits(self) -> float:
-        """Differential entropy log2(2 Gamma((p+1)/p) (p e)^(1/p) mu) in bits.
+        """Differential entropy log2(C_p mu) in bits, C_p from ``lp_constant``.
 
-        The power=inf limit degrades gracefully to log2(2 mu), the entropy
-        of the uniform density on [-mu, mu].
+        The power=inf limit is log2(2 mu), the entropy of the uniform
+        density on [-mu, mu].
         """
-        if self.is_uniform:
-            return math.log2(2.0 * self.scale)
-        p = self.power
-        return math.log2(
-            2.0 * special.gamma((p + 1.0) / p) * (p * math.e) ** (1.0 / p) * self.scale
-        )
+        return math.log2(lp_constant(self.power) * self.scale)
 
     def lp_norm(self) -> float:
         """E[|x|^p]^(1/p); equals ``scale`` by construction.
@@ -182,13 +199,9 @@ class GaussianVector:
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError(f"covariance must be square, got shape {cov.shape}")
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12):
-            raise ValueError("covariance must be symmetric (asymmetry beyond 1e-12)")
-        eigenvalues = np.linalg.eigvalsh(cov)
-        if eigenvalues.min() <= 0.0:
-            raise ValueError(
-                f"covariance must be positive definite; smallest eigenvalue "
-                f"{eigenvalues.min():.3e}"
-            )
+            raise ValueError("covariance must be symmetric")
+        if np.linalg.eigvalsh(cov).min() <= 0.0:
+            raise ValueError("covariance must be positive definite")
         object.__setattr__(self, "covariance", cov)
 
     @property
@@ -197,11 +210,7 @@ class GaussianVector:
 
     def entropy_bits(self) -> float:
         """log2 sqrt((2 pi e)^m det(cov)), the Gaussian vector entropy in bits."""
-        sign, logdet = np.linalg.slogdet(self.covariance)
-        if sign <= 0:
-            raise ValueError("covariance determinant not positive")
-        m = self.dimension
-        return 0.5 * (m * math.log2(2.0 * math.pi * math.e) + logdet / _LN2)
+        return _gaussian_entropy_bits(self.covariance)
 
     def sample(self, count: int, seed) -> np.ndarray:
         rng = as_rng(seed)

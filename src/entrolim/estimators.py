@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special, stats
 from scipy.spatial import cKDTree
 
-from .distributions import GeneralizedGaussian, as_rng
+from .distributions import _LN2, GeneralizedGaussian, as_rng
 
 __all__ = [
     "EntropyEstimate",
@@ -45,7 +45,6 @@ __all__ = [
     "covariance_det_estimate",
 ]
 
-_LN2 = math.log(2.0)
 _JACKKNIFE_FOLDS = 20
 
 #: KS pass threshold coefficient (the asymptotic 1% point); the fitted
@@ -160,11 +159,19 @@ def lp_norm_estimate(samples: np.ndarray, p: float) -> tuple[float, float]:
         depth = min(5, n - 1)
         top = np.partition(mag, n - 1 - depth)[-(depth + 1) :]
         return float(top[-1]), float(max(top[-1] - top[0], 1e-300))
-    powered = mag**p
-    moment = float(powered.mean())
-    if moment == 0.0:
-        return 0.0, 1e-300
-    se_moment = float(powered.std(ddof=1)) / math.sqrt(n)
+    with np.errstate(over="ignore"):
+        powered = mag**p
+        moment = float(powered.mean())
+        if moment == 0.0 and not mag.any():
+            return 0.0, 1e-300
+        finite = 0.0 < moment < math.inf
+        se_moment = float(powered.std(ddof=1)) / math.sqrt(n) if finite else math.nan
+    if not (finite and se_moment < math.inf):
+        # at a large p, |x|^p under- or overflows: an error, never a verdict
+        raise ValueError(
+            f"L_p norm at p={p:g}: mean(|x|^p) = {moment!r} with standard error "
+            f"{se_moment!r} is out of the float64 range"
+        )
     value = moment ** (1.0 / p)
     se_value = value * se_moment / (p * moment)
     return value, max(se_value, 1e-300)

@@ -9,6 +9,15 @@ Four model families:
 * ``VectorGaussAR`` -- first-order vector model d_k = A d_{k-1} + w_k with
   Gaussian innovations.
 
+Each law has one home.  The three scalar families are ARMA models (IID is
+ARMA(0, 0), GenGaussAR has no MA part), so one private base reads their
+variance, autocovariance, power spectrum and effective memory off (ar, ma,
+innovation variance).  The vector model's innovation is a
+``GaussianVector``, which checks Q, draws the noise and holds the Gaussian
+log-det entropy.  A generalized Gaussian innovation has entropy
+log2(C_p mu) with C_p from ``lp_constant``: the equality case of the floor
+2^h / C_p in :mod:`entrolim.bounds`.
+
 Sample paths start in steady state: Gaussian models draw their initial
 state from the exact stationary distribution (discrete Lyapunov equation on
 the filter state), while GenGaussAR runs a burn-in of 10x its effective
@@ -31,7 +40,7 @@ from __future__ import annotations
 import abc
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +48,9 @@ from numpy.polynomial import polynomial as npoly
 from scipy import linalg as sla
 from scipy import signal
 
-from .distributions import GeneralizedGaussian, as_rng
+from .distributions import (
+    _TWO_PI_E, GaussianVector, GeneralizedGaussian, _gaussian_entropy_bits, as_rng
+)
 from .spectral import SpectralDensity
 
 __all__ = [
@@ -59,8 +70,6 @@ __all__ = [
     "CapacityError",
     "NotAnalyticError",
 ]
-
-_TWO_PI_E = 2.0 * math.pi * math.e
 
 #: Largest Levinson-Durbin order computed for per-step entropies.  Beyond
 #: this the recursion cost is quadratic and the values are indistinguishable
@@ -179,8 +188,13 @@ def _poly_roots_outside(coeffs_ascending: np.ndarray, what: str) -> None:
         )
 
 
+def _ar_poly(ar: tuple[float, ...]) -> np.ndarray:
+    """The AR polynomial 1 - sum ar_i z^i, coefficients in ascending order."""
+    return np.concatenate(([1.0], -np.asarray(ar, dtype=float)))
+
+
 def _rational_spectrum(sigma2: float, ar: tuple, ma: tuple) -> SpectralDensity:
-    phi = np.concatenate(([1.0], -np.asarray(ar, dtype=float)))
+    phi = _ar_poly(ar)
     theta = np.concatenate(([1.0], np.asarray(ma, dtype=float)))
 
     def evaluate(omega):
@@ -259,15 +273,57 @@ class DisturbanceModel(abc.ABC):
             )
 
 
-@dataclass(frozen=True)
-class IID(DisturbanceModel):
-    """Independent generalized Gaussian draws (no temporal structure)."""
+class _ScalarLinear(DisturbanceModel):
+    """A scalar ARMA model's laws, read off (``ar``, ``ma``, its innovation).
 
-    innovation: GeneralizedGaussian
+    IID is ARMA(0, 0) and GenGaussAR has no MA part.  The innovation is a
+    generalized Gaussian ``innovation``, whose entropy is the rate and every
+    step's past the AR order; GaussARMA holds a Gaussian variance instead
+    and reads its entropies off the Levinson ladder.
+    """
+
+    @property
+    def innovation_variance(self) -> float:
+        return self.innovation.variance()
 
     @property
     def dim(self) -> int:
         return 1
+
+    def variance(self):
+        return float(self.autocovariance(0)[0])
+
+    def autocovariance(self, max_lag):
+        if max_lag < 0:
+            raise ValueError(f"max_lag must be >= 0, got {max_lag}")
+        return arma_autocovariance(self.ar, self.ma, self.innovation_variance, max_lag)
+
+    def power_spectrum(self):
+        return _rational_spectrum(self.innovation_variance, self.ar, self.ma)
+
+    def effective_memory(self):
+        return _ar_memory(self.ar, len(self.ma))
+
+    def conditional_entropy_bits(self, k):
+        self._check_step(k)
+        if k < len(self.ar):
+            raise NotAnalyticError(
+                f"conditional entropy at step {k} < AR order {len(self.ar)} "
+                "has no closed form for non-Gaussian innovations; estimate it "
+                "from sample paths"
+            )
+        return self.innovation.entropy_bits()
+
+    def entropy_rate_bits(self):
+        return self.innovation.entropy_bits()
+
+
+@dataclass(frozen=True)
+class IID(_ScalarLinear):
+    """Independent generalized Gaussian draws (no temporal structure)."""
+
+    innovation: GeneralizedGaussian
+    ar = ma = ()
 
     @property
     def descriptor(self) -> str:
@@ -277,33 +333,9 @@ class IID(DisturbanceModel):
         self._check_length(length)
         return self.innovation.sample(length, seed)
 
-    def conditional_entropy_bits(self, k):
-        self._check_step(k)
-        return self.innovation.entropy_bits()
-
-    def entropy_rate_bits(self):
-        return self.innovation.entropy_bits()
-
-    def variance(self):
-        return self.innovation.variance()
-
-    def effective_memory(self):
-        return 0
-
-    def autocovariance(self, max_lag):
-        out = np.zeros(max_lag + 1)
-        out[0] = self.innovation.variance()
-        return out
-
-    def power_spectrum(self):
-        level = self.innovation.variance()
-        return SpectralDensity(
-            evaluate=lambda omega: np.full_like(np.asarray(omega, dtype=float), level)
-        )
-
 
 @dataclass(frozen=True)
-class GaussARMA(DisturbanceModel):
+class GaussARMA(_ScalarLinear):
     """Gaussian ARMA(p, q): d_k = sum ar_i d_{k-i} + w_k + sum ma_j w_{k-j}.
 
     The AR polynomial 1 - sum ar_i z^i must have all roots outside the unit
@@ -326,12 +358,8 @@ class GaussARMA(DisturbanceModel):
             raise ValueError(
                 f"innovation variance must be positive, got {self.innovation_variance!r}"
             )
-        _poly_roots_outside(np.concatenate(([1.0], -np.asarray(self.ar))), "AR")
+        _poly_roots_outside(_ar_poly(self.ar), "AR")
         _poly_roots_outside(np.concatenate(([1.0], np.asarray(self.ma))), "MA")
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     @property
     def descriptor(self) -> str:
@@ -354,9 +382,8 @@ class GaussARMA(DisturbanceModel):
         state_cov = _filter_state_cov(self)
         init = _psd_factor(state_cov) @ rng.standard_normal(n_state)
         w = rng.normal(0.0, sigma, size=length)
-        a_poly = np.concatenate(([1.0], -np.asarray(self.ar)))
         b_poly = np.concatenate(([1.0], np.asarray(self.ma)))
-        path, _ = signal.lfilter(b_poly, a_poly, w, zi=init)
+        path, _ = signal.lfilter(b_poly, _ar_poly(self.ar), w, zi=init)
         return path
 
     def conditional_entropy_bits(self, k):
@@ -366,23 +393,9 @@ class GaussARMA(DisturbanceModel):
     def entropy_rate_bits(self):
         return 0.5 * math.log2(_TWO_PI_E * self.innovation_variance)
 
-    def variance(self):
-        return float(self.autocovariance(0)[0])
-
-    def autocovariance(self, max_lag):
-        if max_lag < 0:
-            raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-        return arma_autocovariance(self.ar, self.ma, self.innovation_variance, max_lag)
-
-    def power_spectrum(self):
-        return _rational_spectrum(self.innovation_variance, self.ar, self.ma)
-
-    def effective_memory(self):
-        return _ar_memory(self.ar, len(self.ma))
-
 
 @dataclass(frozen=True)
-class GenGaussAR(DisturbanceModel):
+class GenGaussAR(_ScalarLinear):
     """Finite-order AR driven by generalized Gaussian innovations.
 
     Only second-order statistics (autocovariance, spectrum) and the
@@ -393,15 +406,12 @@ class GenGaussAR(DisturbanceModel):
 
     ar: tuple[float, ...]
     innovation: GeneralizedGaussian
+    ma = ()
 
     def __post_init__(self):
         object.__setattr__(self, "ar", tuple(float(a) for a in self.ar))
         _require_finite("ar", self.ar)
-        _poly_roots_outside(np.concatenate(([1.0], -np.asarray(self.ar))), "AR")
-
-    @property
-    def dim(self) -> int:
-        return 1
+        _poly_roots_outside(_ar_poly(self.ar), "AR")
 
     @property
     def descriptor(self) -> str:
@@ -414,36 +424,8 @@ class GenGaussAR(DisturbanceModel):
         w = self.innovation.sample(length + burn, rng)
         if not self.ar:
             return w
-        a_poly = np.concatenate(([1.0], -np.asarray(self.ar)))
-        path = signal.lfilter([1.0], a_poly, w)
+        path = signal.lfilter([1.0], _ar_poly(self.ar), w)
         return path[burn:]
-
-    def conditional_entropy_bits(self, k):
-        self._check_step(k)
-        if k < len(self.ar):
-            raise NotAnalyticError(
-                f"conditional entropy at step {k} < AR order {len(self.ar)} "
-                "has no closed form for non-Gaussian innovations; estimate it "
-                "from sample paths"
-            )
-        return self.innovation.entropy_bits()
-
-    def entropy_rate_bits(self):
-        return self.innovation.entropy_bits()
-
-    def variance(self):
-        return float(self.autocovariance(0)[0])
-
-    def autocovariance(self, max_lag):
-        if max_lag < 0:
-            raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-        return arma_autocovariance(self.ar, (), self.innovation.variance(), max_lag)
-
-    def power_spectrum(self):
-        return _rational_spectrum(self.innovation.variance(), self.ar, ())
-
-    def effective_memory(self):
-        return _ar_memory(self.ar, 0)
 
 
 @dataclass(frozen=True)
@@ -451,11 +433,13 @@ class VectorGaussAR(DisturbanceModel):
     """First-order vector model d_k = A d_{k-1} + w_k, w_k ~ N(0, Q).
 
     A must have spectral radius < 1 and Q must be symmetric positive
-    definite.
+    definite; the innovation w is a ``GaussianVector``, built and checked
+    once, at construction.
     """
 
     transition: tuple[tuple[float, ...], ...]
     innovation_covariance: tuple[tuple[float, ...], ...]
+    _noise: GaussianVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.transition, dtype=float))
@@ -474,10 +458,11 @@ class VectorGaussAR(DisturbanceModel):
             raise ValueError(
                 f"transition spectral radius {radius:.6g} >= 1; not stationary"
             )
-        if not np.allclose(q, q.T, rtol=0.0, atol=1e-12):
-            raise ValueError("innovation covariance must be symmetric")
-        if np.linalg.eigvalsh(q).min() <= 0.0:
-            raise ValueError("innovation covariance must be positive definite")
+        try:
+            noise = GaussianVector(q)
+        except ValueError as exc:  # "covariance must be ...", naming which one
+            raise ValueError(f"innovation {exc}") from None
+        object.__setattr__(self, "_noise", noise)
         object.__setattr__(self, "transition", tuple(map(tuple, a.tolist())))
         object.__setattr__(self, "innovation_covariance", tuple(map(tuple, q.tolist())))
 
@@ -504,9 +489,8 @@ class VectorGaussAR(DisturbanceModel):
         self._check_length(length)
         rng = as_rng(seed)
         a = self.transition_matrix
-        chol = np.linalg.cholesky(self.innovation_covariance_matrix)
         prev = _psd_factor(_vector_stationary_cov(self)) @ rng.standard_normal(self.dim)
-        noise = rng.standard_normal((length, self.dim)) @ chol.T
+        noise = self._noise.sample(length, rng)
         out = np.empty((length, self.dim))
         for k in range(length):
             prev = a @ prev + noise[k]
@@ -515,15 +499,9 @@ class VectorGaussAR(DisturbanceModel):
 
     def conditional_entropy_bits(self, k):
         self._check_step(k)
-        cov = (
-            _vector_stationary_cov(self)
-            if k == 0
-            else self.innovation_covariance_matrix
-        )
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            raise ValueError("covariance determinant not positive")
-        return 0.5 * (self.dim * math.log2(_TWO_PI_E) + logdet / math.log(2.0))
+        if k == 0:
+            return _gaussian_entropy_bits(_vector_stationary_cov(self))
+        return self._noise.entropy_bits()
 
     def entropy_rate_bits(self):
         return self.conditional_entropy_bits(1)
@@ -555,7 +533,7 @@ class VectorGaussAR(DisturbanceModel):
 def _ar_memory(ar: tuple[float, ...], ma_order: int) -> int:
     if not ar:
         return ma_order
-    roots = npoly.polyroots(np.concatenate(([1.0], -np.asarray(ar))))
+    roots = npoly.polyroots(_ar_poly(ar))
     radius = float(np.max(1.0 / np.abs(roots)))
     decay = max(1, math.ceil(-1.0 / math.log(radius))) if radius > 0 else 1
     return max(len(ar), ma_order, decay)

@@ -23,6 +23,10 @@ controller carries an exact kernel of its own that repeats its ``step``'s
 arithmetic operation for operation, so its outputs are bit-identical to
 that recursion, and both audits check this on their first trial.
 
+Both audits, ``causality_audit`` (open loop) and
+``closed_loop_causality_check``, run one probe loop, ``_probe_loop``: draw,
+run, check the kernel on trial 0, perturb from k and compare through k.
+
 ``compose_loop`` builds such a policy from two sequence-level stages (a
 plant and a controller in either order); at least one stage must be
 strictly causal or the composition is rejected.
@@ -33,7 +37,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -253,12 +257,7 @@ def predictor_controller(model: DisturbanceModel) -> ControllerPolicy:
         )
 
     if isinstance(model, IID):
-        return ControllerPolicy(
-            step=lambda e_hist, z_hist: 0.0,
-            initial_output=0.0,
-            descriptor=descriptor,
-            kernel=_zero_kernel,
-        )
+        return replace(zero_controller(), descriptor=descriptor)
 
     taps_by_order = _prediction_taps(model)
     return ControllerPolicy(
@@ -272,7 +271,7 @@ def predictor_controller(model: DisturbanceModel) -> ControllerPolicy:
 @lru_cache(maxsize=64)
 def _prediction_taps(model: DisturbanceModel) -> tuple[np.ndarray, ...]:
     """Read-only Levinson tap ladder up to the order where prediction stops improving."""
-    rate_var = _innovation_variance(model)
+    rate_var = model.innovation_variance
     excess = prediction_variances(model, _TAP_ORDER_CAP) - rate_var
     powers = (1 << i for i in range(_TAP_ORDER_CAP.bit_length()))
     order = next(
@@ -282,14 +281,6 @@ def _prediction_taps(model: DisturbanceModel) -> tuple[np.ndarray, ...]:
     for taps in coeffs:
         taps.flags.writeable = False
     return tuple(coeffs)
-
-
-def _innovation_variance(model) -> float:
-    if hasattr(model, "innovation_variance"):
-        return model.innovation_variance
-    if hasattr(model, "innovation"):
-        return model.innovation.variance()
-    raise ValueError(f"no innovation variance known for {model.descriptor}")
 
 
 def _fir_step(ladder: Sequence[np.ndarray], negate: bool):
@@ -546,24 +537,60 @@ def causality_audit(
     of a policy with its own kernel must also equal ``step_recursion``'s
     bit for bit, so the audit covers the code that runs.
     """
+    shape = (length,) if controller.dim == 1 else (length, controller.dim)
+    return _probe_loop(
+        controller, False, length, trials, seed,
+        draw=lambda rng: rng.standard_normal(shape),
+        shift=lambda rng, tail: 1.0 + rng.standard_normal(tail.shape),
+    )
+
+
+def closed_loop_causality_check(
+    model: DisturbanceModel,
+    controller: ControllerPolicy,
+    *,
+    length: int = 256,
+    trials: int = 10,
+    seed=0,
+) -> CausalityReport:
+    """Closed-loop version: future disturbances must not move current outputs.
+
+    For random k, d_j is perturbed for all j >= k and the loop re-run; the
+    control sequence must match exactly through index k (z_k depends on
+    e_0..e_{k-1}, hence on d_0..d_{k-1} only).  On the first trial the
+    closed loop (z and e) of a policy with its own kernel must also equal
+    ``step_recursion``'s bit for bit.
+    """
+    return _probe_loop(
+        controller, True, length, trials, seed,
+        draw=lambda rng: model.sample_path(length, int(rng.integers(0, 2**32))),
+        shift=lambda rng, tail: 1.0,
+    )
+
+
+def _probe_loop(controller, closed, length, trials, seed, draw, shift) -> CausalityReport:
+    """Both audits' loop: run the policy on x = ``draw(rng)`` (closed, or its
+    open-loop ``respond``), check its kernel on trial 0, move x_j for j >= k
+    by ``shift(rng, x[k:])``, and require z to agree through index k."""
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
+
+    def run(x):
+        return controller.run(x, True) if closed else (controller.respond(x),)
+
     rng = as_rng(seed)
     violations = []
-    shape = (length,) if controller.dim == 1 else (length, controller.dim)
     for trial in range(trials):
-        base = rng.standard_normal(shape)
-        reference = controller.respond(base)
+        x = draw(rng)
+        outputs = run(x)
         if trial == 0:
-            violations += _kernel_check(controller, base, False, (reference,))
+            violations += _kernel_check(controller, x, closed, outputs)
         k = int(rng.integers(1, length))
-        perturbed = base.copy()
-        tail_shape = (length - k,) if controller.dim == 1 else (length - k, controller.dim)
-        perturbed[k:] += 1.0 + rng.standard_normal(tail_shape)
-        altered = controller.respond(perturbed)
-        if not np.array_equal(reference[: k + 1], altered[: k + 1]):
-            bad = _first_mismatch(reference[: k + 1], altered[: k + 1])
-            violations.append((trial, bad))
+        altered = x.copy()
+        altered[k:] += shift(rng, altered[k:])
+        reference, moved = outputs[0][: k + 1], run(altered)[0][: k + 1]
+        if not np.array_equal(reference, moved):
+            violations.append((trial, _first_mismatch(reference, moved)))
     return CausalityReport(
         passed=not violations, trials=trials, violations=tuple(violations)
     )
@@ -592,42 +619,6 @@ def _kernel_check(controller, x, closed, outputs) -> list[tuple[int, int]]:
 
 def _bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
-
-
-def closed_loop_causality_check(
-    model: DisturbanceModel,
-    controller: ControllerPolicy,
-    *,
-    length: int = 256,
-    trials: int = 10,
-    seed=0,
-) -> CausalityReport:
-    """Closed-loop version: future disturbances must not move current outputs.
-
-    For random k, d_j is perturbed for all j >= k and the loop re-run; the
-    control sequence must match exactly through index k (z_k depends on
-    e_0..e_{k-1}, hence on d_0..d_{k-1} only).  On the first trial the
-    closed loop (z and e) of a policy with its own kernel must also equal
-    ``step_recursion``'s bit for bit.
-    """
-    if length < 2:
-        raise ValueError(f"length must be >= 2, got {length}")
-    rng = as_rng(seed)
-    violations = []
-    for trial in range(trials):
-        d = model.sample_path(length, int(rng.integers(0, 2**32)))
-        z_ref, e_ref = controller.run(d, True)
-        if trial == 0:
-            violations += _kernel_check(controller, d, True, (z_ref, e_ref))
-        k = int(rng.integers(1, length))
-        d_alt = np.array(d, copy=True)
-        d_alt[k:] += 1.0
-        z_alt, _ = controller.run(d_alt, True)
-        if not np.array_equal(z_ref[: k + 1], z_alt[: k + 1]):
-            violations.append((trial, _first_mismatch(z_ref[: k + 1], z_alt[: k + 1])))
-    return CausalityReport(
-        passed=not violations, trials=trials, violations=tuple(violations)
-    )
 
 
 class _AnticipatoryPolicy(ControllerPolicy):

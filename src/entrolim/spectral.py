@@ -28,6 +28,8 @@ from typing import Callable
 
 import numpy as np
 
+from .distributions import _TWO_PI_E
+
 __all__ = [
     "SpectralDensity",
     "SpectralIntegralError",
@@ -35,9 +37,6 @@ __all__ = [
     "negentropy_rate_bits",
     "gaussianity_whiteness",
 ]
-
-_TWO_PI_E = 2.0 * math.pi * math.e
-
 
 class SpectralIntegralError(RuntimeError):
     """Quadrature failure: spectrum hit zero / non-finite, or node budget spent."""

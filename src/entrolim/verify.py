@@ -481,6 +481,7 @@ def config_from_dict(raw) -> ExperimentConfig:
             spec_number(raw.get(key, default), key, integer=True)
             for key, default in (("horizon", 20_000), ("trials", 1), ("seed", 0))
         )
+        _nonnegative_seed(master_seed, "seed")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if horizon < 2:
@@ -550,6 +551,13 @@ def run_plan(
     ]
 
 
+def _nonnegative_seed(seed: int, key: str) -> int:
+    """``seed``, refused with a ValueError naming ``key`` if negative."""
+    if seed < 0:
+        raise ValueError(f"{key}: must be >= 0, got {seed}")
+    return seed
+
+
 def _controller_settings(spec: dict, seed: int) -> dict:
     """The one declaration of the controller kinds: the numbers each reads.
 
@@ -566,7 +574,8 @@ def _controller_settings(spec: dict, seed: int) -> dict:
     kind = spec.get("kind")
     if kind == "random":
         gain_cap = read("gain_cap", 2.0, integer=False)
-        return dict(seed=read("seed", seed), memory=read("memory", 3), gain_cap=gain_cap)
+        own_seed = _nonnegative_seed(read("seed", seed), "seed")
+        return dict(seed=own_seed, memory=read("memory", 3), gain_cap=gain_cap)
     if kind == "learned":
         return dict(seed=seed, memory=read("memory", 2), train_steps=read("train_steps", 50_000))
     if kind in ("zero", "predictor", "anticipatory"):

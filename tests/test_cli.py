@@ -46,6 +46,7 @@ BAD_CONTROLLERS = [
     ([{"kind": "random", "gain_cap": math.inf}], "gain_cap"),
     ([{"kind": "random", "gain_cap": math.nan}], "gain_cap"),
     ([{"kind": "learned", "memory": math.nan}], "memory"),
+    ([{"kind": "random", "seed": -3}], "seed"),
 ]
 BAD_MODELS = [
     ({"kind": "iid", "innovation": {"family": "gg", "p": True, "mu": 1.0}}, "innovation.p"),
@@ -119,6 +120,18 @@ def test_non_finite_config_number_exits_2_naming_the_field(tmp_path, capsys):
     assert err == "error: models[0]: ar: must be a finite number, got nan\n"
 
 
+@pytest.mark.parametrize("command", ["bound", "simulate", "audit", "verify", "sweep"])
+def test_negative_seed_exits_2_naming_the_field(tmp_path, capsys, command):
+    path = _write_config(tmp_path, {"models": [AR1_SPEC], "horizon": 3_000})
+    out_dir = ["--out", str(tmp_path / "out")] if command != "audit" else []
+    assert cli.main([command, "--config", path, "--seed", "-1", *out_dir]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: --seed: must be >= 0, got -1\n")
+    assert not (tmp_path / "out").exists()
+    bad = _write_config(tmp_path, {"models": [AR1_SPEC], "seed": -1}, "bad.json")
+    assert cli.main([command, "--config", bad, *out_dir]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: seed: must be >= 0, got -1\n")
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [
@@ -145,6 +158,7 @@ def test_non_finite_config_number_exits_2_naming_the_field(tmp_path, capsys):
         ({"models": [AR1_SPEC], "seed": True}, "seed"),
         ({"models": [AR1_SPEC], "seed": "7"}, "seed"),
         ({"models": [AR1_SPEC], "seed": 0.5}, "seed"),
+        ({"models": [AR1_SPEC], "seed": -1}, "seed: must be >= 0, got -1"),
         ({"models": [AR1_SPEC], "p_values": [True]}, "p_values"),
         ({"models": [AR1_SPEC], "p_values": [2, True]}, "p_values"),
         ([], "object"),

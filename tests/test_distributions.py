@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrolim import GaussianVector, GeneralizedGaussian
+from entrolim import GaussianVector, GeneralizedGaussian, lp_constant
 
 # quad of -f log2 f over the support, independent of the package formulas
 ENTROPY_ORACLE = {
@@ -171,6 +171,13 @@ def test_entropy_grows_with_scale(p, mu, factor):
     large = GeneralizedGaussian(p, mu * factor).entropy_bits()
     # h(c X) = h(X) + log2 c exactly
     assert large - small == pytest.approx(math.log2(factor), abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.5, 40.0, 2000.0, math.inf])
+@pytest.mark.parametrize("mu", [1e-3, 0.5, 1.0, 2.7, 1e4])
+def test_entropy_is_log2_of_lp_constant_times_scale(p, mu):
+    # the equality case of the floor 2^h / C_p, exact to the last bit
+    assert GeneralizedGaussian(p, mu).entropy_bits() == math.log2(lp_constant(p) * mu)
 
 
 class TestGaussianVector:

@@ -9,7 +9,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import entrolim as el
-from entrolim import estimators
+from entrolim import estimators, verify
 
 H_GAUSS = 0.5 * math.log2(2.0 * math.pi * math.e)  # N(0,1), bits
 
@@ -46,6 +46,32 @@ def test_lp_norm_edge_cases():
         el.lp_norm_estimate(np.ones(10), 0.5)
     value, se = el.lp_norm_estimate(np.zeros(10), 2.0)
     assert value == 0.0 and se == 1e-300
+
+
+def test_lp_norm_out_of_float_range_is_an_error_not_a_verdict():
+    # at p = 2000, |x|^p underflows to 0 for uniform data of half-width 0.5
+    # and overflows to inf for an AR(0.9) path; both must raise, naming p
+    unif = el.GeneralizedGaussian.uniform(0.5).sample(5000, 1)
+    ar1 = el.GaussARMA(ar=(0.9,)).sample_path(5000, 1)
+    for x in (unif, ar1):
+        with pytest.raises(ValueError, match="p=2000"):
+            el.lp_norm_estimate(x, 2000.0)
+    config = verify.config_from_dict(
+        {
+            "models": [
+                {"kind": "iid", "innovation": {"family": "gg", "p": "inf", "mu": 0.5}},
+                {"kind": "gauss_arma", "ar": [0.9]},
+            ],
+            "p_values": [2000],
+            "horizon": 3000,
+        }
+    )
+    for tightness in (False, True):
+        result = el.sweep(config, tightness=tightness)
+        assert result.rows == ()
+        assert [cell for cell, _ in result.errors] == ["c00000", "c00001"]
+        for _, message in result.errors:
+            assert message.startswith("ValueError: L_p norm at p=2000:")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ against long simulated paths; the stationary start is checked by comparing
 the distribution of the very first sample with the analytic marginal.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from entrolim import (
     IID,
     CapacityError,
     GaussARMA,
+    GaussianVector,
     GenGaussAR,
     GeneralizedGaussian,
     NotAnalyticError,
@@ -73,6 +75,35 @@ def test_iid_autocovariance():
     r = arma_autocovariance((), (), 1.7, 2)
     assert r[0] == pytest.approx(1.7)
     assert r[1] == 0.0
+
+
+# IID variances as float.hex, frozen: IID reads its second-order laws as
+# ARMA(0, 0), which must return the innovation variance to the last bit
+IID_VARIANCE_HEX = {
+    (math.inf, 0.5): "0x1.5555555555555p-4",
+    (1.0, 0.7): "0x1.f5c28f5c28f5bp-1",
+    (2.0, 1.3): "0x1.b0a3d70a3d70dp+0",
+    (3.0, 1.1): "0x1.e108093f7c674p-1",
+}
+
+
+@pytest.mark.parametrize("p, mu", list(IID_VARIANCE_HEX))
+def test_iid_second_order_frozen(p, mu):
+    model = IID(GeneralizedGaussian(p, mu))
+    var = float.fromhex(IID_VARIANCE_HEX[p, mu])
+    assert model.variance() == var
+    assert model.autocovariance(3).tolist() == [var, 0.0, 0.0, 0.0]
+    spectrum = model.power_spectrum()
+    assert spectrum(np.array([0.0, 1.0, -2.5])).tolist() == [var] * 3
+    assert float(spectrum(0.3)) == var
+    assert model.effective_memory() == 0
+
+
+def test_scalar_models_expose_innovation_variance():
+    gg = GeneralizedGaussian(1.0, 0.7)
+    assert IID(gg).innovation_variance == gg.variance()
+    assert GenGaussAR(ar=(0.5,), innovation=gg).innovation_variance == gg.variance()
+    assert GaussARMA(ar=(0.5,), innovation_variance=2.5).innovation_variance == 2.5
 
 
 def test_autocovariance_matches_simulation():
@@ -338,13 +369,46 @@ def test_vector_autocovariance_lag1():
     assert np.allclose(r[1], want, atol=1e-12)
 
 
+VEC4_A = (
+    (0.5, 0.1, 0.0, 0.0),
+    (0.0, 0.3, 0.2, 0.0),
+    (0.0, 0.0, -0.4, 0.1),
+    (0.1, 0.0, 0.0, 0.6),
+)
+VEC4_Q = (
+    (1.0, 0.2, 0.0, 0.1),
+    (0.2, 0.5, 0.1, 0.0),
+    (0.0, 0.1, 0.8, 0.2),
+    (0.1, 0.0, 0.2, 0.9),
+)
+
+
+def test_vector_sample_path_frozen():
+    model = VectorGaussAR(transition=VEC4_A, innovation_covariance=VEC4_Q)
+    path = model.sample_path(50, 11)
+    # the draw order: the stationary initial state, then the GaussianVector noise
+    rng = np.random.default_rng(11)
+    prev = processes._psd_factor(model.stationary_covariance()) @ rng.standard_normal(4)
+    noise = GaussianVector(VEC4_Q).sample(50, rng)
+    want = np.empty((50, 4))
+    for k in range(50):
+        prev = model.transition_matrix @ prev + noise[k]
+        want[k] = prev
+    assert np.array_equal(path, want)
+    assert hashlib.sha256(path.tobytes()).hexdigest() == (
+        "ac499fee6d67db17fb1b006048a787f9e97657b47b0c9505ed8d0bff3a19b3c2"
+    )
+
+
 def test_vector_validation():
     with pytest.raises(ValueError):
         VectorGaussAR(transition=((1.0, 0.0), (0.0, 0.5)), innovation_covariance=VEC_Q)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^innovation covariance must be positive definite$"):
         VectorGaussAR(
             transition=VEC_A, innovation_covariance=((1.0, 2.0), (2.0, 1.0))
         )
+    with pytest.raises(ValueError, match="^innovation covariance must be symmetric$"):
+        VectorGaussAR(transition=VEC_A, innovation_covariance=((1.0, 0.2), (0.3, 1.0)))
     with pytest.raises(NotAnalyticError):
         VectorGaussAR(transition=VEC_A, innovation_covariance=VEC_Q).variance()
 

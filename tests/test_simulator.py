@@ -81,7 +81,7 @@ def test_predictor_ar2_tap_ladder():
 
 def _doubling_reference_taps(model):
     # grow the ladder order by doubling until P_n has converged, else the cap
-    rate_var = simulator._innovation_variance(model)
+    rate_var = model.innovation_variance
     cap = simulator._TAP_ORDER_CAP
     order = 1
     while order <= cap:
@@ -359,6 +359,35 @@ def test_audits_check_the_kernel_against_the_step_recursion():
     plain = el.ControllerPolicy(step=honest.step)
     assert plain.kernel is None
     assert el.causality_audit(plain, length=64, trials=3, seed=1).passed
+
+
+def test_audit_violations_frozen():
+    # the audit draws its inputs, indices and perturbations from one rng in a
+    # fixed order; these indices pin that order
+    report = el.causality_audit(el.anticipatory_double(), length=128, trials=25, seed=2)
+    assert report.violations[:3] == ((0, 106), (1, 124), (2, 55))
+
+
+def _peeking_policy():
+    """Test-only policy whose closed-loop kernel reads x_k: z_k = d_k for k >= 1."""
+
+    def kernel(x, closed):
+        z = np.zeros_like(x)
+        if not closed:
+            return z, x
+        z[1:] = x[1:]
+        return z, x + z
+
+    return el.ControllerPolicy(step=lambda e_hist, z_hist: 0.0, descriptor="peek", kernel=kernel)
+
+
+def test_closed_loop_audit_violations_frozen():
+    report = el.closed_loop_causality_check(AR1, _peeking_policy(), length=64, trials=6, seed=3)
+    # (0, 1) is the kernel check, whose z departs from the step recursion's
+    # at z_1; each perturbation trial is then caught at its own index k
+    assert report.violations == ((0, 1), (0, 6), (1, 15), (2, 51), (3, 37), (4, 6), (5, 28))
+    # its open-loop response never reads x_k, so the open-loop audit passes it
+    assert el.causality_audit(_peeking_policy(), length=64, trials=6, seed=3).passed
 
 
 def test_closed_loop_check():
