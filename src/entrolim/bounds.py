@@ -9,13 +9,12 @@ with the constant C_p = 2 Gamma((p+1)/p) (p e)^(1/p) from the maximum
 entropy property of the generalized Gaussian family (C_1 = 2e,
 C_2 = sqrt(2 pi e), C_inf = 2, where p = inf reads the essential supremum).
 No property of the controller enters: only the conditional entropy of the
-disturbance.  The asymptotic bound replaces h with the entropy rate,
-which can equivalently be assembled from the spectral integral minus the
-negentropy rate, or from the Gaussianity-whiteness figure times the
-stationary variance.  For vector errors the determinant of the
-second-moment matrix is bounded by 2^(2h) / (2 pi e)^m, and by Hadamard's
-inequality the product of the per-channel second moments obeys the same
-floor.
+disturbance.  The asymptotic bound replaces h with the entropy rate; the
+spectral route rebuilds that rate from the power spectrum, and the GW route
+restates it through the Gaussianity-whiteness figure and the variance.
+For vector errors the determinant of the second-moment matrix is bounded
+by 2^(2h) / (2 pi e)^m, and by Hadamard's inequality the product of the
+per-channel second moments obeys the same floor.
 
 Two functions hold the arithmetic: ``lp_bound`` (the max-deviation floor
 is its p = inf case) and ``mimo_det_bound`` (its m = 1 case is the
@@ -110,15 +109,20 @@ def lp_bound_asymptotic(model, p: float) -> BoundReport:
 
 
 def spectral_lp_bound(model, p: float) -> BoundReport:
-    """Asymptotic floor assembled from the spectral integral minus J.
+    """Asymptotic floor from the spectrum: h = S - J_w.
 
-    h = szego integral - J.  Numerically identical to lp_bound_asymptotic
-    up to quadrature tolerance for every model whose entropy rate is
-    analytic; kept as an independent route for cross-checks.
+    S is the Szego integral of power_spectrum(), computed first, so a model
+    without a spectrum raises NotAnalyticError.  J_w = 1/2 log2(2 pi e
+    innovation_variance) - entropy_rate_bits() is the innovation's
+    negentropy, which filtering leaves unchanged (0 for GaussARMA).  The
+    route meets lp_bound_asymptotic iff the spectrum's geometric mean is the
+    innovation variance (Kolmogorov-Szego): it checks the spectrum, the
+    AR/MA polynomials and the innovation variance, not the innovation
+    entropy that both routes read.
     """
     szego = _spectral.szego_entropy_integral_bits(model.power_spectrum())
-    j_rate = _spectral.negentropy_rate_bits(model)
-    return BoundReport("spectral", float(p), None, szego - j_rate)
+    j_w = 0.5 * math.log2(_TWO_PI_E * model.innovation_variance) - model.entropy_rate_bits()
+    return BoundReport("spectral", float(p), None, szego - j_w)
 
 
 def gw_lp_bound(model, p: float) -> BoundReport:
@@ -128,6 +132,8 @@ def gw_lp_bound(model, p: float) -> BoundReport:
     makes explicit how whitening loss and non-Gaussianity shrink the floor
     relative to a white Gaussian disturbance of the same power.  The report
     carries h = 1/2 log2(2 pi e GW Var), whose 2^h / C_p is that floor.
+    GW is defined from the entropy rate, so this route is the direct floor
+    restated, not an independent check of it.
     """
     gw = _spectral.gaussianity_whiteness(model)
     h = 0.5 * math.log2(_TWO_PI_E * gw * model.variance())

@@ -117,15 +117,33 @@ def _slug(text: str) -> str:
 # subcommands
 
 
+#: bound's table: column, alignment and width, number format
+_BOUND_TABLE = (
+    ("model", "<16", ""), ("p", ">5", ""), ("h_bits", ">12", ".8g"), ("C_p", ">12", ".10g"),
+    ("direct", ">14", ".10g"), ("spectral", ">14", ".10g"), ("gw", ">14", ".10g"),
+    ("agree", ">6", ""),
+)
+
+
+def _route_value(route, model, p: float) -> Optional[float]:
+    """``route(model, p).value``; None where the route has no analytic answer."""
+    try:
+        return route(model, p).value
+    except (NotAnalyticError, SpectralIntegralError):
+        return None
+
+
+def _table_cell(value, align: str, number: str) -> str:
+    """One cell of bound's table: a missing route prints "-", a verdict yes/NO."""
+    if value is None or isinstance(value, bool):
+        value, number = ("-" if value is None else "yes" if value else "NO"), ""
+    return f"{value:{align}{number}}"
+
+
 def cmd_bound(config: ExperimentConfig, out_dir: Optional[str]) -> int:
-    """Print analytic floors per (model, p); compare independent routes."""
-    header = (
-        f"{'model':<16} {'p':>5} {'h_bits':>12} {'C_p':>12} "
-        f"{'direct':>14} {'spectral':>14} {'gw':>14} {'agree':>6}"
-    )
-    print(header)
+    """Print analytic floors per (model, p); check the spectral and GW routes."""
+    print(" ".join(f"{column:{align}}" for column, align, _ in _BOUND_TABLE))
     rows = []
-    disagreement = False
     for name, model in zip(config.model_names, config.models):
         if model.dim != 1:
             print(
@@ -136,49 +154,24 @@ def cmd_bound(config: ExperimentConfig, out_dir: Optional[str]) -> int:
             continue
         for p in config.p_values:
             direct = _bounds.lp_bound_asymptotic(model, p)
-            try:
-                spectral = _bounds.spectral_lp_bound(model, p).value
-            except (NotAnalyticError, SpectralIntegralError):
-                spectral = None
-            try:
-                gw = _bounds.gw_lp_bound(model, p).value
-            except NotAnalyticError:
-                gw = None
-            deltas = [
-                abs(v - direct.value) for v in (spectral, gw) if v is not None
+            routes = [
+                _route_value(route, model, p)
+                for route in (_bounds.spectral_lp_bound, _bounds.gw_lp_bound)
             ]
-            agree = all(delta <= _ROUTE_AGREEMENT for delta in deltas)
-            disagreement = disagreement or not agree
-            rows.append(
-                [
-                    name,
-                    _p_label(p),
-                    direct.h_bits,
-                    direct.constant,
-                    direct.value,
-                    spectral,
-                    gw,
-                    agree,
-                ]
-            )
-            fmt = lambda v: "-".rjust(14) if v is None else f"{v:>14.10g}"
-            print(
-                f"{name:<16} {_p_label(p):>5} {direct.h_bits:>12.8g} "
-                f"{direct.constant:>12.10g} {direct.value:>14.10g} "
-                f"{fmt(spectral)} {fmt(gw)} {'yes' if agree else 'NO':>6}"
-            )
+            agree = all(abs(v - direct.value) <= _ROUTE_AGREEMENT for v in routes if v is not None)
+            row = [name, _p_label(p), direct.h_bits, direct.constant, direct.value, *routes, agree]
+            rows.append(row)
+            print(" ".join(_table_cell(v, a, n) for v, (_, a, n) in zip(row, _BOUND_TABLE)))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "bounds.csv"
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(
-                ["model", "p", "h_bits", "C_p", "direct", "spectral", "gw", "agree"]
-            )
+            writer.writerow([column for column, _, _ in _BOUND_TABLE])
             writer.writerows([_format_value(v) for v in row] for row in rows)
         print(f"wrote {path}")
-    if disagreement:
+    if not all(row[-1] for row in rows):
         print("error: analytic routes disagree beyond 1e-8", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK

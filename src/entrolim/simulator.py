@@ -185,14 +185,7 @@ def run_loop(
 
 def zero_controller(dim: int = 1) -> ControllerPolicy:
     """The do-nothing policy: e_k = d_k."""
-    if dim == 1:
-        return ControllerPolicy(
-            step=lambda e_hist, z_hist: 0.0,
-            initial_output=0.0,
-            descriptor="zero",
-            kernel=_zero_kernel,
-        )
-    zero = np.zeros(dim)
+    zero = 0.0 if dim == 1 else np.zeros(dim)
     return ControllerPolicy(
         step=lambda e_hist, z_hist: zero,
         initial_output=zero,

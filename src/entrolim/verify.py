@@ -562,22 +562,29 @@ def _controller_settings(spec: dict, seed: int) -> dict:
     """The one declaration of the controller kinds: the numbers each reads.
 
     Every kind that draws on a seed carries it as "seed": ``random`` its
-    own (default ``seed``), read with memory and gain_cap through
-    ``spec_number``, and ``learned`` ``seed``, with memory and train_steps.
-    zero, predictor and anticipatory read none; other kinds raise ValueError.
+    own (default ``seed``, >= 0), read with memory >= 0 and gain_cap > 0
+    through ``spec_number``, and ``learned`` ``seed``, with memory >= 1 and
+    train_steps > memory.  zero, predictor and anticipatory read none; other
+    kinds, and numbers out of range, raise ValueError naming their key.
     """
-    def read(key, default, integer=True):
-        return spec_number(spec.get(key, default), key, integer=integer)
+    def read(key, default, rule, ok, integer=True):
+        value = spec_number(spec.get(key, default), key, integer=integer)
+        if not ok(value):
+            raise ValueError(f"{key}: must be {rule}, got {value!r}")
+        return value
 
     if not isinstance(spec, dict):
         raise ValueError(f"controller spec must be an object, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind == "random":
-        gain_cap = read("gain_cap", 2.0, integer=False)
-        own_seed = _nonnegative_seed(read("seed", seed), "seed")
-        return dict(seed=own_seed, memory=read("memory", 3), gain_cap=gain_cap)
+        gain_cap = read("gain_cap", 2.0, "> 0", lambda v: v > 0, integer=False)
+        own_seed = read("seed", seed, ">= 0", lambda v: v >= 0)
+        memory = read("memory", 3, ">= 0", lambda v: v >= 0)
+        return dict(seed=own_seed, memory=memory, gain_cap=gain_cap)
     if kind == "learned":
-        return dict(seed=seed, memory=read("memory", 2), train_steps=read("train_steps", 50_000))
+        memory = read("memory", 2, ">= 1", lambda v: v >= 1)
+        train_steps = read("train_steps", 50_000, f"> memory ({memory})", lambda v: v > memory)
+        return dict(seed=seed, memory=memory, train_steps=train_steps)
     if kind in ("zero", "predictor", "anticipatory"):
         return {}
     raise ValueError(

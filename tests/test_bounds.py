@@ -95,6 +95,8 @@ def test_route_agreement_fixed_models():
         el.GaussARMA(ma=(0.7,)),
         el.GaussARMA(ar=(0.5,), ma=(0.3,), innovation_variance=2.0),
         el.IID(el.GeneralizedGaussian.uniform(1.0)),
+        el.IID(el.GeneralizedGaussian(4.0, 1.3)),
+        el.GenGaussAR(ar=(0.5, 0.3), innovation=el.GeneralizedGaussian.laplace(1.0)),
     ]
     for model in models:
         for p in (1.0, 2.0, math.inf):
@@ -103,6 +105,37 @@ def test_route_agreement_fixed_models():
             gw = el.gw_lp_bound(model, p).value
             assert abs(spectral - direct) < 1e-8 * max(1.0, direct)
             assert abs(gw - direct) < 1e-8 * max(1.0, direct)
+
+
+def test_spectral_route_runs_one_quadrature(monkeypatch):
+    # the route integrates the spectrum once and reads the innovation law
+    # for J_w; it never re-derives J from a second quadrature
+    integrals = []
+    szego = el.spectral.szego_entropy_integral_bits
+
+    def counted(density):
+        integrals.append(density)
+        return szego(density)
+
+    def refused(model):
+        raise AssertionError("spectral_lp_bound called negentropy_rate_bits")
+
+    monkeypatch.setattr(el.spectral, "szego_entropy_integral_bits", counted)
+    monkeypatch.setattr(el.spectral, "negentropy_rate_bits", refused)
+    lapar = el.GenGaussAR(ar=(0.7,), innovation=el.GeneralizedGaussian.laplace(1.0))
+    for model in (el.GaussARMA(ar=(0.5,), ma=(0.3,)), lapar):
+        integrals.clear()
+        el.spectral_lp_bound(model, 2.0)
+        assert len(integrals) == 1
+
+
+def test_spectral_route_needs_a_spectrum():
+    vec = el.VectorGaussAR(
+        transition=((0.5, 0.1), (0.0, 0.3)),
+        innovation_covariance=((1.0, 0.2), (0.2, 0.5)),
+    )
+    with pytest.raises(el.NotAnalyticError):
+        el.spectral_lp_bound(vec, 2.0)
 
 
 def test_mimo_reports():

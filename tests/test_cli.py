@@ -47,6 +47,13 @@ BAD_CONTROLLERS = [
     ([{"kind": "random", "gain_cap": math.nan}], "gain_cap"),
     ([{"kind": "learned", "memory": math.nan}], "memory"),
     ([{"kind": "random", "seed": -3}], "seed"),
+    # numbers out of their ranges
+    ([{"kind": "random", "memory": -1}], "memory"),
+    ([{"kind": "random", "gain_cap": -2.0}], "gain_cap"),
+    ([{"kind": "random", "gain_cap": 0}], "gain_cap"),
+    ([{"kind": "learned", "memory": 0}], "memory"),
+    ([{"kind": "learned", "train_steps": 0}], "train_steps"),
+    ([{"kind": "learned", "memory": 3, "train_steps": 3}], "train_steps"),
 ]
 BAD_MODELS = [
     ({"kind": "iid", "innovation": {"family": "gg", "p": True, "mu": 1.0}}, "innovation.p"),
@@ -180,6 +187,25 @@ def test_config_rejections(raw, message):
         cli.config_from_dict(raw)
 
 
+@pytest.mark.parametrize("command", ["bound", "audit", "sweep"])
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "random", "memory": -1}, "memory: must be >= 0, got -1"),
+        ({"kind": "random", "gain_cap": -2.0}, "gain_cap: must be > 0, got -2.0"),
+        ({"kind": "learned", "train_steps": 0}, "train_steps: must be > memory (2), got 0"),
+    ],
+)
+def test_controller_numbers_out_of_range_exit_2_at_config_read(
+    tmp_path, capsys, command, spec, message
+):
+    path = _write_config(tmp_path, {"models": [AR1_SPEC], "controllers": [{"kind": "zero"}, spec]})
+    out_dir = ["--out", str(tmp_path / "out")] if command != "audit" else []
+    assert cli.main([command, "--config", path, *out_dir]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: controllers[1]: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("controllers, key", BAD_CONTROLLERS)
 def test_resolve_controller_refuses_spec_numbers(controllers, key):
     # called directly, the resolver raises rather than truncate
@@ -271,6 +297,57 @@ def test_bound_csv_quotes_model_names(tmp_path):
     assert len(header) == 8
     assert [len(row) for row in rows] == [8]
     assert rows[0][0] == name
+
+
+@pytest.mark.parametrize(
+    "route, column, fault",
+    [
+        ("spectral_lp_bound", "spectral", el.SpectralIntegralError("node budget exhausted")),
+        ("gw_lp_bound", "gw", el.NotAnalyticError("no entropy rate")),
+    ],
+)
+def test_bound_prints_a_dash_for_a_route_that_raises(
+    monkeypatch, tmp_path, capsys, route, column, fault
+):
+    def raising(model, p):
+        raise fault
+
+    monkeypatch.setattr(el.bounds, route, raising)
+    path = _write_config(tmp_path, {"models": [AR1_SPEC], "p_values": [2]})
+    assert cli.main(["bound", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_OK
+    header, line = capsys.readouterr().out.splitlines()[:2]
+    cells = dict(zip(header.split(), line.split()))
+    assert cells[column] == "-" and cells["agree"] == "yes"
+    with open(tmp_path / "bounds.csv", newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    assert row[column] == "" and row["agree"] == "true"
+
+
+def test_bound_exits_4_when_the_spectrum_misses_the_innovation_law(monkeypatch, tmp_path, capsys):
+    # a spectrum 1.5 times too large: its geometric mean is no longer the
+    # innovation variance, and the spectral route must say so
+    spectrum = el.GaussARMA.power_spectrum
+
+    def scaled(model):
+        density = spectrum(model)
+        return el.SpectralDensity(lambda omega: 1.5 * density(omega))
+
+    monkeypatch.setattr(el.GaussARMA, "power_spectrum", scaled)
+    ar1 = el.GaussARMA(ar=(0.9,))
+    direct = el.lp_bound_asymptotic(ar1, 2.0).value
+    spectral = el.spectral_lp_bound(ar1, 2.0).value
+    assert direct == pytest.approx(1.0, rel=1e-12)
+    assert spectral == pytest.approx(math.sqrt(1.5), rel=1e-9)
+    assert el.gw_lp_bound(ar1, 2.0).value == pytest.approx(direct, rel=1e-12)
+
+    path = _write_config(tmp_path, {"models": [AR1_SPEC], "p_values": [2]})
+    assert cli.main(["bound", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_VIOLATION
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].split()[-1] == "NO"
+    assert err == "error: analytic routes disagree beyond 1e-8\n"
+    with open(tmp_path / "bounds.csv", newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    assert row["agree"] == "false"
 
 
 def test_bound_skips_vector_models(tmp_path, capsys):

@@ -400,6 +400,28 @@ def test_vector_sample_path_frozen():
     )
 
 
+# white paths as float.hex, frozen: GaussARMA() and GenGaussAR(ar=()) have no
+# filter, so each path is the innovation's own draw on the seed's generator
+WHITE_GAUSS_HEX = [
+    "0x1.8eb318bbcde14p+0", "0x1.ea19d0a30e48dp-2", "-0x1.86fb2c0730dc5p-1",
+    "-0x1.c8419c1ab402cp+0", "-0x1.56f68cafc45f2p+1", "0x1.afdba98478d52p-6",
+]
+WHITE_GG3_HEX = [
+    "0x1.dc9e50dae8c67p-1", "0x1.204ca61544342p-1", "0x1.bc6a7ab59d5bbp-3",
+    "0x1.baa36d08b237ep-2", "-0x1.06a0ee68a789ep-2", "-0x1.5a44fceed3744p-4",
+]
+
+
+def test_white_sample_paths_frozen():
+    gauss = GaussARMA(innovation_variance=2.0).sample_path(6, 17)
+    assert [float(v).hex() for v in gauss] == WHITE_GAUSS_HEX
+    assert np.array_equal(gauss, np.random.default_rng(17).normal(0.0, math.sqrt(2.0), 6))
+    gg = GeneralizedGaussian(3.0, 0.7)
+    white = GenGaussAR(ar=(), innovation=gg).sample_path(6, 17)
+    assert [float(v).hex() for v in white] == WHITE_GG3_HEX
+    assert np.array_equal(white, gg.sample(6, np.random.default_rng(17)))
+
+
 def test_vector_validation():
     with pytest.raises(ValueError):
         VectorGaussAR(transition=((1.0, 0.0), (0.0, 0.5)), innovation_covariance=VEC_Q)
