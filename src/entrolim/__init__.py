@@ -9,6 +9,7 @@ and their tightness conditions empirically.
 Layout:
     distributions   generalized Gaussian family and Gaussian vectors
     processes       disturbance models with analytic entropy schedules
+    config          the JSON experiment config, read and checked in one place
     spectral        Szego integral, negentropy rate, Gaussianity-whiteness
     bounds          the floors themselves (L_p and MIMO determinant)
     simulator       causal controllers, closed loops, causality audits
@@ -30,9 +31,9 @@ from .processes import (
     arma_autocovariance,
     entropy_schedule,
     levinson_ladder,
-    model_from_config,
     prediction_variances,
 )
+from .config import model_from_config
 from .spectral import (
     SpectralDensity,
     SpectralIntegralError,

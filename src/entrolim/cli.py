@@ -7,11 +7,10 @@ Subcommands:
     sweep      Monte Carlo grid over models x controllers x norms
     audit      causality audits only (open loop and closed loop)
 
-All subcommands read one JSON config (see the package README for the schema)
-and share --seed (master seed override) and --out (output directory) where
-applicable.  Thread count comes from --threads or the ENTROLIM_THREADS
-environment variable.  ``verify.load_config`` reads the config; ``load_config``,
-``config_from_dict``, ``ConfigError`` and ``ExperimentConfig`` are re-exported.
+All subcommands read one JSON config through ``config.load_config`` (see
+the package README for the schema) and share --seed (master seed override)
+and --out (output directory) where applicable.  Thread count comes from
+--threads or the ENTROLIM_THREADS environment variable.
 
 ``verify.run_plan`` decides which controller runs on which seed: ``simulate``
 and ``sweep`` run it with the config's trials, ``verify`` with one.  ``audit``
@@ -22,7 +21,7 @@ traces per cell and stops at the first cell that raises.
 
 Exit codes:
     0   success
-    2   configuration problem (bad JSON, unknown kinds, invalid values)
+    2   configuration problem (bad JSON, unknown kinds or keys, invalid values)
     3   filesystem problem (unreadable config, unwritable output)
     4   a bound was violated, or analytic routes disagreed
     5   a controller failed a causality audit
@@ -44,6 +43,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import bounds as _bounds
+from .config import ConfigError, ExperimentConfig, _ranged, config_from_dict, load_config
 from .processes import NotAnalyticError
 from .simulator import (
     causality_audit,
@@ -54,13 +54,8 @@ from .simulator import (
 from .spectral import SpectralIntegralError
 from .verify import (
     CellRow,
-    ConfigError,
-    ExperimentConfig,
     NonFiniteLoopError,
     _format_value,
-    _nonnegative_seed,
-    config_from_dict,
-    load_config,
     resolve_controller,
     run_cells,
     run_plan,
@@ -100,9 +95,7 @@ def _resolve_threads(value) -> int:
         threads = int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"threads: expected an integer, got {value!r}")
-    if threads < 1:
-        raise ConfigError(f"threads: must be >= 1, got {threads}")
-    return threads
+    return _ranged(threads, "threads", 1)
 
 
 def _p_label(p: float) -> str:
@@ -178,13 +171,19 @@ def cmd_bound(config: ExperimentConfig, out_dir: Optional[str]) -> int:
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
+    cells = {}
+    for cell in run_plan(config, config.trials):
+        name = f"{_slug(cell.model_name)}__{_slug(cell.label)}__t{cell.trial}.csv"
+        entry = next(i for i, spec in enumerate(config.controllers) if spec is cell.spec)
+        where = f"model {cell.model_name!r} / controllers[{entry}] t{cell.trial}"
+        if name in cells:
+            raise ConfigError(f"simulate: {cells[name][1]} and {where} would both write {name}")
+        cells[name] = cell, where
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = run_plan(config, config.trials)
-    for cell in cells:
+    for name, (cell, _) in cells.items():
         controller = resolve_controller(cell.spec, cell.model, cell.controller_seed)
         trace = run_loop(cell.model, controller, config.horizon, cell.trace_seed)
-        name = f"{_slug(cell.model_name)}__{_slug(cell.label)}__t{cell.trial}.csv"
         save_trace(trace, out / name)
     print(f"wrote {len(cells)} trace(s) to {out}")
     return EXIT_OK
@@ -342,7 +341,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = replace(config, master_seed=_nonnegative_seed(args.seed, "--seed"))
+            config = replace(config, master_seed=_ranged(args.seed, "--seed", 0))
 
         if args.command == "bound":
             return cmd_bound(config, args.out)

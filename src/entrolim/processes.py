@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import abc
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -64,9 +63,6 @@ __all__ = [
     "levinson_ladder",
     "prediction_variances",
     "arma_autocovariance",
-    "model_from_config",
-    "spec_number",
-    "spec_exponent",
     "CapacityError",
     "NotAnalyticError",
 ]
@@ -601,115 +597,3 @@ def entropy_schedule(model: DisturbanceModel, horizon: int) -> EntropySchedule:
     h = np.array([model.conditional_entropy_bits(k) for k in range(horizon)])
     return EntropySchedule(h_bits=h, entropy_rate_bits=model.entropy_rate_bits())
 
-
-# ---------------------------------------------------------------------------
-# config parsing
-
-
-def spec_number(value, key: str, *, integer: bool = False):
-    """A number of a JSON spec, read one way for every field.
-
-    Booleans, strings, other non-numbers, NaN and +-inf (Python's ``json``
-    reads the last two) raise ValueError naming ``key``, and so does an
-    integer beyond the float range where a float goes; with ``integer``,
-    so do fractions, while integral floats such as 3000.0 pass and come
-    back as int.
-    """
-    what = "an integer" if integer else "a finite number"
-    try:
-        bad = (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or (value % 1 if integer else not math.isfinite(value))
-        )
-    except OverflowError:  # math.isfinite of an int beyond the float range
-        bad = True
-    if bad:
-        raise ValueError(f"{key}: must be {what}, got {value!r}")
-    return int(value) if integer else float(value)
-
-
-def spec_exponent(value, key: str) -> float:
-    """A norm exponent p >= 1: "inf" or "infinity" in any case, JSON's
-    Infinity, or else a number read by ``spec_number``."""
-    if str(value).strip().lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        p = spec_number(value, key)
-    except ValueError:
-        raise ValueError(f"{key}: must be a number or 'inf', cannot parse {value!r}") from None
-    if not p >= 1.0:
-        raise ValueError(f"{key}: exponent must be >= 1, got {p}")
-    return p
-
-
-def _spec_numbers(values, key: str, depth: int = 1) -> tuple:
-    """A list of numbers (depth 1) or of such lists (depth 2), by ``spec_number``."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{key}: must be a list, got {values!r}")
-    if depth == 1:
-        return tuple(spec_number(v, key) for v in values)
-    return tuple(_spec_numbers(v, key, depth - 1) for v in values)
-
-
-def _innovation_from_config(spec: dict, field: str) -> GeneralizedGaussian:
-    if not isinstance(spec, dict):
-        raise ValueError(f"{field}: expected an object, got {type(spec).__name__}")
-    family = spec.get("family", "gg")
-    if family == "gaussian":
-        if "variance" not in spec:
-            raise ValueError(f"{field}: gaussian innovation needs 'variance'")
-        variance = spec_number(spec["variance"], f"{field}.variance")
-        return GeneralizedGaussian.gaussian(math.sqrt(variance))
-    if family == "gg":
-        if "p" not in spec or "mu" not in spec:
-            raise ValueError(f"{field}: gg innovation needs 'p' and 'mu'")
-        p = spec_exponent(spec["p"], f"{field}.p")
-        return GeneralizedGaussian(p, spec_number(spec["mu"], f"{field}.mu"))
-    raise ValueError(f"{field}: unknown innovation family {family!r}")
-
-
-def model_from_config(spec: dict) -> DisturbanceModel:
-    """Build a disturbance model from its JSON-config dictionary.
-
-    Recognized kinds: iid, gauss_arma, gengauss_ar, vector_gauss_ar.  Every
-    number goes through ``spec_number``, a gg innovation's p through
-    ``spec_exponent``; field errors raise ValueError with the offending
-    field named.
-    """
-    if not isinstance(spec, dict):
-        raise ValueError(f"model spec must be an object, got {type(spec).__name__}")
-    kind = spec.get("kind")
-    if kind == "iid":
-        return IID(_innovation_from_config(spec.get("innovation", {}), "innovation"))
-    if kind == "gauss_arma":
-        innovation = spec.get("innovation", {"family": "gaussian", "variance": 1.0})
-        family = isinstance(innovation, dict) and innovation.get("family", "gaussian")
-        if family != "gaussian":
-            raise ValueError("innovation: gauss_arma takes a gaussian innovation")
-        return GaussARMA(
-            ar=_spec_numbers(spec.get("ar", ()), "ar"),
-            ma=_spec_numbers(spec.get("ma", ()), "ma"),
-            innovation_variance=spec_number(
-                innovation.get("variance", 1.0), "innovation.variance"
-            ),
-        )
-    if kind == "gengauss_ar":
-        return GenGaussAR(
-            ar=_spec_numbers(spec.get("ar", ()), "ar"),
-            innovation=_innovation_from_config(
-                spec.get("innovation", {}), "innovation"
-            ),
-        )
-    if kind == "vector_gauss_ar":
-        if "transition" not in spec or "innovation_covariance" not in spec:
-            raise ValueError(
-                "vector_gauss_ar needs 'transition' and 'innovation_covariance'"
-            )
-        return VectorGaussAR(
-            transition=_spec_numbers(spec["transition"], "transition", 2),
-            innovation_covariance=_spec_numbers(
-                spec["innovation_covariance"], "innovation_covariance", 2
-            ),
-        )
-    raise ValueError(f"kind: unknown model kind {kind!r}")

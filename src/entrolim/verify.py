@@ -29,12 +29,9 @@ max(10 x model memory, 1000) steps; per-step cells (k fixed) measure
 across independent trials at exactly index k, where the stationary start
 makes the analytic conditional entropy exact.
 
-``config_from_dict`` reads the experiment config: models through
-``processes.model_from_config``, controllers through
-``_controller_settings``, the one declaration of each controller kind and
-of the seed it draws on.  ``run_plan`` alone decides which controller runs
-on which seed, and ``run_cells`` is the one loop over its cells, in plan
-order, each failure isolated, optionally on threads.  ``sweep`` runs the
+``run_plan`` alone decides which controller of a ``config.ExperimentConfig``
+runs on which seed, and ``run_cells`` is the one loop over its cells, in
+plan order, each failure isolated, optionally on threads.  ``sweep`` runs the
 plan with the config's trials, one trace per cell, and writes
 deterministic CSV/JSON output (reruns differ only in runtime_ms);
 ``entrolim verify`` runs the one-trial plan and pools ``trials`` traces
@@ -57,14 +54,8 @@ import numpy as np
 
 from . import bounds as _bounds
 from . import estimators as _estimators
-from .processes import (
-    DisturbanceModel,
-    NotAnalyticError,
-    VectorGaussAR,
-    model_from_config,
-    spec_exponent,
-    spec_number,
-)
+from .config import ExperimentConfig, _controller_settings
+from .processes import DisturbanceModel, NotAnalyticError, VectorGaussAR
 from .simulator import (
     ControllerPolicy,
     SimulationTrace,
@@ -422,92 +413,7 @@ def verify_mimo_bound(
 
 
 # ---------------------------------------------------------------------------
-# the experiment config, the run plan and controller resolution (shared by
-# sweep and the CLI)
-
-_CONFIG_KEYS = {"models", "controllers", "p_values", "horizon", "trials", "seed"}
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or inconsistent experiment configs."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment description shared by every subcommand."""
-
-    models: tuple[DisturbanceModel, ...]
-    model_names: tuple[str, ...]
-    controllers: tuple[dict, ...]
-    p_values: tuple[float, ...]
-    horizon: int
-    trials: int
-    master_seed: int
-
-
-def config_from_dict(raw) -> ExperimentConfig:
-    """Validate a parsed JSON config; a fault raises ConfigError naming its field."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    def entries(key: str, default, read) -> list[tuple[dict, object]]:
-        """(spec, ``read(spec)``) for each spec of the non-empty list ``raw[key]``."""
-        specs = raw.get(key, default)
-        if not isinstance(specs, list) or not specs:
-            raise ConfigError(f"{key}: need a non-empty list of {key[:-1]} objects")
-        out = []
-        for i, spec in enumerate(specs):
-            try:
-                out.append((spec, read(spec)))
-            except ValueError as exc:
-                raise ConfigError(f"{key}[{i}]: {exc}") from exc
-        return out
-
-    models = entries("models", None, model_from_config)
-    names = [str(spec.get("name", f"model{i}")) for i, (spec, _) in enumerate(models)]
-    if len(set(names)) != len(names):
-        raise ConfigError("models: names must be unique")
-    controllers = entries("controllers", [{"kind": "zero"}], lambda s: _controller_settings(s, 0))
-
-    p_raw = raw.get("p_values", [2])
-    if not isinstance(p_raw, list) or not p_raw:
-        raise ConfigError("p_values: need a non-empty list")
-    try:
-        p_values = tuple(spec_exponent(v, "p_values") for v in p_raw)
-        horizon, trials, master_seed = (
-            spec_number(raw.get(key, default), key, integer=True)
-            for key, default in (("horizon", 20_000), ("trials", 1), ("seed", 0))
-        )
-        _nonnegative_seed(master_seed, "seed")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if horizon < 2:
-        raise ConfigError(f"horizon: must be >= 2, got {horizon}")
-    if trials < 1:
-        raise ConfigError(f"trials: must be >= 1, got {trials}")
-
-    return ExperimentConfig(
-        models=tuple(model for _, model in models),
-        model_names=tuple(names),
-        controllers=tuple(dict(spec) for spec, _ in controllers),
-        p_values=p_values,
-        horizon=horizon,
-        trials=trials,
-        master_seed=master_seed,
-    )
-
-
-def load_config(path) -> ExperimentConfig:
-    """``config_from_dict`` of a JSON file; invalid JSON raises ConfigError."""
-    try:
-        with open(path) as handle:
-            raw = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(raw)
+# the run plan and controller resolution (shared by sweep and the CLI)
 
 
 @dataclass(frozen=True)
@@ -523,7 +429,7 @@ class PlanCell:
 
     @property
     def label(self) -> str:
-        return str(self.spec.get("name", self.spec.get("kind", "controller")))
+        return str(self.spec.get("name", self.spec["kind"]))
 
     @property
     def used_seed(self) -> Optional[int]:
@@ -549,48 +455,6 @@ def run_plan(
         for spec in config.controllers
         for trial in range(trials)
     ]
-
-
-def _nonnegative_seed(seed: int, key: str) -> int:
-    """``seed``, refused with a ValueError naming ``key`` if negative."""
-    if seed < 0:
-        raise ValueError(f"{key}: must be >= 0, got {seed}")
-    return seed
-
-
-def _controller_settings(spec: dict, seed: int) -> dict:
-    """The one declaration of the controller kinds: the numbers each reads.
-
-    Every kind that draws on a seed carries it as "seed": ``random`` its
-    own (default ``seed``, >= 0), read with memory >= 0 and gain_cap > 0
-    through ``spec_number``, and ``learned`` ``seed``, with memory >= 1 and
-    train_steps > memory.  zero, predictor and anticipatory read none; other
-    kinds, and numbers out of range, raise ValueError naming their key.
-    """
-    def read(key, default, rule, ok, integer=True):
-        value = spec_number(spec.get(key, default), key, integer=integer)
-        if not ok(value):
-            raise ValueError(f"{key}: must be {rule}, got {value!r}")
-        return value
-
-    if not isinstance(spec, dict):
-        raise ValueError(f"controller spec must be an object, got {type(spec).__name__}")
-    kind = spec.get("kind")
-    if kind == "random":
-        gain_cap = read("gain_cap", 2.0, "> 0", lambda v: v > 0, integer=False)
-        own_seed = read("seed", seed, ">= 0", lambda v: v >= 0)
-        memory = read("memory", 3, ">= 0", lambda v: v >= 0)
-        return dict(seed=own_seed, memory=memory, gain_cap=gain_cap)
-    if kind == "learned":
-        memory = read("memory", 2, ">= 1", lambda v: v >= 1)
-        train_steps = read("train_steps", 50_000, f"> memory ({memory})", lambda v: v > memory)
-        return dict(seed=seed, memory=memory, train_steps=train_steps)
-    if kind in ("zero", "predictor", "anticipatory"):
-        return {}
-    raise ValueError(
-        f"kind: unknown kind {kind!r}, expected one of "
-        "['anticipatory', 'learned', 'predictor', 'random', 'zero']"
-    )
 
 
 def resolve_controller(

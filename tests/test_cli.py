@@ -77,6 +77,36 @@ BAD_MODELS = [
     ({"kind": "iid", "innovation": {"family": "gg", "p": math.nan, "mu": 1.0}}, "innovation.p"),
     (dict(VEC_SPEC, transition=[[0.5, 0.1], [math.nan, 0.3]], name="vec"), "transition"),
     ({"kind": "gauss_arma", "ar": [10**400]}, "ar"),
+    (
+        {"kind": "iid", "innovation": {"family": "gaussian", "variance": -1.0}},
+        "innovation.variance",
+    ),
+]
+# specs with an undeclared key, or without a declared one, and the message
+# that refuses them after their entry's prefix: a typo is never a default
+UNDECLARED_CONTROLLERS = [
+    ({"kind": "random", "memroy": 7}, "unknown controller keys: ['memroy']"),
+    ({"kind": "learned", "seed": 3}, "unknown controller keys: ['seed']"),
+    ({"kind": "zero", "gain": 1.0}, "unknown controller keys: ['gain']"),
+]
+UNDECLARED_MODELS = [
+    ({"kind": "gauss_arma", "ar": [0.5], "am": [0.4]}, "unknown model keys: ['am']"),
+    (
+        {"kind": "gauss_arma", "innovation": {"family": "gaussian", "varaince": 9.0}},
+        "innovation: unknown innovation keys: ['varaince']",
+    ),
+    (
+        {"kind": "iid", "innovation": {"family": "gg", "p": 2, "mu": 1.0, "sigma": 1.0}},
+        "innovation: unknown innovation keys: ['sigma']",
+    ),
+    (
+        {"kind": "iid", "innovation": {"family": "gg", "p": 2}},
+        "innovation: missing innovation keys: ['mu']",
+    ),
+    (
+        {"kind": "gauss_arma", "innovation": {"family": "gaussian"}},
+        "innovation: missing innovation keys: ['variance']",
+    ),
 ]
 
 
@@ -180,6 +210,18 @@ def test_negative_seed_exits_2_naming_the_field(tmp_path, capsys, command):
             ({"models": [AR1_SPEC, spec]}, rf"models\[1\]: {key}")
             for spec, key in BAD_MODELS
         ],
+        ({"models": [{"kind": ["iid"]}]}, "unknown model kind"),
+        *[
+            (
+                {"models": [AR1_SPEC], "controllers": [{"kind": "zero"}, spec]},
+                rf"controllers\[1\]: {re.escape(message)}",
+            )
+            for spec, message in UNDECLARED_CONTROLLERS
+        ],
+        *[
+            ({"models": [AR1_SPEC, spec]}, rf"models\[1\]: {re.escape(message)}")
+            for spec, message in UNDECLARED_MODELS
+        ],
     ],
 )
 def test_config_rejections(raw, message):
@@ -194,6 +236,7 @@ def test_config_rejections(raw, message):
         ({"kind": "random", "memory": -1}, "memory: must be >= 0, got -1"),
         ({"kind": "random", "gain_cap": -2.0}, "gain_cap: must be > 0, got -2.0"),
         ({"kind": "learned", "train_steps": 0}, "train_steps: must be > memory (2), got 0"),
+        *UNDECLARED_CONTROLLERS,
     ],
 )
 def test_controller_numbers_out_of_range_exit_2_at_config_read(
@@ -203,6 +246,16 @@ def test_controller_numbers_out_of_range_exit_2_at_config_read(
     out_dir = ["--out", str(tmp_path / "out")] if command != "audit" else []
     assert cli.main([command, "--config", path, *out_dir]) == cli.EXIT_CONFIG
     assert capsys.readouterr() == ("", f"error: controllers[1]: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bound", "audit", "sweep"])
+@pytest.mark.parametrize("spec, message", UNDECLARED_MODELS)
+def test_model_key_faults_exit_2_at_config_read(tmp_path, capsys, command, spec, message):
+    path = _write_config(tmp_path, {"models": [AR1_SPEC, spec]})
+    out_dir = ["--out", str(tmp_path / "out")] if command != "audit" else []
+    assert cli.main([command, "--config", path, *out_dir]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: models[1]: {message}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -383,6 +436,33 @@ def test_simulate_writes_traces(tmp_path, capsys):
     trace = el.load_trace(out_dir / "ar1__zero__t0.csv")
     assert trace.length == 500
     assert "wrote 4 trace(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "raw, cells, name",
+    [
+        (
+            # unnamed random controllers share the label "random"
+            {
+                "models": [AR1_SPEC],
+                "controllers": [{"kind": "random", "seed": 1}, {"kind": "random", "seed": 2}],
+            },
+            "model 'ar1' / controllers[0] t0 and model 'ar1' / controllers[1] t0",
+            "ar1__random__t0.csv",
+        ),
+        (
+            {"models": [dict(AR1_SPEC, name="ar 1"), dict(AR1_SPEC, name="ar_1")]},
+            "model 'ar 1' / controllers[0] t0 and model 'ar_1' / controllers[0] t0",
+            "ar_1__zero__t0.csv",
+        ),
+    ],
+)
+def test_simulate_refuses_colliding_trace_names_before_writing(tmp_path, capsys, raw, cells, name):
+    path = _write_config(tmp_path, dict(raw, horizon=500, trials=2))
+    out_dir = tmp_path / "traces"
+    assert cli.main(["simulate", "--config", path, "--out", str(out_dir)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: simulate: {cells} would both write {name}\n")
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 import entrolim as el
-from entrolim import estimators, verify
+from entrolim import estimators
+from entrolim.config import config_from_dict
 
 H_GAUSS = 0.5 * math.log2(2.0 * math.pi * math.e)  # N(0,1), bits
 
@@ -56,7 +57,7 @@ def test_lp_norm_out_of_float_range_is_an_error_not_a_verdict():
     for x in (unif, ar1):
         with pytest.raises(ValueError, match="p=2000"):
             el.lp_norm_estimate(x, 2000.0)
-    config = verify.config_from_dict(
+    config = config_from_dict(
         {
             "models": [
                 {"kind": "iid", "innovation": {"family": "gg", "p": "inf", "mu": 0.5}},
