@@ -39,7 +39,8 @@ def _read_object(spec, what: str, keys, tag: str = "kind", default=None, label=N
     ``keys`` lists the keys, "?" marking an optional one; a dict of such lists
     declares the kinds named by the ``tag`` key (``default`` when absent).  A
     non-object, an unknown kind, an undeclared key and a missing key raise
-    ConfigError naming ``what`` (``label`` names an unknown kind).
+    ConfigError naming ``what`` (``label`` names an unknown kind), and so
+    does a ``name`` that is not a string.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} must be an object, got {type(spec).__name__}")
@@ -55,6 +56,8 @@ def _read_object(spec, what: str, keys, tag: str = "kind", default=None, label=N
     missing = [key for key in keys.split() if not key.endswith("?") and key not in spec]
     if missing:
         raise ConfigError(f"missing {what} keys: {missing}")
+    if not isinstance(spec.get("name", ""), str):
+        raise ConfigError(f"name: must be a string, got {spec['name']!r}")
     return kind
 
 
@@ -135,7 +138,8 @@ def _innovation_from_config(spec: dict, kind: str):
         raise ConfigError(f"innovation: {exc}") from None
     if family == "gg":
         p = spec_exponent(innovation["p"], "innovation.p")
-        return GeneralizedGaussian(p, spec_number(innovation["mu"], "innovation.mu"))
+        mu = _ranged(innovation["mu"], "innovation.mu", 0, strict=True, integer=False)
+        return GeneralizedGaussian(p, mu)
     variance = _ranged(innovation["variance"], "innovation.variance", 0, strict=True, integer=False)
     return variance if arma else GeneralizedGaussian.gaussian(math.sqrt(variance))
 
@@ -223,7 +227,7 @@ def config_from_dict(raw) -> ExperimentConfig:
 
     _read_object(raw, "config", _CONFIG_KEYS)
     models = entries("models", None, model_from_config)
-    names = [str(spec.get("name", f"model{i}")) for i, (spec, _) in enumerate(models)]
+    names = [spec.get("name", f"model{i}") for i, (spec, _) in enumerate(models)]
     if len(set(names)) != len(names):
         raise ConfigError("models: names must be unique")
     controllers = entries("controllers", [{"kind": "zero"}], lambda s: _controller_settings(s, 0))

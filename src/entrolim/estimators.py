@@ -57,6 +57,10 @@ _KS_COEFF = 1.63
 _LJUNG_BOX_ALPHA = 0.005
 _LJUNG_BOX_LAGS = 10
 
+#: The fewest samples the whiteness test runs on, 100 per Ljung-Box lag; the
+#: scoring path leaves the tightness certificate out of a shorter window.
+_WHITENESS_MIN_SAMPLES = 100 * _LJUNG_BOX_LAGS
+
 #: The fewest samples a kNN MI or conditional entropy is trusted on, and the
 #: most a lag-1 MI uses (longer traces are truncated for it).
 _KNN_MIN_SAMPLES = 10_000
@@ -413,7 +417,7 @@ def mutual_information_estimate(
 def whiteness_stats(errors: np.ndarray, *, seed=0) -> WhitenessReport:
     """Ljung-Box portmanteau over lags 1.._LJUNG_BOX_LAGS plus a lag-1 kNN MI.
 
-    Needs length >= 100 * _LJUNG_BOX_LAGS; ``WhitenessReport.passed`` reads
+    Needs length >= _WHITENESS_MIN_SAMPLES; ``WhitenessReport.passed`` reads
     the p-value against _LJUNG_BOX_ALPHA.  The MI column is NaN below
     _KNN_MIN_SAMPLES + 1 points; longer traces are truncated to
     _MI_MAX_SAMPLES pairs for it (the portmanteau always uses the full
@@ -421,8 +425,8 @@ def whiteness_stats(errors: np.ndarray, *, seed=0) -> WhitenessReport:
     """
     x = np.asarray(errors, dtype=float).reshape(-1)
     n = x.size
-    if n < 100 * _LJUNG_BOX_LAGS:
-        raise ValueError(f"need at least {100 * _LJUNG_BOX_LAGS} samples, got {n}")
+    if n < _WHITENESS_MIN_SAMPLES:
+        raise ValueError(f"need at least {_WHITENESS_MIN_SAMPLES} samples, got {n}")
     centered = x - x.mean()
     denom = float(centered @ centered)
     if denom == 0.0:

@@ -642,25 +642,14 @@ def anticipatory_double() -> ControllerPolicy:
 def save_trace(trace: SimulationTrace, csv_path) -> None:
     """Write the trace as CSV plus a JSON sidecar next to it.
 
-    Scalar traces use columns k,d,z,e; vector traces get one column per
-    channel (d_1..d_m, z_1..z_m, e_1..e_m).
+    One layout for every trace: k, then d, z and e, each as n x m columns,
+    named d, z, e when m = 1 and d_1..d_m, z_1..z_m, e_1..e_m otherwise.
     """
     csv_path = Path(csv_path)
     m = 1 if trace.d.ndim == 1 else trace.d.shape[1]
-    if m == 1:
-        header = ["k", "d", "z", "e"]
-        columns = [trace.d.reshape(-1), trace.z.reshape(-1), trace.e.reshape(-1)]
-    else:
-        header = (
-            ["k"]
-            + [f"d_{i + 1}" for i in range(m)]
-            + [f"z_{i + 1}" for i in range(m)]
-            + [f"e_{i + 1}" for i in range(m)]
-        )
-        columns = [trace.d[:, i] for i in range(m)]
-        columns += [trace.z[:, i] for i in range(m)]
-        columns += [trace.e[:, i] for i in range(m)]
-    cells = [list(map(repr, col.tolist())) for col in columns]
+    header = ["k"] + [x if m == 1 else f"{x}_{i + 1}" for x in "dze" for i in range(m)]
+    blocks = [x.reshape(trace.length, m) for x in (trace.d, trace.z, trace.e)]
+    cells = [list(map(repr, col.tolist())) for block in blocks for col in block.T]
     with open(csv_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -679,17 +668,13 @@ def save_trace(trace: SimulationTrace, csv_path) -> None:
 
 
 def load_trace(csv_path) -> SimulationTrace:
-    """Round-trip counterpart of save_trace."""
+    """Round-trip counterpart of save_trace; a scalar trace comes back 1-D."""
     csv_path = Path(csv_path)
     with open(csv_path.with_suffix(".json")) as handle:
         sidecar = json.load(handle)
     m = sidecar["dimension"]
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    body = data[:, 1:]
-    if m == 1:
-        d, z, e = body[:, 0], body[:, 1], body[:, 2]
-    else:
-        d, z, e = body[:, :m], body[:, m : 2 * m], body[:, 2 * m :]
+    d, z, e = (part.reshape(-1) if m == 1 else part for part in np.split(data[:, 1:], 3, axis=1))
     return SimulationTrace(
         d=d,
         z=z,

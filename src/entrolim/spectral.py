@@ -70,6 +70,10 @@ class SpectralDensity:
         return self.evaluate(omega)
 
 
+#: The quadrature's absolute tolerance and node budget.
+_ABS_TOL = 1e-9
+_MAX_NODES = 2**20
+
 #: (order, nodes, weights) of the coarse and fine Gauss-Legendre rules
 _GAUSS_LEGENDRE_RULES = tuple(
     (order, *np.polynomial.legendre.leggauss(order)) for order in (10, 20)
@@ -95,10 +99,9 @@ def _gauss_legendre_pair(f, lo: float, hi: float):
     return results[0], results[1], total
 
 
-def _adaptive_gauss_legendre(
-    f, lo: float, hi: float, abs_tol: float, max_nodes: int
-) -> float:
-    """Adaptive bisection Gauss-Legendre integral of f on [lo, hi]."""
+def _adaptive_gauss_legendre(f, lo: float, hi: float) -> float:
+    """Adaptive bisection Gauss-Legendre integral of f on [lo, hi], to
+    ``_ABS_TOL`` within ``_MAX_NODES`` nodes."""
     width_total = hi - lo
     stack = [(lo, hi)]
     acc = 0.0
@@ -107,12 +110,12 @@ def _adaptive_gauss_legendre(
         a, b = stack.pop()
         coarse, fine, n = _gauss_legendre_pair(f, a, b)
         nodes_used += n
-        if nodes_used > max_nodes:
+        if nodes_used > _MAX_NODES:
             raise SpectralIntegralError(
-                f"node budget {max_nodes} exhausted; integrand too rough "
+                f"node budget {_MAX_NODES} exhausted; integrand too rough "
                 "(spectrum nearly singular?)"
             )
-        if abs(fine - coarse) <= abs_tol * (b - a) / width_total:
+        if abs(fine - coarse) <= _ABS_TOL * (b - a) / width_total:
             acc += fine
         else:
             mid = 0.5 * (a + b)
@@ -121,9 +124,7 @@ def _adaptive_gauss_legendre(
     return acc
 
 
-def szego_entropy_integral_bits(
-    density: SpectralDensity, *, abs_tol: float = 1e-9, max_nodes: int = 2**20
-) -> float:
+def szego_entropy_integral_bits(density: SpectralDensity) -> float:
     """Entropy rate in bits of the Gaussian process with spectrum ``density``.
 
     Computes (1/2pi) Integral log2 sqrt(2 pi e S(w)) dw over [-pi, pi].  For
@@ -142,7 +143,7 @@ def szego_entropy_integral_bits(
             )
         return 0.5 * np.log2(_TWO_PI_E * s)
 
-    integral = _adaptive_gauss_legendre(integrand, 0.0, math.pi, abs_tol, max_nodes)
+    integral = _adaptive_gauss_legendre(integrand, 0.0, math.pi)
     return integral / math.pi  # (1/2pi) * 2 * Integral_[0,pi]
 
 

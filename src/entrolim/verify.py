@@ -2,41 +2,36 @@
 
 A verification cell pairs one disturbance model and one controller.
 ``_score_cell`` simulates the cell's traces on its one trace-seed rule
-(k + 1 steps when k is fixed), estimates the error norm at each requested
-p and compares it with the analytic floor.  ``verify_bound`` and
-``verify_mimo_bound`` call it directly, ``sweep`` and ``entrolim verify``
-through ``run_cells``.  One rule makes every verdict: a cell *violates*
-only when ``empirical < bound - 3 * std_error`` (``_SIGMA_GUARD``);
-anything closer is sampling noise by contract.  A vector cell applies the
-rule to the determinant of the pooled second-moment matrix and to the
-product of per-channel second moments (Hadamard), and violates when either
-does.  A loop error that is not finite at some step is an error, never a
-verdict: ``_score_cell`` raises NonFiniteLoopError (a ValueError) naming
-the step, a sweep records an error cell and ``entrolim verify`` stops.
+(k + 1 steps when k is fixed), and one loop builds every row of the cell:
+per requested p for a scalar model, the L_p error norm against 2^h / C_p;
+for a vector model one row, the determinant of the pooled second-moment
+matrix against 2^(2h) / (2 pi e)^m, with the product of per-channel second
+moments (Hadamard) held to the same floor.  ``_floor`` is the one source of
+floors and ``_violates`` the one rule: a row violates only when
+``empirical < bound - 3 * std_error`` (``_SIGMA_GUARD``), a vector row also
+when its product does; anything closer is sampling noise by contract.  A
+loop error that is not finite at some step is an error, never a verdict:
+``_score_cell`` raises NonFiniteLoopError (a ValueError) naming the step.
 
 The gap_ratio (empirical / bound) doubles as a tightness certificate:
 ratios near 1 must come with white, GG-shaped errors or something is
 wrong, and that is checked, not assumed.  Its gates are constants of
-``estimators``, each read in one place: Ljung-Box over ``_LJUNG_BOX_LAGS``
-lags at ``_LJUNG_BOX_ALPHA``, the lag-1 kNN MI on at least
-``_KNN_MIN_SAMPLES`` and at most ``_MI_MAX_SAMPLES`` pairs, and KS at
-``_KS_COEFF`` / sqrt(n).  The identity between the error's lag-1 MI with
-its own past and with the disturbance's is a library diagnostic of
-``tightness_report``; ``sweep`` and ``entrolim verify`` do not compute it.
+``estimators``: Ljung-Box over ``_LJUNG_BOX_LAGS`` lags at
+``_LJUNG_BOX_ALPHA`` on at least ``_WHITENESS_MIN_SAMPLES`` samples (a
+shorter window leaves the certificate out, not the row), the lag-1 kNN MI
+on ``_KNN_MIN_SAMPLES`` to ``_MI_MAX_SAMPLES`` pairs, and KS at
+``_KS_COEFF`` / sqrt(n).  The e-vs-d MI identity is a library diagnostic of
+``tightness_report`` only.  Asymptotic cells measure within-trace
+statistics after a burn-in of max(10 x model memory, 1000) steps; per-step
+cells (k fixed) measure across independent trials at exactly index k.
 
-Asymptotic cells measure within-trace statistics after a burn-in of
-max(10 x model memory, 1000) steps; per-step cells (k fixed) measure
-across independent trials at exactly index k, where the stationary start
-makes the analytic conditional entropy exact.
-
+``verify_bound`` and ``verify_mimo_bound`` score one cell directly.
 ``run_plan`` alone decides which controller of a ``config.ExperimentConfig``
-runs on which seed, and ``run_cells`` is the one loop over its cells, in
-plan order, each failure isolated, optionally on threads.  ``sweep`` runs the
-plan with the config's trials, one trace per cell, and writes
-deterministic CSV/JSON output (reruns differ only in runtime_ms);
-``entrolim verify`` runs the one-trial plan and pools ``trials`` traces
-per cell.  The first row of a cell carries the simulation and the
-whiteness test in its runtime_ms; later rows only the scoring of their p.
+runs on which seed, and ``run_cells`` scores its cells in plan order, each
+failure isolated, optionally on threads.  ``sweep`` runs the plan with the
+config's trials, one trace per cell, and writes deterministic CSV/JSON
+(reruns differ only in runtime_ms); ``entrolim verify`` runs the one-trial
+plan and pools ``trials`` traces per cell.
 """
 
 from __future__ import annotations
@@ -73,6 +68,7 @@ __all__ = [
     "VerificationReport",
     "ProductBoundCheck",
     "SweepResult",
+    "CellRow",
     "verify_bound",
     "verify_mimo_bound",
     "tightness_report",
@@ -230,15 +226,30 @@ def tightness_report(
     return TightnessReport(white, fit, **_mi_identity(e, d, white, seed))
 
 
-def _step_bound(
-    model: DisturbanceModel, p: float, k: int, horizon: int, seed: int
+def _violates(empirical: float, bound: float, std_error: float) -> bool:
+    """The 3-SE rule: a violation only when ``empirical < bound - 3 * std_error``."""
+    return bool(empirical < bound - _SIGMA_GUARD * std_error)
+
+
+def _floor(
+    model: DisturbanceModel, p: float, k: Optional[int], horizon: int, seed: int
 ) -> tuple[_bounds.BoundReport, str]:
-    """The step-k floor and its entropy source, estimated where not analytic."""
+    """A row's floor and its entropy source, "analytic" or "estimated".
+
+    The determinant floor of a vector model, else the L_p floor at p; from
+    the entropy rate when k is None, else from step k's conditional entropy,
+    which is estimated on a path drawn on ``seed`` where a scalar model has
+    no analytic one (up to memory 3).
+    """
+    if model.dim > 1:
+        if k is None:
+            return _bounds.mimo_det_bound_asymptotic(model), "analytic"
+        return _bounds.mimo_det_bound_at_step(model, k), "analytic"
+    if k is None:
+        return _bounds.lp_bound_asymptotic(model, p), "analytic"
     try:
         return _bounds.lp_bound_at_step(model, p, k), "analytic"
     except NotAnalyticError:
-        if model.dim != 1:
-            raise NotAnalyticError("the estimator fallback covers scalar models only")
         if k > 3:
             raise NotAnalyticError(
                 f"no analytic conditional entropy at step {k} and the estimator "
@@ -272,14 +283,18 @@ def _score_cell(
     entropy estimate.  Otherwise, and always for a vector model, the cell
     pools the traces of the first n = ``trials or 1`` seeds of
     ``spawn_seeds(seed, n + 1)``; the last one drives the diagnostics.
-    Traces have ``horizon`` steps, or k + 1 when k is fixed.  Returns
-    (p, report) per p for a scalar model, and one determinant report filed
-    under p = 2 for a vector model, whose floor does not depend on p.  The
-    first runtime counts from the start of the simulation, each later one
-    from the report before it.
+    Traces have ``horizon`` steps, or k + 1 when k is fixed.
+
+    One loop builds the (p, report) rows: one per p for a scalar model, and
+    for a vector model one determinant row filed under p = 2, as its floor
+    does not depend on p.  Asymptotic scalar rows carry the tightness
+    certificate when ``tightness`` is on and the post-burn-in window holds
+    ``estimators._WHITENESS_MIN_SAMPLES`` samples.  The first runtime counts
+    from the start of the simulation, each later one from the row before it.
     """
     start = time.perf_counter()
-    if trials is None and model.dim == 1:
+    vector = model.dim > 1
+    if trials is None and not vector:
         run_seeds, aux_seed = [seed], seed
     else:
         *run_seeds, aux_seed = spawn_seeds(seed, (trials or 1) + 1)
@@ -303,17 +318,33 @@ def _score_cell(
                 f"of the trace with seed {trace.seed}"
             )
 
-    def violates(empirical: float, bound: float, std_error: float) -> bool:
-        return bool(empirical < bound - _SIGMA_GUARD * std_error)
-
-    def report(p, bound, empirical, std_error, tight, h_source, product=None):
-        nonlocal start
+    white = None
+    if k is None and tightness and not vector:
+        e_first = traces[0].e[burn_in:]
+        if e_first.size >= _estimators._WHITENESS_MIN_SAMPLES:
+            white = _estimators.whiteness_stats(e_first, seed=aux_seed)
+    scored = []
+    for p in (2.0,) if vector else p_values:
+        bound, h_source = _floor(model, p, k, horizon, aux_seed)
+        product = None
+        if vector:
+            det = _estimators.covariance_det_estimate(samples)
+            empirical, std_error = det.value, det.std_error
+            power = float(np.prod(np.mean(samples**2, axis=0)))
+            # Hadamard: product >= det >= bound, so the determinant's standard
+            # error is a conservative guard for the product as well.
+            product = ProductBoundCheck(bound.value, power, _violates(power, bound.value, std_error))
+        else:
+            empirical, std_error = _estimators.lp_norm_estimate(samples, p)
+        tight = None
+        if white is not None:
+            tight = TightnessReport(white, _estimators.density_fit_gg(e_first, p))
         now = time.perf_counter()
-        rep = VerificationReport(
+        report = VerificationReport(
             bound=bound,
             empirical=empirical,
             std_error=std_error,
-            violation=violates(empirical, bound.value, std_error)
+            violation=_violates(empirical, bound.value, std_error)
             or (product is not None and product.violation),
             tightness=tight,
             seeds=tuple(t.seed for t in traces),
@@ -321,40 +352,8 @@ def _score_cell(
             h_source=h_source,
             product=product,
         )
+        scored.append((p, report))
         start = now
-        return p, rep
-
-    if model.dim > 1:
-        if k is None:
-            bound = _bounds.mimo_det_bound_asymptotic(model)
-        else:
-            bound = _bounds.mimo_det_bound_at_step(model, k)
-        det = _estimators.covariance_det_estimate(samples)
-        power = float(np.prod(np.mean(samples**2, axis=0)))
-        # Hadamard: product >= det >= bound, so the determinant's standard error
-        # is a conservative guard for the product as well.
-        product = ProductBoundCheck(
-            bound=bound.value,
-            empirical=power,
-            violation=violates(power, bound.value, det.std_error),
-        )
-        return [report(2.0, bound, det.value, det.std_error, None, "analytic", product)]
-
-    white = None
-    if k is None and tightness:
-        e_first = traces[0].e[burn_in:]
-        white = _estimators.whiteness_stats(e_first, seed=aux_seed)
-    scored = []
-    for p in p_values:
-        if k is None:
-            bound, h_source = _bounds.lp_bound_asymptotic(model, p), "analytic"
-        else:
-            bound, h_source = _step_bound(model, p, k, horizon, aux_seed)
-        empirical, std_error = _estimators.lp_norm_estimate(samples, p)
-        tight = None
-        if white is not None:
-            tight = TightnessReport(white, _estimators.density_fit_gg(e_first, p))
-        scored.append(report(p, bound, empirical, std_error, tight, h_source))
     return scored
 
 
@@ -429,7 +428,7 @@ class PlanCell:
 
     @property
     def label(self) -> str:
-        return str(self.spec.get("name", self.spec["kind"]))
+        return self.spec.get("name", self.spec["kind"])
 
     @property
     def used_seed(self) -> Optional[int]:

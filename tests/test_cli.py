@@ -1,6 +1,7 @@
 """Command-line behavior: config parsing, exit codes, and output files."""
 
 import csv
+import importlib
 import json
 import math
 import re
@@ -81,6 +82,7 @@ BAD_MODELS = [
         {"kind": "iid", "innovation": {"family": "gaussian", "variance": -1.0}},
         "innovation.variance",
     ),
+    ({"kind": "iid", "innovation": {"family": "gg", "p": 2, "mu": -1}}, "innovation.mu"),
 ]
 # specs with an undeclared key, or without a declared one, and the message
 # that refuses them after their entry's prefix: a typo is never a default
@@ -222,6 +224,22 @@ def test_negative_seed_exits_2_naming_the_field(tmp_path, capsys, command):
             ({"models": [AR1_SPEC, spec]}, rf"models\[1\]: {re.escape(message)}")
             for spec, message in UNDECLARED_MODELS
         ],
+        (
+            {"models": [{"kind": "iid", "innovation": {"p": 2, "mu": -1}}]},
+            re.escape("models[0]: innovation.mu: must be > 0, got -1.0"),
+        ),
+        (
+            {"models": [{"kind": "gauss_arma", "name": ["a"]}]},
+            re.escape("models[0]: name: must be a string, got ['a']"),
+        ),
+        (
+            {"models": [{"kind": "gauss_arma", "name": None}]},
+            re.escape("models[0]: name: must be a string, got None"),
+        ),
+        (
+            {"models": [AR1_SPEC], "controllers": [{"kind": "zero", "name": {"x": 1}}]},
+            re.escape("controllers[0]: name: must be a string, got {'x': 1}"),
+        ),
     ],
 )
 def test_config_rejections(raw, message):
@@ -237,6 +255,7 @@ def test_config_rejections(raw, message):
         ({"kind": "random", "gain_cap": -2.0}, "gain_cap: must be > 0, got -2.0"),
         ({"kind": "learned", "train_steps": 0}, "train_steps: must be > memory (2), got 0"),
         *UNDECLARED_CONTROLLERS,
+        ({"kind": "random", "name": 7}, "name: must be a string, got 7"),
     ],
 )
 def test_controller_numbers_out_of_range_exit_2_at_config_read(
@@ -250,7 +269,10 @@ def test_controller_numbers_out_of_range_exit_2_at_config_read(
 
 
 @pytest.mark.parametrize("command", ["bound", "audit", "sweep"])
-@pytest.mark.parametrize("spec, message", UNDECLARED_MODELS)
+@pytest.mark.parametrize(
+    "spec, message",
+    [*UNDECLARED_MODELS, ({"kind": "gauss_arma", "name": ["a"]}, "name: must be a string, got ['a']")],
+)
 def test_model_key_faults_exit_2_at_config_read(tmp_path, capsys, command, spec, message):
     path = _write_config(tmp_path, {"models": [AR1_SPEC, spec]})
     out_dir = ["--out", str(tmp_path / "out")] if command != "audit" else []
@@ -880,6 +902,22 @@ def test_all_error_sweep_writes_strict_json(tmp_path, capsys):
     ]
 
 
+def test_short_post_burn_in_window_keeps_the_rows_without_certificate(tmp_path, capsys):
+    # a burn-in of 1000 steps leaves 500 samples, fewer than the whiteness test
+    # needs: each row keeps its verdict and leaves the certificate columns blank
+    raw = {"models": [{"kind": "gauss_arma", "ar": [0.9]}], "horizon": 1500, "p_values": [1, 2]}
+    path = _write_config(tmp_path, raw)
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == cli.EXIT_OK
+    with open(tmp_path / "s" / "report.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["cell_id"] for row in rows] == ["c00000p0", "c00000p1"]
+    for row in rows:
+        assert row["violation"] == "false"
+        assert (row["whiteness_pass"], row["ggfit_pass"], row["mi_lag1_bits"]) == ("", "", "")
+    assert json.loads(capsys.readouterr().out)["errors"] == []
+    assert cli.main(["verify", "--config", path]) == cli.EXIT_OK
+
+
 def test_readme_example_config_runs(tmp_path, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
@@ -889,3 +927,17 @@ def test_readme_example_config_runs(tmp_path, capsys):
     assert cli.main(["audit", "--config", path]) == cli.EXIT_OK
     assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == cli.EXIT_OK
     assert (tmp_path / "v" / "verify.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the package
+
+
+def test_package_republishes_each_library_modules_public_names():
+    library = "distributions processes config spectral bounds simulator estimators verify"
+    modules = [importlib.import_module(f"entrolim.{name}") for name in library.split()]
+    assert el.__all__ == [name for module in modules for name in module.__all__] + ["__version__"]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(el, name) is getattr(module, name)
+    assert "main" not in el.__all__

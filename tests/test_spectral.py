@@ -25,6 +25,7 @@ from entrolim import (
     negentropy_rate_bits,
     szego_entropy_integral_bits,
 )
+from entrolim import spectral
 
 GAUSS_RATE = 0.5 * math.log2(2 * math.pi * math.e)  # sigma^2 = 1
 
@@ -74,13 +75,15 @@ def test_gauss_legendre_nodes_are_computed_once(monkeypatch):
     assert h == pytest.approx(GAUSS_RATE, abs=1e-9)
 
 
-def test_node_budget_exhaustion():
+def test_node_budget_exhaustion(monkeypatch):
     # a kink the quadrature cannot resolve within a tiny node budget
+    monkeypatch.setattr(spectral, "_ABS_TOL", 1e-13)
+    monkeypatch.setattr(spectral, "_MAX_NODES", 64)
     spiky = SpectralDensity(
         evaluate=lambda w: np.abs(np.abs(np.asarray(w, float)) - 1.0) + 1e-12
     )
     with pytest.raises(SpectralIntegralError):
-        szego_entropy_integral_bits(spiky, abs_tol=1e-13, max_nodes=64)
+        szego_entropy_integral_bits(spiky)
 
 
 # ---------------------------------------------------------------------------
