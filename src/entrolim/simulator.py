@@ -19,9 +19,15 @@ response the causality audit probes (``respond``, x = a fixed error
 sequence) both go through ``ControllerPolicy.run``.
 ``ControllerPolicy.step_recursion``, one ``step`` call per sample, is the
 reference and runs for any policy built without a kernel; each built-in
-controller carries an exact kernel of its own that repeats its ``step``'s
-arithmetic operation for operation, so its outputs are bit-identical to
-that recursion, and both audits check this on their first trial.
+controller carries an exact kernel that repeats its ``step``'s arithmetic
+operation for operation, so its outputs are bit-identical to that
+recursion, and both audits check this on their first trial.
+
+``zero``, the scalar ``predictor`` and ``learned`` are one FIR law on d = e - z,
+run by one step and one kernel; their ``taps`` ladder is data: empty (the
+zero law, also ``random`` with memory 0 and a white model's predictor), the
+negated Levinson taps, or the learned prefixes.  The vector predictor and
+``random`` with memory >= 1 keep kernels of their own.
 
 Both audits, ``causality_audit`` (open loop) and
 ``closed_loop_causality_check``, run one probe loop, ``_probe_loop``: draw,
@@ -37,8 +43,8 @@ from __future__ import annotations
 import csv
 import json
 from collections import deque
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -46,7 +52,7 @@ import numpy as np
 
 from .distributions import as_rng
 from .processes import (
-    DisturbanceModel, IID, VectorGaussAR, levinson_ladder, prediction_variances
+    DisturbanceModel, VectorGaussAR, levinson_ladder, prediction_variances
 )
 
 __all__ = [
@@ -69,14 +75,16 @@ __all__ = [
     "load_trace",
 ]
 
-#: Predictor taps are frozen at the first power-of-two order whose prediction
-#: error variance is within this relative distance of the innovation
-#: variance (exact for pure AR), else at the cap.
+#: Predictor taps freeze at the first order among 0, 1, 2, 4, ..., 512 whose prediction
+#: error variance is within this relative distance of the innovation variance (exact for
+#: pure AR), else at the cap.  A white model freezes at 0: the empty ladder, the zero law.
 _TAP_CONVERGENCE = 1e-12
 _TAP_ORDER_CAP = 512
 
 
+Step = Callable[[np.ndarray, np.ndarray], Union[float, np.ndarray]]
 Kernel = Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray]]
+Ladder = tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -89,13 +97,32 @@ class ControllerPolicy:
     given, runs the law over a whole sequence and returns (z, e): with
     ``closed`` x is the disturbance and e_k = x_k + z_k, otherwise x is a
     fixed error sequence and e is x.
+
+    ``taps``, if given, makes the policy the FIR law and sets its step and
+    kernel to ``_fir_step`` and ``_fir_kernel`` on that ladder of read-only
+    arrays: ``taps[j]`` holds j taps and the top entry is the frozen one.
+    Only the empty ladder ``(taps[0],)``, the zero law, fits a vector policy.
     """
 
-    step: Callable[[np.ndarray, np.ndarray], Union[float, np.ndarray]]
+    # the descriptor names the law; a ladder's repr would run to megabytes
+    step: Optional[Step] = field(default=None, repr=False)
     initial_output: Union[float, np.ndarray] = 0.0
     descriptor: str = "custom"
     dim: int = 1
-    kernel: Optional[Kernel] = None
+    kernel: Optional[Kernel] = field(default=None, repr=False)
+    taps: Optional[Ladder] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.taps is None:
+            if self.step is None:
+                raise ValueError("a policy needs a step or taps")
+        elif not self.taps or any(t.shape != (j,) for j, t in enumerate(self.taps)):
+            raise ValueError("taps[j] must hold j taps, for j = 0 up to the frozen order")
+        elif (len(self.taps) > 1 and self.dim != 1) or np.any(self.initial_output):
+            raise ValueError("taps make a scalar law with z_0 = 0, or the zero law in any dim")
+        else:
+            object.__setattr__(self, "step", partial(_fir_step, self.taps))
+            object.__setattr__(self, "kernel", partial(_fir_kernel, self.taps))
 
     def run(self, x: np.ndarray, closed: bool):
         """(z, e) over a whole sequence: the policy's kernel, else ``step_recursion``."""
@@ -184,33 +211,21 @@ def run_loop(
 
 
 def zero_controller(dim: int = 1) -> ControllerPolicy:
-    """The do-nothing policy: e_k = d_k."""
-    zero = 0.0 if dim == 1 else np.zeros(dim)
-    return ControllerPolicy(
-        step=lambda e_hist, z_hist: zero,
-        initial_output=zero,
-        descriptor="zero",
-        dim=dim,
-        kernel=_zero_kernel,
-    )
-
-
-def _zero_kernel(x: np.ndarray, closed: bool):
-    z = np.zeros_like(x)
-    return z, (x + z if closed else x)
+    """The do-nothing policy: e_k = d_k, the FIR law on the empty ladder."""
+    return ControllerPolicy(taps=_ZERO_LAW, descriptor="zero", dim=dim)
 
 
 def predictor_controller(model: DisturbanceModel) -> ControllerPolicy:
     """Cancel the best linear one-step prediction of the disturbance.
 
     The policy reconstructs d_j = e_j - z_j from its histories and outputs
-    z_k = -(prediction of d_k).  Taps come from the Levinson-Durbin
-    recursion on the model autocovariances: order-k taps while k is small
-    (they are exactly optimal under the stationary start), frozen at the
-    order where the prediction error variance has converged to the
-    innovation variance.  For a pure AR(p) model that order is p and the
-    taps are the AR coefficients themselves; for an iid model the policy
-    degenerates to the zero controller.
+    z_k = -(prediction of d_k).  A scalar model's policy is the FIR law on
+    the negated taps of the Levinson-Durbin recursion on the model
+    autocovariances: order-k taps while k is small (they are exactly optimal
+    under the stationary start), frozen at the order where the prediction
+    error variance has converged to the innovation variance.  For a pure
+    AR(p) model that order is p and the taps are the negated AR coefficients;
+    for a white model it is 0 and the policy is the zero law.
     """
     descriptor = f"predictor[{model.descriptor}]"
     if isinstance(model, VectorGaussAR):
@@ -249,80 +264,68 @@ def predictor_controller(model: DisturbanceModel) -> ControllerPolicy:
             kernel=kernel_vec,
         )
 
-    if isinstance(model, IID):
-        return replace(zero_controller(), descriptor=descriptor)
+    return ControllerPolicy(taps=_prediction_taps(model), descriptor=descriptor)
 
-    taps_by_order = _prediction_taps(model)
-    return ControllerPolicy(
-        step=_fir_step(taps_by_order, negate=True),
-        initial_output=0.0,
-        descriptor=descriptor,
-        kernel=_fir_kernel(taps_by_order, negate=True),
-    )
+
+def _read_only(ladder: Sequence[np.ndarray]) -> Ladder:
+    for taps in ladder:
+        taps.flags.writeable = False
+    return tuple(ladder)
+
+
+_ZERO_LAW = _read_only([np.zeros(0)])
 
 
 @lru_cache(maxsize=64)
-def _prediction_taps(model: DisturbanceModel) -> tuple[np.ndarray, ...]:
-    """Read-only Levinson tap ladder up to the order where prediction stops improving."""
+def _prediction_taps(model: DisturbanceModel) -> Ladder:
+    """Ladder of negated Levinson taps up to the order where prediction stops improving."""
     rate_var = model.innovation_variance
     excess = prediction_variances(model, _TAP_ORDER_CAP) - rate_var
-    powers = (1 << i for i in range(_TAP_ORDER_CAP.bit_length()))
+    orders = (0, *(1 << i for i in range(_TAP_ORDER_CAP.bit_length())))
     order = next(
-        (n for n in powers if excess[n] <= _TAP_CONVERGENCE * rate_var), _TAP_ORDER_CAP
+        (n for n in orders if excess[n] <= _TAP_CONVERGENCE * rate_var), _TAP_ORDER_CAP
     )
     coeffs, _ = levinson_ladder(model.autocovariance(order), order)
-    for taps in coeffs:
-        taps.flags.writeable = False
-    return tuple(coeffs)
+    return _read_only([-taps for taps in coeffs])
 
 
-def _fir_step(ladder: Sequence[np.ndarray], negate: bool):
-    """The scalar FIR step that ``_fir_kernel`` repeats exactly."""
-    top = len(ladder) - 1
-
-    def step(e_hist, z_hist):
-        order = min(e_hist.shape[0], top)
-        if order == 0:
-            return 0.0
-        d_recent = e_hist[-order:] - z_hist[-order:]
-        s = float(ladder[order] @ d_recent[::-1])
-        return -s if negate else s
-
-    return step
+def _fir_step(ladder: Ladder, e_hist, z_hist):
+    """The FIR law's step, which ``_fir_kernel`` repeats exactly."""
+    order = min(e_hist.shape[0], len(ladder) - 1)
+    if order == 0:
+        return 0.0
+    d_recent = e_hist[-order:] - z_hist[-order:]
+    return float(ladder[order] @ d_recent[::-1])
 
 
-def _fir_kernel(ladder: Sequence[np.ndarray], negate: bool) -> Kernel:
-    """Exact kernel of the scalar FIR step z_k = s or -s on d_j = e_j - z_j,
+def _fir_kernel(ladder: Ladder, x: np.ndarray, closed: bool):
+    """Exact kernel of the FIR law z_k = s on d_j = e_j - z_j,
 
         s = float(ladder[min(k, top)] @ d_recent[::-1]),  top = len(ladder) - 1,
 
     with d_recent the last min(k, top) reconstructed disturbances.  Each
     step makes that same dot, with the same taps array and a reversed
     (negatively strided) view of a preallocated d array as the operand, so
-    numpy picks the same loop and the sum rounds as in ``_fir_step``.
+    numpy picks the same loop and the sum rounds as in ``_fir_step``.  The
+    empty ladder (top 0) gives z = 0 without a loop, in any dimension.
     """
+    z = np.zeros_like(x)
     top = len(ladder) - 1
+    if not top:
+        return z, (x + z if closed else x)
+    n = x.shape[0]
     frozen = ladder[top]
-
-    def kernel(x, closed):
-        n = x.shape[0]
-        z = np.zeros_like(x)
-        e = np.zeros_like(x) if closed else x
-        ds = np.empty_like(x)
-        rev = ds[::-1]  # rev[n - k :] is d_{k-1}, d_{k-2}, ..., d_0
-        for k, xk in enumerate(x.tolist()):
-            if k:
-                s = float((ladder[k] if k < top else frozen) @ rev[n - k : n - k + top])
-                zk = z[k] = -s if negate else s
-            else:
-                zk = 0.0
-            ek = xk + zk if closed else xk
-            if closed:
-                e[k] = ek
-            ds[k] = ek - zk
-        return z, e
-
-    return kernel
+    e = np.zeros_like(x) if closed else x
+    ds = np.empty_like(x)
+    rev = ds[::-1]  # rev[n - k :] is d_{k-1}, d_{k-2}, ..., d_0
+    for k, xk in enumerate(x.tolist()):
+        taps = ladder[k] if k < top else frozen
+        zk = z[k] = float(taps @ rev[n - k : n - k + top]) if k else 0.0
+        ek = xk + zk if closed else xk
+        if closed:
+            e[k] = ek
+        ds[k] = ek - zk
+    return z, e
 
 
 def random_causal_controller(
@@ -332,17 +335,20 @@ def random_causal_controller(
 
     Weights and bias are drawn once from ``seed`` and fixed, so the policy
     is deterministic and strictly causal by construction.  memory=0 yields
-    the constant-zero map.  Used to exercise the bounds with arbitrary
-    (bad) controllers.
+    the zero law.  Used to exercise the bounds with arbitrary (bad)
+    controllers.
     """
     if memory < 0:
         raise ValueError(f"memory must be >= 0, got {memory}")
     if not gain_cap > 0.0:
         raise ValueError(f"gain_cap must be positive, got {gain_cap!r}")
+    descriptor = f"random[memory={memory}, cap={gain_cap:g}]"
     cap = float(gain_cap)
     rng = as_rng(seed)
+    if not memory:
+        return ControllerPolicy(taps=_ZERO_LAW, descriptor=descriptor)
     weights = rng.uniform(-1.0, 1.0, size=memory)
-    bias = float(rng.uniform(-0.5, 0.5)) if memory > 0 else 0.0
+    bias = float(rng.uniform(-0.5, 0.5))
 
     taps = weights.tolist()
 
@@ -366,22 +372,14 @@ def random_causal_controller(
         e = np.zeros_like(x) if closed else x
         recent = deque(maxlen=memory)  # e_{k-1}, e_{k-2}, ...
         for k, xk in enumerate(x.tolist()):
-            if k:
-                zk = z[k] = law(recent)
-            else:
-                zk = 0.0
+            zk = z[k] = law(recent) if k else 0.0
             ek = xk + zk if closed else xk
             if closed:
                 e[k] = ek
             recent.appendleft(ek)
         return z, e
 
-    return ControllerPolicy(
-        step=step,
-        initial_output=0.0,
-        descriptor=f"random[memory={memory}, cap={gain_cap:g}]",
-        kernel=kernel if memory else _zero_kernel,
-    )
+    return ControllerPolicy(step=step, descriptor=descriptor, kernel=kernel)
 
 
 def learned_controller(
@@ -417,13 +415,8 @@ def learned_controller(
     except np.linalg.LinAlgError:
         taps = np.linalg.solve(gram + 1e-8 * np.eye(memory), moment)
 
-    ladder = [taps[:avail] for avail in range(memory + 1)]
-    return ControllerPolicy(
-        step=_fir_step(ladder, negate=False),
-        initial_output=0.0,
-        descriptor=f"learned[memory={memory}]",
-        kernel=_fir_kernel(ladder, negate=False),
-    )
+    ladder = _read_only([taps[:avail] for avail in range(memory + 1)])
+    return ControllerPolicy(taps=ladder, descriptor=f"learned[memory={memory}]")
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,7 @@ def _score_cell(
     The one trace-seed rule: with ``trials`` None a scalar model runs one
     trace on ``seed``, which also drives the diagnostics and the step-k
     entropy estimate.  Otherwise, and always for a vector model, the cell
-    pools the traces of the first n = ``trials or 1`` seeds of
+    pools the traces of the first n = ``trials`` (1 if None) seeds of
     ``spawn_seeds(seed, n + 1)``; the last one drives the diagnostics.
     Traces have ``horizon`` steps, or k + 1 when k is fixed.
 
@@ -292,6 +292,8 @@ def _score_cell(
     ``estimators._WHITENESS_MIN_SAMPLES`` samples.  The first runtime counts
     from the start of the simulation, each later one from the row before it.
     """
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     start = time.perf_counter()
     vector = model.dim > 1
     if trials is None and not vector:

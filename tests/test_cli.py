@@ -398,16 +398,20 @@ def test_bound_prints_a_dash_for_a_route_that_raises(
     assert row[column] == "" and row["agree"] == "true"
 
 
-def test_bound_exits_4_when_the_spectrum_misses_the_innovation_law(monkeypatch, tmp_path, capsys):
-    # a spectrum 1.5 times too large: its geometric mean is no longer the
-    # innovation variance, and the spectral route must say so
+def _scale_spectrum(monkeypatch, factor):
     spectrum = el.GaussARMA.power_spectrum
 
     def scaled(model):
         density = spectrum(model)
-        return el.SpectralDensity(lambda omega: 1.5 * density(omega))
+        return el.SpectralDensity(lambda omega: factor * density(omega))
 
     monkeypatch.setattr(el.GaussARMA, "power_spectrum", scaled)
+
+
+def test_bound_exits_4_when_the_spectrum_misses_the_innovation_law(monkeypatch, tmp_path, capsys):
+    # a spectrum 1.5 times too large: its geometric mean is no longer the
+    # innovation variance, and the spectral route must say so
+    _scale_spectrum(monkeypatch, 1.5)
     ar1 = el.GaussARMA(ar=(0.9,))
     direct = el.lp_bound_asymptotic(ar1, 2.0).value
     spectral = el.spectral_lp_bound(ar1, 2.0).value
@@ -419,10 +423,43 @@ def test_bound_exits_4_when_the_spectrum_misses_the_innovation_law(monkeypatch, 
     assert cli.main(["bound", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_VIOLATION
     out, err = capsys.readouterr()
     assert out.splitlines()[1].split()[-1] == "NO"
-    assert err == "error: analytic routes disagree beyond 1e-8\n"
+    assert err == "error: analytic routes disagree beyond a relative 1e-8\n"
     with open(tmp_path / "bounds.csv", newline="") as handle:
         (row,) = csv.DictReader(handle)
     assert row["agree"] == "false"
+
+
+def _arma_with_variance(variance):
+    return {
+        "kind": "gauss_arma", "ar": [0.9], "ma": [0.4], "name": "arma11",
+        "innovation": {"family": "gaussian", "variance": variance},
+    }
+
+
+def test_bound_route_check_is_relative_for_a_correct_model_at_variance_1e16(tmp_path, capsys):
+    # the spectral route sits about 2.4e-7 from a floor near 1e8, a relative
+    # 2.4e-15: an absolute 1e-8 rule read that as a disagreement
+    path = _write_config(tmp_path, {"models": [_arma_with_variance(1e16)], "p_values": [1, 2, "inf"]})
+    assert cli.main(["bound", "--config", path]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert [line.split()[-1] for line in out.splitlines()[1:]] == ["yes"] * 3
+    assert err == ""
+
+
+def test_bound_route_check_is_relative_for_a_mis_scaled_spectrum_at_variance_1e_20(
+    monkeypatch, tmp_path, capsys
+):
+    # a spectrum twice too large moves the spectral floor by a factor sqrt(2),
+    # yet only 4e-11 in absolute terms at this variance
+    _scale_spectrum(monkeypatch, 2.0)
+    model = el.GaussARMA(ar=(0.9,), ma=(0.4,), innovation_variance=1e-20)
+    direct = el.lp_bound_asymptotic(model, 2.0).value
+    assert el.spectral_lp_bound(model, 2.0).value == pytest.approx(math.sqrt(2) * direct, rel=1e-9)
+    path = _write_config(tmp_path, {"models": [_arma_with_variance(1e-20)], "p_values": [2]})
+    assert cli.main(["bound", "--config", path]) == cli.EXIT_VIOLATION
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].split()[-1] == "NO"
+    assert err == "error: analytic routes disagree beyond a relative 1e-8\n"
 
 
 def test_bound_skips_vector_models(tmp_path, capsys):

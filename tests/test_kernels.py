@@ -2,9 +2,11 @@
 step recursion it replaces, bit for bit, in the closed loop and in the
 open-loop response.
 
-The kernels repeat their step's arithmetic: the linear ones make the same
-numpy dot on a view of a preallocated history, the vector predictor the same
-ufuncs with out=, and ``random`` shares one Python-float law with its step.
+The kernels repeat their step's arithmetic: the FIR policies (zero, the
+scalar predictor, learned, and random with memory 0) share one step and one
+kernel, which make the same numpy dot on a view of a preallocated history,
+the vector predictor the same ufuncs with out=, and ``random`` with memory
+>= 1 shares one Python-float law with its step.
 These tests are what catches a numpy whose results depend on anything else
 (alignment, out=, the kind of view).
 """
@@ -26,6 +28,8 @@ SCALAR_MODELS = {
         ar=(0.6, -0.2), innovation=el.GeneralizedGaussian.laplace(1.0)
     ),
     "iid": el.IID(el.GeneralizedGaussian.laplace(1.0)),
+    "white": el.GaussARMA(),
+    "ggwhite": el.GenGaussAR(ar=(), innovation=el.GeneralizedGaussian(1.5, 1.0)),
 }
 VECTOR_MODELS = {
     "vec2": el.VectorGaussAR(
@@ -57,11 +61,9 @@ def _learned(model, memory):
 def _cases():
     """(id, model, controller, order at which its taps freeze)."""
     for name, model in {**SCALAR_MODELS, **VECTOR_MODELS}.items():
-        yield f"zero-{name}", model, el.zero_controller(model.dim), 1
+        yield f"zero-{name}", model, el.zero_controller(model.dim), 0
         pred = el.predictor_controller(model)
-        top = 1
-        if model.dim == 1 and not isinstance(model, el.IID):
-            top = len(simulator._prediction_taps(model)) - 1
+        top = 1 if pred.taps is None else len(pred.taps) - 1
         yield f"predictor-{name}", model, pred, top
     for name, model in SCALAR_MODELS.items():
         for memory in (1, 3, 40):
@@ -90,6 +92,28 @@ def test_cases_cover_the_frozen_orders():
     assert tops["predictor-ar1"] == 1
     assert tops["predictor-arma21"] == 16
     assert tops["predictor-ma099"] == simulator._TAP_ORDER_CAP
+
+
+def test_zero_law_is_the_empty_ladder():
+    # zero in any dimension, random with memory 0 and the predictor of every
+    # white model are one policy: the FIR law on the empty ladder
+    white = {f"predictor-{name}" for name in ("iid", "white", "ggwhite")}
+    empty = [c for c in CASES if c[0].startswith(("zero-", "random0-")) or c[0] in white]
+    assert len(empty) == 2 * len(SCALAR_MODELS) + len(VECTOR_MODELS) + len(white)
+    for case_id, _, ctrl, top in empty:
+        assert top == 0, case_id
+        assert len(ctrl.taps) == 1 and ctrl.taps[0].shape == (0,), case_id
+
+
+def test_fir_ladders_are_read_only_data():
+    fir = [(case_id, ctrl.taps) for case_id, _, ctrl, _ in CASES if ctrl.taps is not None]
+    assert {case_id.split("-")[0] for case_id, _ in fir} == {
+        "zero", "predictor", "learned1", "learned3", "learned40", "random0"
+    }
+    for case_id, ladder in fir:
+        for order, taps in enumerate(ladder):
+            assert taps.shape == (order,), case_id
+            assert not taps.flags.writeable, case_id
 
 
 @pytest.mark.parametrize("model, ctrl, top", [c[1:] for c in CASES], ids=[c[0] for c in CASES])

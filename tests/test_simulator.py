@@ -2,6 +2,7 @@
 stage composition, causality audits, and trace serialization.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -108,7 +109,7 @@ def test_prediction_taps_match_doubling_reference(model, top):
     want = _doubling_reference_taps(model)
     assert len(got) == len(want) == top + 1
     for mine, ref in zip(got, want):
-        assert np.array_equal(mine, ref)
+        assert np.array_equal(mine, -ref)  # the predictor plays the negated taps
 
 
 def test_prediction_taps_are_cached_per_model(monkeypatch):
@@ -131,14 +132,51 @@ def test_prediction_taps_are_cached_per_model(monkeypatch):
     want = _doubling_reference_taps(model)
     assert len(first) == len(want)
     for mine, ref in zip(first, want):
-        assert np.array_equal(mine, ref)
+        assert np.array_equal(mine, -ref)
         assert not mine.flags.writeable
+
+
+def test_policy_needs_a_step_or_a_well_formed_ladder():
+    with pytest.raises(ValueError, match="step or taps"):
+        el.ControllerPolicy()
+    ladder = el.predictor_controller(AR2).taps
+    for bad in ((), ladder[1:], ladder[::-1]):
+        with pytest.raises(ValueError, match="j taps"):
+            el.ControllerPolicy(taps=bad)
+    with pytest.raises(ValueError, match="scalar law"):
+        el.ControllerPolicy(taps=ladder, dim=2)
+    with pytest.raises(ValueError, match="z_0 = 0"):
+        el.ControllerPolicy(taps=ladder, initial_output=1.0)
+    # the taps are the law: a policy built from them, or a copy under another
+    # name, plays the predictor's outputs
+    want = el.run_loop(AR2, el.predictor_controller(AR2), 50, seed=2).z
+    for policy in (
+        el.ControllerPolicy(taps=ladder),
+        dataclasses.replace(el.predictor_controller(AR2), descriptor="renamed"),
+    ):
+        assert np.array_equal(el.run_loop(AR2, policy, 50, seed=2).z, want)
+    # the descriptor names the law; the ladder stays out of the repr
+    assert repr(el.ControllerPolicy(taps=ladder)) == (
+        "ControllerPolicy(initial_output=0.0, descriptor='custom', dim=1)"
+    )
 
 
 def test_predictor_on_iid_is_zero():
     model = el.IID(el.GeneralizedGaussian.laplace(1.0))
     trace = el.run_loop(model, el.predictor_controller(model), 200, seed=9)
     assert np.all(trace.z == 0.0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [el.GaussARMA(), el.GenGaussAR(ar=(), innovation=el.GeneralizedGaussian.laplace(1.0))],
+    ids=["gauss_arma", "gengauss_ar"],
+)
+def test_predictor_on_a_white_model_is_the_zero_law(model):
+    # frozen at order 0: z is +0.0 throughout (an order-1 tap of 0 gave -0.0)
+    trace = el.run_loop(model, el.predictor_controller(model), 200, seed=9)
+    assert not np.signbit(trace.z).any() and np.all(trace.z == 0.0)
+    assert np.array_equal(trace.e, trace.d)
 
 
 def test_predictor_arma_reaches_innovation_variance():

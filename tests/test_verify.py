@@ -90,6 +90,15 @@ def test_verify_rejects_vector_model():
         el.verify_bound(VEC, el.zero_controller(dim=2), 2.0, horizon=5_000, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_rejects_trials_below_one(trials):
+    # 0 used to score one trace and -1 to fail on an unrelated unpacking error
+    with pytest.raises(ValueError, match=rf"trials must be >= 1, got {trials}"):
+        el.verify_bound(AR1, el.zero_controller(), 2.0, horizon=5_000, seed=0, trials=trials)
+    with pytest.raises(ValueError, match=rf"trials must be >= 1, got {trials}"):
+        el.verify_mimo_bound(VEC, el.zero_controller(dim=2), horizon=5_000, seed=0, trials=trials)
+
+
 def test_verify_rejects_horizon_inside_burn_in():
     with pytest.raises(ValueError, match="burn-in"):
         el.verify_bound(AR1, el.zero_controller(), 2.0, horizon=500, seed=0)
