@@ -9,8 +9,10 @@ Subcommands:
 
 All subcommands read one JSON config through ``config.load_config`` (see
 the package README for the schema) and share --seed (master seed override)
-and --out (output directory) where applicable.  Thread count comes from
---threads or the ENTROLIM_THREADS environment variable.
+and --out (output directory) where applicable.  ``sweep`` scores its cells
+in --threads worker processes (default: the ENTROLIM_THREADS environment
+variable, else 1); the workers are forked on Linux, and elsewhere the cells
+run serially.
 
 ``verify.run_plan`` decides which controller runs on which seed: ``simulate``
 and ``sweep`` run it with the config's trials, ``verify`` with one.  ``audit``
@@ -315,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--threads",
                 type=int,
                 default=None,
-                help="worker threads (default: ENTROLIM_THREADS or 1)",
+                help="worker processes, forked on Linux; serial elsewhere "
+                "(default: ENTROLIM_THREADS or 1)",
             )
 
     common(sub.add_parser("bound", help="print analytic floors per model and p"))

@@ -69,6 +69,11 @@ _MI_MAX_SAMPLES = 20_000
 #: The neighbour order k of every kNN entropy and MI estimate.
 _KNN_NEIGHBOURS = 4
 
+#: Threads of each kd-tree query: one per core, except inside the forked
+#: sweep workers of ``verify.run_cells``, which set it to 1 so that the
+#: workers do not oversubscribe the cores they already share.
+_KDTREE_WORKERS = -1
+
 
 @dataclass(frozen=True)
 class EntropyEstimate:
@@ -278,7 +283,7 @@ def _knn_radii(points: np.ndarray, k: int) -> np.ndarray:
     """Distance from each point to its k-th nearest other point."""
     if points.shape[1] == 1:
         return _sorted_knn_radii(points[:, 0], k)
-    dist, _ = cKDTree(points).query(points, k=k + 1, workers=-1)
+    dist, _ = cKDTree(points).query(points, k=k + 1, workers=_KDTREE_WORKERS)
     return dist[:, k]
 
 
@@ -414,6 +419,16 @@ def mutual_information_estimate(
 # whiteness
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of a * b by numpy's pairwise reduction, never through BLAS.
+
+    Above about 10 000 samples OpenBLAS splits a dot over its own spinning
+    threads: the sum then depends on the core count, and the threads take
+    the cores of the kd-tree and of the other sweep workers.
+    """
+    return float(np.multiply(a, b).sum())
+
+
 def whiteness_stats(errors: np.ndarray, *, seed=0) -> WhitenessReport:
     """Ljung-Box portmanteau over lags 1.._LJUNG_BOX_LAGS plus a lag-1 kNN MI.
 
@@ -428,11 +443,11 @@ def whiteness_stats(errors: np.ndarray, *, seed=0) -> WhitenessReport:
     if n < _WHITENESS_MIN_SAMPLES:
         raise ValueError(f"need at least {_WHITENESS_MIN_SAMPLES} samples, got {n}")
     centered = x - x.mean()
-    denom = float(centered @ centered)
+    denom = _dot(centered, centered)
     if denom == 0.0:
         raise ValueError("constant error trace; whiteness undefined")
     lags = range(1, _LJUNG_BOX_LAGS + 1)
-    acf = np.array([float(centered[lag:] @ centered[:-lag]) / denom for lag in lags])
+    acf = np.array([_dot(centered[lag:], centered[:-lag]) / denom for lag in lags])
     q_stat = n * (n + 2.0) * float(np.sum(acf**2 / (n - np.array(lags))))
     pvalue = float(stats.chi2.sf(q_stat, _LJUNG_BOX_LAGS))
     if n - 1 >= _KNN_MIN_SAMPLES:

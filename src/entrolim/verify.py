@@ -28,10 +28,11 @@ cells (k fixed) measure across independent trials at exactly index k.
 ``verify_bound`` and ``verify_mimo_bound`` score one cell directly.
 ``run_plan`` alone decides which controller of a ``config.ExperimentConfig``
 runs on which seed, and ``run_cells`` scores its cells in plan order, each
-failure isolated, optionally on threads.  ``sweep`` runs the plan with the
-config's trials, one trace per cell, and writes deterministic CSV/JSON
-(reruns differ only in runtime_ms); ``entrolim verify`` runs the one-trial
-plan and pools ``trials`` traces per cell.
+failure isolated, optionally in worker processes (forked, on Linux only).
+``sweep`` runs the plan with the config's trials, one trace per cell, and
+writes deterministic CSV/JSON (reruns differ only in runtime_ms);
+``entrolim verify`` runs the one-trial plan and pools ``trials`` traces per
+cell.
 """
 
 from __future__ import annotations
@@ -39,8 +40,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
+import pickle
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -488,6 +492,32 @@ def resolve_controller(
 # sweeps
 
 
+#: Whether ``run_cells`` may fork worker processes: on Linux only.
+_FORK = sys.platform.startswith("linux")
+
+
+_worker_score = None  # a forked worker's cell scorer, set by _start_worker
+
+
+def _start_worker(score) -> None:
+    """The pool initializer; it runs in each forked worker, never in the parent."""
+    global _worker_score
+    _worker_score = score
+    _estimators._KDTREE_WORKERS = 1
+
+
+def _score_in_worker(index: int):
+    """Score cell ``index`` in a worker; an error that cannot cross the pipe
+    comes back as a RuntimeError naming its type and message."""
+    scored, error = _worker_score(index)
+    if error is not None:
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:  # noqa: BLE001 - any pickling failure
+            error = RuntimeError(f"{type(error).__name__}: {error}")
+    return scored, error
+
+
 def run_cells(
     cells, config: ExperimentConfig, *, pooled=None, controllers=None, tightness=True, threads=1
 ):
@@ -496,29 +526,39 @@ def run_cells(
     Each cell runs ``_score_cell`` on its trace seed with ``trials=pooled``
     and the controller it resolves, or ``controllers[i]`` when given.  An
     exception comes back as ``error``, with ``scored`` empty, and never
-    stops the other cells.  ``threads`` > 1 scores the cells in a thread pool.
+    stops the other cells.  ``threads`` > 1 scores the cells in up to that
+    many worker processes, forked on Linux, which inherit the plan and the
+    warm caches and get only cell indices; elsewhere the cells run serially.
+    A fork copies only the calling thread: call it from a program's only
+    thread that runs entrolim.
     """
 
-    def run(index: int):
+    def score(index: int):
         cell = cells[index]
         try:
             if controllers is None:
                 controller = resolve_controller(cell.spec, cell.model, cell.controller_seed)
             else:
                 controller = controllers[index]
-            scored = _score_cell(
+            return _score_cell(
                 cell.model, controller, config.p_values, horizon=config.horizon,
                 seed=cell.trace_seed, trials=pooled, tightness=tightness,
-            )
-            return cell, scored, None
+            ), None
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-            return cell, [], exc
+            return [], exc
 
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(run, range(len(cells)))
+    if threads > 1 and len(cells) > 1 and _FORK:
+        with ProcessPoolExecutor(
+            min(threads, len(cells)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(score,),
+        ) as pool:
+            for cell, outcome in zip(cells, pool.map(_score_in_worker, range(len(cells)))):
+                yield cell, *outcome
     else:
-        yield from map(run, range(len(cells)))
+        for index, cell in enumerate(cells):
+            yield cell, *score(index)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,10 @@ kNN entropies, mutual information, whiteness, density fit, determinants.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +320,25 @@ def test_whiteness_keeps_the_mi_flag():
     assert el.whiteness_stats(x).mi_flag is None
     # 2-decimal rounding ties many 4th neighbours of the lag pairs
     assert el.whiteness_stats(np.round(x, 2)).mi_flag == "ties"
+
+
+def test_whiteness_sums_do_not_depend_on_blas_threads():
+    # past about 10 000 samples OpenBLAS splits a dot over its threads, which
+    # moves its last bits; the Ljung-Box sums must not go through BLAS
+    code = (
+        "import numpy as np, entrolim as el\n"
+        "r = el.whiteness_stats(np.random.default_rng(3).standard_normal(11_000))\n"
+        "print(*[float(v).hex() for v in r.autocorrelations], r.portmanteau.hex())\n"
+    )
+    src = str(Path(el.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    one_thread = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    report = el.whiteness_stats(_rng(3).standard_normal(11_000))
+    here = [float(v).hex() for v in report.autocorrelations] + [report.portmanteau.hex()]
+    assert here == one_thread
 
 
 def test_whiteness_validation():

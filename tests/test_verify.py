@@ -403,17 +403,52 @@ def test_sweep_grid_and_reproducibility(tmp_path):
     }
 
 
+def _summary_without_wall_time(result):
+    summary = json.loads(result.summary_path.read_text())
+    del summary["wall_time_ms"]
+    return summary
+
+
 def test_sweep_threaded_matches_serial(tmp_path):
+    # the kNN MI needs 10 000 post-burn-in samples, hence horizon 12 000
     config = _config(
-        models=[AR1],
-        names=["ar1"],
-        controllers=[{"kind": "zero"}, {"kind": "random"}],
-        p_values=[2.0],
+        models=[AR1, VEC],
+        names=["ar1", "vec"],
+        controllers=[
+            {"kind": "zero"}, {"kind": "random"}, {"kind": "predictor"},
+            {"kind": "learned", "train_steps": 8_000},
+        ],
+        p_values=[1.0, 2.0],
+        horizon=12_000,
         trials=2,
     )
     serial = el.sweep(config, out_dir=tmp_path / "s")
     threaded = el.sweep(config, threads=2, out_dir=tmp_path / "t")
+    assert len(serial.errors) == 4  # vec x random and vec x learned, per trial
+    assert all(
+        row.report.tightness is not None and not math.isnan(row.report.tightness.mi_err_lag1_bits)
+        for row in serial.rows if row.model == "ar1"
+    )
     assert _strip_runtime(serial.csv_path) == _strip_runtime(threaded.csv_path)
+    assert _summary_without_wall_time(serial) == _summary_without_wall_time(threaded)
+
+
+def test_sweep_runs_serially_where_it_cannot_fork(tmp_path, monkeypatch):
+    config = _config(
+        [AR1, VEC], ["ar1", "vec"], [{"kind": "zero"}, {"kind": "random"}], [2.0],
+        horizon=3_000,
+    )
+    serial = el.sweep(config, out_dir=tmp_path / "s")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started without fork")
+
+    monkeypatch.setattr(verify_module, "_FORK", False)
+    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", no_pool)
+    unforked = el.sweep(config, threads=2, out_dir=tmp_path / "u")
+    assert len(unforked.errors) == 1  # vec x random
+    assert _strip_runtime(serial.csv_path) == _strip_runtime(unforked.csv_path)
+    assert _summary_without_wall_time(serial) == _summary_without_wall_time(unforked)
 
 
 def test_sweep_seed_changes_rows(tmp_path):
@@ -462,9 +497,36 @@ def test_run_cells_yields_errors_in_plan_order_at_any_thread_count():
             for cell, scored, _ in results
         ]
 
-    threaded = outcomes(2)
-    assert [type(error) for _, _, error in threaded] == [type(error) for error in errors]
-    assert without_runtime(threaded) == without_runtime(serial)
+    for threads in (2, 4):  # fewer workers than cells, and one per cell
+        threaded = outcomes(threads)
+        assert [type(error) for _, _, error in threaded] == [type(error) for error in errors]
+        assert without_runtime(threaded) == without_runtime(serial)
+
+
+def test_run_cells_names_a_cell_error_that_cannot_be_pickled():
+    class LocalError(Exception):  # a local class: pickle cannot find it
+        pass
+
+    class Broken:
+        dim = 1
+        descriptor = "broken"
+
+        def effective_memory(self):
+            return 0
+
+        def sample_path(self, length, seed):
+            raise LocalError("boom")
+
+    config = _config([Broken(), AR1], ["broken", "ar1"], [{"kind": "zero"}], [2.0])
+    cells = verify_module.run_plan(config, 1)
+    serial = list(verify_module.run_cells(cells, config, tightness=False))
+    forked = list(verify_module.run_cells(cells, config, tightness=False, threads=2))
+    assert type(serial[0][2]) is LocalError
+    if verify_module._FORK:
+        assert type(forked[0][2]) is RuntimeError
+        assert str(forked[0][2]) == "LocalError: boom"
+    assert forked[1][2] is None
+    assert len(forked[1][1]) == 1
 
 
 def test_sweep_isolates_cell_failures():
