@@ -375,8 +375,7 @@ class GaussARMA(_ScalarLinear):
         # Direct-form-II-transposed filter state s obeys
         # s_k = A s_{k-1} + B w_k; draw s_{-1} from its stationary law so the
         # emitted path is stationary from the very first sample.
-        state_cov = _filter_state_cov(self)
-        init = _psd_factor(state_cov) @ rng.standard_normal(n_state)
+        init = _state_factor(self) @ rng.standard_normal(n_state)
         w = rng.normal(0.0, sigma, size=length)
         b_poly = np.concatenate(([1.0], np.asarray(self.ma)))
         path, _ = signal.lfilter(b_poly, _ar_poly(self.ar), w, zi=init)
@@ -485,12 +484,14 @@ class VectorGaussAR(DisturbanceModel):
         self._check_length(length)
         rng = as_rng(seed)
         a = self.transition_matrix
-        prev = _psd_factor(_vector_stationary_cov(self)) @ rng.standard_normal(self.dim)
+        prev = _state_factor(self) @ rng.standard_normal(self.dim)
         noise = self._noise.sample(length, rng)
         out = np.empty((length, self.dim))
-        for k in range(length):
-            prev = a @ prev + noise[k]
-            out[k] = prev
+        # d_k = A d_{k-1} + w_k into row k; np.dot is the same gemv as @, cheaper
+        for row, w in zip(out, noise):
+            np.dot(a, prev, out=row)
+            row += w
+            prev = row
         return out
 
     def conditional_entropy_bits(self, k):
@@ -576,6 +577,15 @@ def _vector_stationary_cov(model: VectorGaussAR) -> np.ndarray:
     return sla.solve_discrete_lyapunov(
         model.transition_matrix, model.innovation_covariance_matrix
     )
+
+
+@lru_cache(maxsize=64)
+def _state_factor(model: DisturbanceModel) -> np.ndarray:
+    """Read-only ``_psd_factor`` of a Gaussian model's stationary state covariance."""
+    vector = isinstance(model, VectorGaussAR)
+    factor = _psd_factor((_vector_stationary_cov if vector else _filter_state_cov)(model))
+    factor.flags.writeable = False
+    return factor
 
 
 # ---------------------------------------------------------------------------

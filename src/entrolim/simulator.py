@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from operator import mul
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -233,24 +233,24 @@ def predictor_controller(model: DisturbanceModel) -> ControllerPolicy:
 
         def step_vec(e_hist, z_hist):
             d_prev = e_hist[-1] - z_hist[-1]
-            return -(a @ d_prev)
+            return -np.dot(a, d_prev)
 
         def kernel_vec(x, closed):
-            # step_vec's ufuncs on rows the array iterator hands out, with
-            # preallocated outputs and no history slices
-            z = np.zeros_like(x)
+            # step_vec's np.dot (the gemv @ makes, cheaper per call) and ufuncs on
+            # rows the array iterator hands out: C-order outputs, no history slices
+            z = np.zeros_like(x, order="C")
             e = np.zeros_like(x) if closed else x
             if not x.shape[0]:
                 return z, e
-            d_prev, prediction = np.empty(model.dim), np.empty(model.dim)
+            d_prev = np.empty(model.dim)
             rows = zip(z, e, x)
             z_prev, e_prev, x_0 = next(rows)
             if closed:
                 np.add(x_0, z_prev, out=e_prev)
             for z_k, e_k, x_k in rows:
                 np.subtract(e_prev, z_prev, out=d_prev)
-                np.matmul(a, d_prev, out=prediction)
-                np.negative(prediction, out=z_k)
+                np.dot(a, d_prev, out=z_k)
+                np.negative(z_k, out=z_k)
                 if closed:
                     np.add(x_k, z_k, out=e_k)
                 z_prev, e_prev = z_k, e_k
@@ -306,26 +306,39 @@ def _fir_kernel(ladder: Ladder, x: np.ndarray, closed: bool):
     with d_recent the last min(k, top) reconstructed disturbances.  Each
     step makes that same dot, with the same taps array and a reversed
     (negatively strided) view of a preallocated d array as the operand, so
-    numpy picks the same loop and the sum rounds as in ``_fir_step``.  The
-    empty ladder (top 0) gives z = 0 without a loop, in any dimension.
+    numpy picks the same loop and the sum rounds as in ``_fir_step`` (where
+    ``np.dot`` would not): a slice while k < top, then row n - k of one window
+    view.  The empty ladder (top 0) gives z = 0 without a loop, in any dimension.
     """
     z = np.zeros_like(x)
     top = len(ladder) - 1
     if not top:
         return z, (x + z if closed else x)
     n = x.shape[0]
-    frozen = ladder[top]
-    e = np.zeros_like(x) if closed else x
+    xs = x.tolist()
     ds = np.empty_like(x)
     rev = ds[::-1]  # rev[n - k :] is d_{k-1}, d_{k-2}, ..., d_0
-    for k, xk in enumerate(x.tolist()):
-        taps = ladder[k] if k < top else frozen
-        zk = z[k] = float(taps @ rev[n - k : n - k + top]) if k else 0.0
-        ek = xk + zk if closed else xk
-        if closed:
-            e[k] = ek
+    zs, es = [], []
+    for k in range(min(top, n)):
+        zk = float(ladder[k] @ rev[n - k :]) if k else 0.0
+        ek = xs[k] + zk if closed else xs[k]
+        zs.append(zk)
+        es.append(ek)
         ds[k] = ek - zk
-    return z, e
+    if n > top:  # the window view needs n >= top
+        frozen, windows = ladder[top], np.lib.stride_tricks.sliding_window_view(rev, top)
+        for k, xk, window in zip(range(top, n), xs[top:], windows[n - top : 0 : -1]):
+            zk = float(frozen @ window)
+            ek = xk + zk if closed else xk
+            zs.append(zk)
+            es.append(ek)
+            ds[k] = ek - zk
+    return _outputs(x, zs, es, closed)
+
+
+def _outputs(x, zs, es, closed):
+    """A scalar kernel's (z, e) from its per-step lists; open loop, e is x."""
+    return np.array(zs, dtype=x.dtype), (np.array(es, dtype=x.dtype) if closed else x)
 
 
 def random_causal_controller(
@@ -352,9 +365,9 @@ def random_causal_controller(
 
     taps = weights.tolist()
 
-    # step and kernel share this law on Python floats: the dot is summed in
-    # order with one rounding per operation on every platform, and min/max
-    # give np.clip's result (NaN and -0.0 included) at a fraction of its cost
+    # the law on Python floats: the dot is summed in order with one rounding
+    # per operation on every platform, and min/max give np.clip's result (NaN
+    # and -0.0 included) at a fraction of its cost
     def law(recent):
         """z_k from the errors e_{k-1}, e_{k-2}, ... (the first ``memory`` count)."""
         s = 0.0
@@ -368,16 +381,17 @@ def random_causal_controller(
         return law(recent) if recent else min(max(bias, -cap), cap)
 
     def kernel(x, closed):
-        z = np.zeros_like(x)
-        e = np.zeros_like(x) if closed else x
-        recent = deque(maxlen=memory)  # e_{k-1}, e_{k-2}, ...
-        for k, xk in enumerate(x.tolist()):
-            zk = z[k] = law(recent) if k else 0.0
-            ek = xk + zk if closed else xk
-            if closed:
-                e[k] = ek
-            recent.appendleft(ek)
-        return z, e
+        # law inline: its products summed in order; comparisons pick min/max's value, NaN too
+        zs, es = [], []
+        for xk in x.tolist():
+            s = 0.0
+            for term in map(mul, taps, reversed(es)):  # t_i * e_{k-1-i}
+                s += term
+            zk = bias + s
+            zk = (-cap if zk < -cap else cap if zk > cap else zk) if es else 0.0
+            zs.append(zk)
+            es.append(xk + zk if closed else xk)
+        return _outputs(x, zs, es, closed)
 
     return ControllerPolicy(step=step, descriptor=descriptor, kernel=kernel)
 

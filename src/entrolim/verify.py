@@ -44,7 +44,7 @@ import multiprocessing
 import pickle
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -529,8 +529,9 @@ def run_cells(
     stops the other cells.  ``threads`` > 1 scores the cells in up to that
     many worker processes, forked on Linux, which inherit the plan and the
     warm caches and get only cell indices; elsewhere the cells run serially.
-    A fork copies only the calling thread: call it from a program's only
-    thread that runs entrolim.
+    A worker that dies makes ``BrokenProcessPool`` the error of its cell and
+    of every cell that had not come back.  A fork copies only the calling
+    thread: call it from a program's only thread that runs entrolim.
     """
 
     def score(index: int):
@@ -554,7 +555,12 @@ def run_cells(
             initializer=_start_worker,
             initargs=(score,),
         ) as pool:
-            for cell, outcome in zip(cells, pool.map(_score_in_worker, range(len(cells)))):
+            futures = [pool.submit(_score_in_worker, index) for index in range(len(cells))]
+            for cell, future in zip(cells, futures):
+                try:
+                    outcome = future.result()
+                except BrokenExecutor as exc:  # BrokenProcessPool: a worker died
+                    outcome = [], exc
                 yield cell, *outcome
     else:
         for index, cell in enumerate(cells):

@@ -341,6 +341,20 @@ def test_whiteness_sums_do_not_depend_on_blas_threads():
     assert here == one_thread
 
 
+def test_ljung_box_tail_is_scipy_stats_chi2_sf():
+    # the p-value calls special.chdtrc, the function chi2.sf evaluates, so that
+    # estimators need not import scipy.stats
+    from scipy import special, stats
+
+    q = np.concatenate([np.linspace(0.0, 1e4, 100_001), np.geomspace(1e-12, 1e4, 10_001)])
+    tail = special.chdtrc(estimators._LJUNG_BOX_LAGS, q)
+    assert tail.tobytes() == stats.chi2.sf(q, estimators._LJUNG_BOX_LAGS).tobytes()
+    report = el.whiteness_stats(el.GaussARMA(ma=(0.05,)).sample_path(2_000, seed=4))
+    want = stats.chi2.sf(report.portmanteau, estimators._LJUNG_BOX_LAGS)
+    assert 0.0 < report.portmanteau_pvalue < 1.0
+    assert report.portmanteau_pvalue.hex() == float(want).hex()
+
+
 def test_whiteness_validation():
     with pytest.raises(ValueError, match="at least"):
         el.whiteness_stats(np.ones(500))

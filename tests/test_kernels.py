@@ -4,9 +4,10 @@ open-loop response.
 
 The kernels repeat their step's arithmetic: the FIR policies (zero, the
 scalar predictor, learned, and random with memory 0) share one step and one
-kernel, which make the same numpy dot on a view of a preallocated history,
-the vector predictor the same ufuncs with out=, and ``random`` with memory
->= 1 shares one Python-float law with its step.
+kernel, which make the same ``@`` dot on a negatively strided view of a
+preallocated history (a slice, or a row of a window view), the vector
+predictor the same ``np.dot`` gemv with out=, and ``random`` with memory
+>= 1 repeats its step's Python-float law inline.
 These tests are what catches a numpy whose results depend on anything else
 (alignment, out=, the kind of view).
 """
@@ -68,7 +69,7 @@ def _cases():
     for name, model in SCALAR_MODELS.items():
         for memory in (1, 3, 40):
             yield f"learned{memory}-{name}", model, _learned(model, memory), memory
-        for memory in (0, 3):
+        for memory in (0, 1, 2, 3, 5):
             ctrl = el.random_causal_controller(seed=5, memory=memory, gain_cap=0.7)
             yield f"random{memory}-{name}", model, ctrl, memory
 
@@ -164,3 +165,44 @@ def test_empty_open_loop_response():
     for _, model, ctrl, _ in CASES:
         shape = (0,) if model.dim == 1 else (0, model.dim)
         assert ctrl.respond(np.zeros(shape)).shape == shape
+
+
+class _Draws:
+    """A generator stand-in: ``uniform`` hands out chosen weights, then the bias."""
+
+    def __init__(self, weights, bias):
+        self.weights, self.bias = weights, bias
+
+    def uniform(self, low, high, size=None):
+        return np.array(self.weights) if size else self.bias
+
+
+@pytest.mark.parametrize(
+    "weights, bias, errors, z1",
+    [
+        ((0.5,), -0.0, (-0.0, 0.0, 1.0), 0.0),  # a -0.0 bias
+        ((0.5,), 0.25, (1.5, -2.5, 0.0), 1.0),  # the cap hit exactly, then -cap
+        ((0.5, -0.25), 0.25, (1.5, 0.0, 1.0), 1.0),
+    ],
+)
+def test_random_kernel_at_a_signed_zero_bias_and_the_cap(monkeypatch, weights, bias, errors, z1):
+    monkeypatch.setattr(simulator, "as_rng", lambda seed: _Draws(weights, bias))
+    ctrl = el.random_causal_controller(seed=0, memory=len(weights), gain_cap=1.0)
+    errors = np.array(errors)
+    z = ctrl.respond(errors)
+    assert_same_bits(z, ctrl.step_recursion(errors, False)[0])
+    assert z[1].hex() == z1.hex()
+    assert ctrl.step(errors[:0], z[:0]).hex() == max(bias, -1.0).hex()
+    for d in (errors, -errors):
+        for got, want in zip(ctrl.kernel(d, True), ctrl.step_recursion(d, True)):
+            assert_same_bits(got, want)
+
+
+def test_vector_kernel_writes_c_order_rows_for_any_input_layout():
+    # np.dot writes only into C-contiguous rows; a Fortran-ordered input
+    # must not hand it Fortran-ordered outputs
+    ctrl = el.predictor_controller(VECTOR_MODELS["vec4"])
+    d = np.asfortranarray(VECTOR_MODELS["vec4"].sample_path(50, 2))
+    assert_same_bits(ctrl.respond(d), ctrl.step_recursion(d, False)[0])
+    for got, want in zip(ctrl.kernel(d, True), ctrl.step_recursion(d, True)):
+        assert_same_bits(got, want)

@@ -28,6 +28,7 @@ from entrolim import (
     levinson_ladder,
     model_from_config,
     prediction_variances,
+    predictor_controller,
 )
 from entrolim import processes
 
@@ -398,6 +399,55 @@ def test_vector_sample_path_frozen():
     assert hashlib.sha256(path.tobytes()).hexdigest() == (
         "ac499fee6d67db17fb1b006048a787f9e97657b47b0c9505ed8d0bff3a19b3c2"
     )
+
+
+def _random_vector_model(m: int) -> VectorGaussAR:
+    rng = np.random.default_rng(m)
+    a = rng.uniform(-1.0, 1.0, (m, m))
+    a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
+    b = rng.uniform(-1.0, 1.0, (m, m))
+    return VectorGaussAR(
+        transition=tuple(map(tuple, a)), innovation_covariance=tuple(map(tuple, b @ b.T + np.eye(m)))
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_vector_sample_path_is_the_matmul_recursion(m):
+    # the vector path and predictor call np.dot, which makes the gemv call
+    # that @ makes: bit-equal to the @ recursions they replaced, on this BLAS
+    model = _random_vector_model(m)
+    a = model.transition_matrix
+    predictor = predictor_controller(model)
+    for seed in range(20):
+        path = model.sample_path(300, seed)
+        rng = np.random.default_rng(seed)
+        prev = processes._psd_factor(model.stationary_covariance()) @ rng.standard_normal(m)
+        noise = GaussianVector(model.innovation_covariance).sample(300, rng)
+        want = np.empty((300, m))
+        for k in range(300):
+            prev = a @ prev + noise[k]
+            want[k] = prev
+        assert path.tobytes() == want.tobytes()
+
+        z, e = predictor.run(path, True)
+        z_want, e_want = np.zeros_like(path), path.copy()
+        for k in range(1, 300):
+            z_want[k] = -(a @ (e_want[k - 1] - z_want[k - 1]))
+            e_want[k] = path[k] + z_want[k]
+        assert z.tobytes() == z_want.tobytes() and e.tobytes() == e_want.tobytes()
+
+
+def test_state_factor_is_a_cached_read_only_psd_factor():
+    arma = GaussARMA(ar=(0.5, 0.3), ma=(0.4,))
+    vec = VectorGaussAR(transition=VEC4_A, innovation_covariance=VEC4_Q)
+    for model, cov in (
+        (arma, processes._filter_state_cov(arma)),
+        (vec, processes._vector_stationary_cov(vec)),
+    ):
+        factor = processes._state_factor(model)
+        assert factor is processes._state_factor(model)
+        assert not factor.flags.writeable
+        assert factor.tobytes() == processes._psd_factor(cov).tobytes()
 
 
 # white paths as float.hex, frozen: GaussARMA() and GenGaussAR(ar=()) have no

@@ -6,12 +6,13 @@ import csv
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import entrolim as el
-from entrolim import estimators
+from entrolim import cli, estimators
 from entrolim import verify as verify_module
 from entrolim.cli import ExperimentConfig
 
@@ -527,6 +528,33 @@ def test_run_cells_names_a_cell_error_that_cannot_be_pickled():
         assert str(forked[0][2]) == "LocalError: boom"
     assert forked[1][2] is None
     assert len(forked[1][1]) == 1
+
+
+@pytest.mark.skipif(not verify_module._FORK, reason="a serial sweep would run os._exit here")
+def test_a_dead_worker_becomes_error_cells(tmp_path, monkeypatch):
+    class Dying:
+        dim = 1
+        descriptor = "dying"
+
+        def effective_memory(self):
+            return 0
+
+        def sample_path(self, length, seed):
+            os._exit(3)
+
+    config = _config([Dying(), AR1], ["dying", "ar1"], [{"kind": "zero"}], [2.0])
+    result = el.sweep(config, threads=2, out_dir=tmp_path / "s")
+    broken = "BrokenProcessPool: "
+    messages = dict(result.errors)
+    assert messages["c00000"].startswith(broken)
+    # the healthy cell came back before the pool broke, or shares its error
+    assert len(result.rows) == 1 or messages["c00001"].startswith(broken)
+    assert json.loads(result.summary_path.read_text())["errors"] == result.summary["errors"]
+    assert result.csv_path.exists()
+
+    monkeypatch.setattr(cli, "load_config", lambda path: config)
+    code = cli.main(["sweep", "--config", "dying.json", "--threads", "2", "--out", str(tmp_path / "c")])
+    assert code == cli.EXIT_CONFIG
 
 
 def test_sweep_isolates_cell_failures():
