@@ -16,14 +16,17 @@ run serially.
 
 ``verify.run_plan`` decides which controller runs on which seed: ``simulate``
 and ``sweep`` run it with the config's trials, ``verify`` with one.  ``audit``
-audits every distinct controller of both plans; ``sweep`` does not audit.
+audits every distinct controller of both plans, and prints an error line for
+one its model refuses; ``sweep`` does not audit.
 ``sweep`` and ``verify`` score the plan's cells through ``verify.run_cells``;
 ``verify`` hands it the controllers its audit resolved, pools ``trials``
 traces per cell and stops at the first cell that raises.
 
 Exit codes:
     0   success
-    2   configuration problem (bad JSON, unknown kinds or keys, invalid values)
+    2   configuration problem (bad JSON, unknown kinds or keys, invalid values);
+        ``audit`` exits 2 when a model refused a controller and every
+        controller it could resolve passed
     3   filesystem problem (unreadable config, unwritable output)
     4   a bound was violated, or analytic routes disagreed
     5   a controller failed a causality audit
@@ -197,8 +200,9 @@ def _audited(config: ExperimentConfig, plans):
     """Resolve and audit each distinct controller of the plans with ``plans`` trials.
 
     Probes come from the same cell of the salted plan.  A controller is one
-    (model, spec entry, ``cell.used_seed``).
-    Yields (trials, cell, controller, open report, closed report).
+    (model, spec entry, ``cell.used_seed``).  Yields (trials, cell, audited,
+    error): audited is (controller, open report, closed report), or None
+    with the ValueError of a controller its model refuses.
     """
     seen = set()
     for trials in plans:
@@ -208,19 +212,32 @@ def _audited(config: ExperimentConfig, plans):
             if key in seen:
                 continue
             seen.add(key)
-            controller = resolve_controller(cell.spec, cell.model, cell.controller_seed)
+            try:
+                controller = resolve_controller(cell.spec, cell.model, cell.controller_seed)
+            except ValueError as exc:
+                yield trials, cell, None, exc
+                continue
             probe = audit_cell.controller_seed
             open_rep = causality_audit(controller, seed=probe)
             closed_rep = closed_loop_causality_check(cell.model, controller, seed=probe)
-            yield trials, cell, controller, open_rep, closed_rep
+            yield trials, cell, (controller, open_rep, closed_rep), None
 
 
 def cmd_audit(config: ExperimentConfig) -> int:
     # the one-trial plan is what verify scores, the config's plan what
-    # simulate and sweep run; a line for the latter names its trial
-    failed = False
+    # simulate and sweep run; a line for the latter names its trial.  A
+    # controller its model refuses prints an error line, and the rest are
+    # still audited
+    failed = refused = False
     plans = sorted({1, config.trials})
-    for trials, cell, _, open_rep, closed_rep in _audited(config, plans):
+    for trials, cell, audited, error in _audited(config, plans):
+        trial = f" t{cell.trial}" if trials > 1 else ""
+        name = f"{cell.model_name} / {cell.label}{trial}"
+        if error is not None:
+            refused = True
+            print(f"{'error':6s} {name}: {error}")
+            continue
+        _, open_rep, closed_rep = audited
         ok = open_rep.passed and closed_rep.passed
         failed = failed or not ok
         detail = ""
@@ -228,13 +245,12 @@ def cmd_audit(config: ExperimentConfig) -> int:
             detail += f" open-loop violations at {list(open_rep.violations[:3])}"
         if not closed_rep.passed:
             detail += f" closed-loop violations at {list(closed_rep.violations[:3])}"
-        trial = f" t{cell.trial}" if trials > 1 else ""
         print(
-            f"{'ok' if ok else 'FAILED':6s} {cell.model_name} / {cell.label}{trial}: "
+            f"{'ok' if ok else 'FAILED':6s} {name}: "
             f"open {open_rep.trials} trials, closed {closed_rep.trials} trials"
             f"{detail}"
         )
-    return EXIT_CAUSALITY if failed else EXIT_OK
+    return EXIT_CAUSALITY if failed else EXIT_CONFIG if refused else EXIT_OK
 
 
 def cmd_verify(config: ExperimentConfig, out_dir: Optional[str]) -> int:
@@ -242,7 +258,10 @@ def cmd_verify(config: ExperimentConfig, out_dir: Optional[str]) -> int:
     # resolved once, so the object audited is the one scored
     pairs = []
     audit_failed = False
-    for _, cell, controller, open_rep, closed_rep in _audited(config, [1]):
+    for _, cell, audited, error in _audited(config, [1]):
+        if error is not None:
+            raise error
+        controller, open_rep, closed_rep = audited
         pairs.append((cell, controller))
         if not (open_rep.passed and closed_rep.passed):
             audit_failed = True

@@ -45,7 +45,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import linalg as sla
-from scipy import signal
 
 from .distributions import (
     _TWO_PI_E, GaussianVector, GeneralizedGaussian, _gaussian_entropy_bits, as_rng
@@ -203,6 +202,53 @@ def _rational_spectrum(sigma2: float, ar: tuple, ma: tuple) -> SpectralDensity:
         return out
 
     return SpectralDensity(evaluate=evaluate)
+
+
+def _df2t(b, a, x: np.ndarray, zi) -> np.ndarray:
+    """Output of the filter b/a on x from state zi, a[0] == 1, len(zi) = n.
+
+    The direct-form-II-transposed update of ``scipy.signal.lfilter``,
+    operation for operation, on Python floats: y = z_0 + b_0 x, then
+    z_j = (z_{j+1} + b_{j+1} x) - a_{j+1} y and z_{n-1} = b_n x - a_n y, with
+    b and a zero-padded to n + 1 taps and each b_j x column taken once from
+    numpy.  A pure MA filter (a = [1]) takes lfilter's convolution instead.
+    State sizes 1 and 2 are written out: the generic loop costs about three
+    times as much per sample.
+    """
+    n = len(zi)
+    if len(a) == 1:
+        out = np.convolve(b, x)
+        out[:n] += zi
+        return out[: len(x)]
+    taps = np.zeros((2, n + 1))
+    taps[0, : len(b)] = b
+    taps[1, : len(a)] = a
+    columns = zip(*np.multiply.outer(taps[0], x).tolist())
+    a = taps[1].tolist()
+    z = np.asarray(zi, dtype=float).tolist()
+    out = []
+    append = out.append
+    if n == 1:
+        (a1,), (z0,) = a[1:], z
+        for u0, u1 in columns:
+            y = z0 + u0
+            z0 = u1 - y * a1
+            append(y)
+    elif n == 2:
+        (a1, a2), (z0, z1) = a[1:], z
+        for u0, u1, u2 in columns:
+            y = z0 + u0
+            z0 = (z1 + u1) - y * a1
+            z1 = u2 - y * a2
+            append(y)
+    else:
+        for u in columns:
+            y = z[0] + u[0]
+            for j in range(n - 1):
+                z[j] = (z[j + 1] + u[j + 1]) - y * a[j + 1]
+            z[n - 1] = u[n] - y * a[n]
+            append(y)
+    return np.array(out)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -372,14 +418,13 @@ class GaussARMA(_ScalarLinear):
         n_state = max(p, q)
         if n_state == 0:
             return rng.normal(0.0, sigma, size=length)
-        # Direct-form-II-transposed filter state s obeys
-        # s_k = A s_{k-1} + B w_k; draw s_{-1} from its stationary law so the
-        # emitted path is stationary from the very first sample.
+        # The DF2T recursion's state s obeys s_k = A s_{k-1} + B w_k; draw
+        # s_{-1} from its stationary law so the emitted path is stationary
+        # from the very first sample.
         init = _state_factor(self) @ rng.standard_normal(n_state)
         w = rng.normal(0.0, sigma, size=length)
         b_poly = np.concatenate(([1.0], np.asarray(self.ma)))
-        path, _ = signal.lfilter(b_poly, _ar_poly(self.ar), w, zi=init)
-        return path
+        return _df2t(b_poly, _ar_poly(self.ar), w, init)
 
     def conditional_entropy_bits(self, k):
         self._check_step(k)
@@ -419,7 +464,8 @@ class GenGaussAR(_ScalarLinear):
         w = self.innovation.sample(length + burn, rng)
         if not self.ar:
             return w
-        path = signal.lfilter([1.0], _ar_poly(self.ar), w)
+        # the DF2T recursion from a zero state; the burn-in forgets it
+        path = _df2t([1.0], _ar_poly(self.ar), w, np.zeros(len(self.ar)))
         return path[burn:]
 
 
@@ -556,7 +602,7 @@ def _ladder_variances(model: DisturbanceModel, order: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _filter_state_cov(model: GaussARMA) -> np.ndarray:
-    """Stationary covariance of the lfilter (DF2T) internal state."""
+    """Stationary covariance of the ``_df2t`` recursion's state z_0..z_{n-1}."""
     p, q = len(model.ar), len(model.ma)
     n = max(p, q)
     phi = np.zeros(n)

@@ -4,7 +4,10 @@ import csv
 import importlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +318,24 @@ def test_resolve_threads(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# cold start
+
+
+def test_cold_start_leaves_the_heavy_scipy_subpackages_unloaded():
+    # scipy.signal alone cost 0.9 s of a 1.4 s import; the ARMA paths run
+    # their own DF2T recursion.  A scipy release whose linalg, sparse,
+    # spatial or special starts importing one of these fails here.
+    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.ndimage"]
+    code = f"import sys, entrolim, entrolim.cli\nprint(*[m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(el.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert loaded == []
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 
 
@@ -544,6 +565,54 @@ def test_audit_flags_anticipatory(tmp_path, capsys):
     )
     assert cli.main(["audit", "--config", path]) == cli.EXIT_CAUSALITY
     assert "FAILED" in capsys.readouterr().out
+
+
+GRID_CONTROLLERS = [
+    {"kind": "zero"},
+    {"kind": "predictor"},
+    {"kind": "learned", "train_steps": 8000},
+    {"kind": "random"},
+]
+
+
+@pytest.mark.parametrize("models", [[AR1_SPEC, VEC_SPEC], [VEC_SPEC, AR1_SPEC]])
+def test_audit_reports_a_refused_controller_and_audits_the_rest(tmp_path, capsys, models):
+    # vec x learned and vec x random are refused; every other cell, before or
+    # after them, is still audited, and the run exits 2
+    raw = {"models": models, "controllers": GRID_CONTROLLERS, "horizon": 12_000}
+    path = _write_config(tmp_path, raw)
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_CONFIG
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(line.split(":")[0] for line in lines) == [
+        "error  vec / learned",
+        "error  vec / random",
+        "ok     ar1 / learned",
+        "ok     ar1 / predictor",
+        "ok     ar1 / random",
+        "ok     ar1 / zero",
+        "ok     vec / predictor",
+        "ok     vec / zero",
+    ]
+    assert "error  vec / learned: learned controllers support scalar models only" in lines
+
+
+def test_audit_failure_outranks_a_refused_controller(tmp_path, capsys):
+    raw = {
+        "models": [VEC_SPEC, AR1_SPEC],
+        "controllers": [{"kind": "random"}, {"kind": "anticipatory"}],
+    }
+    path = _write_config(tmp_path, raw)
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_CAUSALITY
+    out = capsys.readouterr().out
+    assert "error  vec / random" in out and "FAILED ar1 / anticipatory" in out
+
+
+def test_verify_exits_2_on_a_refused_controller_before_scoring(tmp_path, capsys):
+    path = _write_config(tmp_path, {"models": [VEC_SPEC], "controllers": [{"kind": "random"}]})
+    out_dir = tmp_path / "v"
+    assert cli.main(["verify", "--config", path, "--out", str(out_dir)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: random controllers support scalar models only\n")
+    assert not out_dir.exists()
 
 
 def test_verify_refuses_anticipatory_controller(tmp_path, capsys):

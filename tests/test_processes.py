@@ -253,6 +253,69 @@ def test_sample_path_reproducible():
     assert np.array_equal(model.sample_path(64, 3), model.sample_path(64, 3))
 
 
+def _lfilter(b, a, x, zi):
+    from scipy import signal  # the package itself no longer imports it
+
+    return signal.lfilter(b, a, x, zi=zi)[0]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("q", range(5))
+@pytest.mark.parametrize("p", range(5))
+def test_df2t_is_lfilter_bit_for_bit(p, q):
+    # the ARMA paths run lfilter's DF2T update on Python floats: state sizes 1
+    # and 2 written out, 3 and 4 through the generic loop, a pure MA filter
+    # through the convolution; from a stationary state (GaussARMA's call) and
+    # from zeros (GenGaussAR's, when q = 0).  lfilter's C loop may fuse
+    # multiply-adds on other builds, so this runs against the pinned scipy.
+    rng = np.random.default_rng(10 * p + q)
+    n = max(p, q)
+    for trial in range(6):
+        # sum |c_i| < 1 keeps every AR and MA root outside the unit circle
+        ar = rng.uniform(-0.95, 0.95, p) / max(p, 1)
+        ma = rng.uniform(-0.95, 0.95, q) / max(q, 1)
+        model = GaussARMA(ar=tuple(ar), ma=tuple(ma), innovation_variance=rng.uniform(0.5, 2.0))
+        b, a = np.concatenate(([1.0], ma)), processes._ar_poly(model.ar)
+        stationary = processes._state_factor(model) @ rng.standard_normal(n) if n else np.zeros(0)
+        for length in (1, 2, 3, 300 + trial):
+            x = rng.normal(0.0, math.sqrt(model.innovation_variance), length)
+            for zi in (stationary, np.zeros(n)):
+                want = _lfilter(b, a, x, zi)
+                assert np.array_equal(_bits(processes._df2t(b, a, x, zi)), _bits(want))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        GaussARMA(ar=(0.9,)),
+        GaussARMA(ar=(0.5, 0.3), ma=(0.4,)),
+        GaussARMA(ma=(0.6, -0.2)),
+        GaussARMA(ar=(0.3, -0.2, 0.1), ma=(0.4, 0.2, 0.1, 0.05)),
+        GenGaussAR(ar=(0.6, -0.2), innovation=GeneralizedGaussian.laplace(0.5)),
+    ],
+    ids=lambda m: m.descriptor,
+)
+def test_arma_sample_paths_are_lfilter_paths(model):
+    # the draw order: GaussARMA's stationary state, then its innovations;
+    # GenGaussAR's innovations from a zero state, burn-in dropped
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        b = np.concatenate(([1.0], model.ma))
+        a = processes._ar_poly(model.ar)
+        if isinstance(model, GaussARMA):
+            zi = processes._state_factor(model) @ rng.standard_normal(max(len(model.ar), len(b) - 1))
+            w = rng.normal(0.0, math.sqrt(model.innovation_variance), 400)
+            want = _lfilter(b, a, w, zi)
+        else:
+            burn = 10 * model.effective_memory()
+            w = model.innovation.sample(400 + burn, rng)
+            want = _lfilter(b, a, w, np.zeros(len(model.ar)))[burn:]
+        assert np.array_equal(_bits(model.sample_path(400, seed)), _bits(want))
+
+
 def test_rejects_unstable_and_noninvertible():
     with pytest.raises(ValueError, match="AR"):
         GaussARMA(ar=(1.05,))
