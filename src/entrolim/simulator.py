@@ -26,7 +26,9 @@ recursion, and both audits check this on their first trial.
 ``zero``, the scalar ``predictor`` and ``learned`` are one FIR law on d = e - z,
 run by one step and one kernel; their ``taps`` ladder is data: empty (the
 zero law, also ``random`` with memory 0 and a white model's predictor), the
-negated Levinson taps, or the learned prefixes.  The vector predictor and
+negated Levinson taps, or the learned prefixes.  A ladder frozen at order 1
+or 2 sums on Python floats, in order from 0.0, and that step is the
+definition; higher orders make numpy's ``@`` dot.  The vector predictor and
 ``random`` with memory >= 1 keep kernels of their own.
 
 Both audits, ``causality_audit`` (open loop) and
@@ -290,25 +292,35 @@ def _prediction_taps(model: DisturbanceModel) -> Ladder:
 
 
 def _fir_step(ladder: Ladder, e_hist, z_hist):
-    """The FIR law's step, which ``_fir_kernel`` repeats exactly."""
-    order = min(e_hist.shape[0], len(ladder) - 1)
+    """The FIR law's step, which ``_fir_kernel`` repeats exactly.  At top order 1 or
+    2 the definition is a Python-float sum in order from 0.0 (what ``@`` sums where
+    numpy does not fuse multiply-adds); higher orders make the ``@`` dot."""
+    top = len(ladder) - 1
+    order = min(e_hist.shape[0], top)
     if order == 0:
         return 0.0
     d_recent = e_hist[-order:] - z_hist[-order:]
-    return float(ladder[order] @ d_recent[::-1])
+    if top > 2:
+        return float(ladder[order] @ d_recent[::-1])
+    s = 0.0
+    for t, d in zip(ladder[order].tolist(), d_recent[::-1].tolist()):
+        s += t * d
+    return s
 
 
 def _fir_kernel(ladder: Ladder, x: np.ndarray, closed: bool):
     """Exact kernel of the FIR law z_k = s on d_j = e_j - z_j,
 
-        s = float(ladder[min(k, top)] @ d_recent[::-1]),  top = len(ladder) - 1,
+        s = ladder[min(k, top)] . (d_{k-1}, d_{k-2}, ...),  top = len(ladder) - 1,
 
-    with d_recent the last min(k, top) reconstructed disturbances.  Each
-    step makes that same dot, with the same taps array and a reversed
-    (negatively strided) view of a preallocated d array as the operand, so
-    numpy picks the same loop and the sum rounds as in ``_fir_step`` (where
-    ``np.dot`` would not): a slice while k < top, then row n - k of one window
-    view.  The empty ladder (top 0) gives z = 0 without a loop, in any dimension.
+    summed as ``_fir_step`` sums it.  Orders 1 and 2 are written out on
+    Python floats, with d_{k-1} and d_{k-2} in locals and no numpy call per
+    step.  From order 3 each step makes the step's ``@`` dot, with the same
+    taps array and a reversed (negatively strided) view of a preallocated d
+    array as the operand, so numpy picks the same loop and the sum rounds as
+    in ``_fir_step`` (where ``np.dot`` would not): a slice while k < top, then
+    row n - k of one window view.  The empty ladder (top 0) gives z = 0
+    without a loop, in any dimension.
     """
     z = np.zeros_like(x)
     top = len(ladder) - 1
@@ -316,9 +328,27 @@ def _fir_kernel(ladder: Ladder, x: np.ndarray, closed: bool):
         return z, (x + z if closed else x)
     n = x.shape[0]
     xs = x.tolist()
+    zs, es = [], []
+    if top <= 2:  # z_{k+1} is summed once step k is written
+        zk = 0.0
+        (w,) = ladder[1].tolist()  # z_1's tap, and every step's at order 1
+        for xk in xs if top == 1 else xs[:1]:
+            ek = xk + zk if closed else xk
+            zs.append(zk)
+            es.append(ek)
+            d1 = ek - zk
+            zk = 0.0 + w * d1
+        if top == 2:
+            t0, t1 = ladder[2].tolist()
+            for xk in xs[1:]:
+                ek = xk + zk if closed else xk
+                zs.append(zk)
+                es.append(ek)
+                d2, d1 = d1, ek - zk
+                zk = (0.0 + t0 * d1) + t1 * d2
+        return _outputs(x, zs, es, closed)
     ds = np.empty_like(x)
     rev = ds[::-1]  # rev[n - k :] is d_{k-1}, d_{k-2}, ..., d_0
-    zs, es = [], []
     for k in range(min(top, n)):
         zk = float(ladder[k] @ rev[n - k :]) if k else 0.0
         ek = xs[k] + zk if closed else xs[k]
@@ -404,15 +434,19 @@ def learned_controller(
     Regresses -d_k on [d_{k-1}, ..., d_{k-memory}] pooled over the training
     traces (d reconstructed as e - z) and plays the fitted taps in the
     loop.  A singular normal matrix falls back to ridge with lambda=1e-8.
+    A non-finite d is refused: its taps would be NaN.
     """
     if memory < 1:
         raise ValueError(f"memory must be >= 1, got {memory}")
     rows = []
     targets = []
-    for trace in training_traces:
+    for i, trace in enumerate(training_traces):
         d = trace.e - trace.z
         if d.ndim != 1:
             raise ValueError("learned_controller supports scalar traces only")
+        bad = np.flatnonzero(~np.isfinite(d))
+        if bad.size:
+            raise ValueError(f"training trace {i} has a non-finite disturbance at step {bad[0]}")
         if d.shape[0] <= memory:
             continue
         window = np.lib.stride_tricks.sliding_window_view(d, memory)

@@ -4,10 +4,11 @@ open-loop response.
 
 The kernels repeat their step's arithmetic: the FIR policies (zero, the
 scalar predictor, learned, and random with memory 0) share one step and one
-kernel, which make the same ``@`` dot on a negatively strided view of a
-preallocated history (a slice, or a row of a window view), the vector
-predictor the same ``np.dot`` gemv with out=, and ``random`` with memory
->= 1 repeats its step's Python-float law inline.
+kernel, which sum a ladder frozen at order 1 or 2 on Python floats, in order
+from 0.0, and make the same ``@`` dot on a negatively strided view of a
+preallocated history (a slice, or a row of a window view) from order 3; the
+vector predictor makes the same ``np.dot`` gemv with out=, and ``random``
+with memory >= 1 repeats its step's Python-float law inline.
 These tests are what catches a numpy whose results depend on anything else
 (alignment, out=, the kind of view).
 """
@@ -67,7 +68,7 @@ def _cases():
         top = 1 if pred.taps is None else len(pred.taps) - 1
         yield f"predictor-{name}", model, pred, top
     for name, model in SCALAR_MODELS.items():
-        for memory in (1, 3, 40):
+        for memory in (1, 2, 3, 40):
             yield f"learned{memory}-{name}", model, _learned(model, memory), memory
         for memory in (0, 1, 2, 3, 5):
             ctrl = el.random_causal_controller(seed=5, memory=memory, gain_cap=0.7)
@@ -90,7 +91,11 @@ def assert_same_bits(got, want):
 
 def test_cases_cover_the_frozen_orders():
     tops = {case_id: top for case_id, _, _, top in CASES}
-    assert tops["predictor-ar1"] == 1
+    for case_id, _, ctrl, top in CASES:
+        assert ctrl.taps is None or len(ctrl.taps) - 1 == top, case_id
+    # orders 1 and 2 run the written-out Python-float sums, 16 and up the @ dot
+    assert tops["predictor-ar1"] == tops["learned1-ar1"] == 1
+    assert tops["predictor-ar2"] == tops["learned2-ar2"] == 2
     assert tops["predictor-arma21"] == 16
     assert tops["predictor-ma099"] == simulator._TAP_ORDER_CAP
 
@@ -109,7 +114,7 @@ def test_zero_law_is_the_empty_ladder():
 def test_fir_ladders_are_read_only_data():
     fir = [(case_id, ctrl.taps) for case_id, _, ctrl, _ in CASES if ctrl.taps is not None]
     assert {case_id.split("-")[0] for case_id, _ in fir} == {
-        "zero", "predictor", "learned1", "learned3", "learned40", "random0"
+        "zero", "predictor", "learned1", "learned2", "learned3", "learned40", "random0"
     }
     for case_id, ladder in fir:
         for order, taps in enumerate(ladder):

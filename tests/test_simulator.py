@@ -4,6 +4,7 @@ stage composition, causality audits, and trace serialization.
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -223,6 +224,77 @@ def test_learned_controller_validation():
     vec_trace = el.run_loop(vec_model, el.zero_controller(dim=2), 50, seed=0)
     with pytest.raises(ValueError, match="scalar"):
         el.learned_controller([vec_trace], memory=2)
+
+
+def test_learned_controller_refuses_non_finite_training_data():
+    # NaN taps would fail both causality audits at every step: a verdict by accident
+    good = el.run_loop(AR1, el.zero_controller(), 200, seed=0)
+    for bad in (math.inf, -math.inf, math.nan):
+        d = good.d.copy()
+        d[57] = bad
+        trace = dataclasses.replace(good, d=d, e=d + good.z)
+        with pytest.raises(ValueError, match="training trace 1 has a non-finite .* step 57"):
+            el.learned_controller([good, trace], memory=2)
+
+
+def _at_step(ladder, e_hist, z_hist):
+    """The FIR step with ``@`` at every order: one dot per call on a negatively
+    strided view."""
+    order = min(e_hist.shape[0], len(ladder) - 1)
+    if order == 0:
+        return 0.0
+    d_recent = e_hist[-order:] - z_hist[-order:]
+    return float(ladder[order] @ d_recent[::-1])
+
+
+def _at_kernel(ladder, x, closed):
+    """The FIR kernel with ``@`` at every order, on a reversed view of a preallocated d."""
+    n, top = x.shape[0], len(ladder) - 1
+    ds = np.empty(n)
+    rev = ds[::-1]  # rev[n - k :] is d_{k-1}, d_{k-2}, ..., d_0
+    zs, es = [], []
+    for k, xk in enumerate(x.tolist()):
+        order = min(k, top)
+        zk = float(ladder[order] @ rev[n - k : n - k + order]) if order else 0.0
+        ek = xk + zk if closed else xk
+        zs.append(zk)
+        es.append(ek)
+        ds[k] = ek - zk
+    return np.array(zs), (np.array(es) if closed else x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fir_orders_one_and_two_equal_the_at_recursion_they_replace():
+    # numpy's @ on a negatively strided operand sums in order from 0 without
+    # BLAS, so on the pinned x86-64 numpy (no fused multiply-add) it rounds as
+    # the Python-float sums; where numpy fuses, order 2 may differ and the
+    # Python-float step is the definition
+    bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+    rng = np.random.default_rng(20)
+    ladders = [
+        simulator.predictor_controller(AR1).taps,
+        simulator.predictor_controller(AR2).taps,
+        simulator._read_only([np.zeros(0), np.array([-0.0])]),
+        simulator._read_only([np.zeros(0), np.array([0.4]), np.array([-0.0, 0.7])]),
+        simulator._read_only([np.zeros(0), np.array([-0.0]), np.array([1.3, -0.0])]),
+    ]
+    ladders += [
+        simulator._read_only([rng.standard_normal(j) for j in range(top + 1)])
+        for top in (1, 2) for _ in range(4)
+    ]
+    for ladder in ladders:
+        ctrl = el.ControllerPolicy(taps=ladder)
+        at = el.ControllerPolicy(step=partial(_at_step, ladder))
+        for n in (1, 2, 3, 300):
+            for bad in (math.nan, math.inf, -math.inf, -0.0, 0.0):
+                x = 3.0 * rng.standard_normal(n)
+                x[0] = -0.0
+                x[rng.integers(n)] = bad
+                for closed in (True, False):
+                    for got, want in zip(ctrl.kernel(x, closed), _at_kernel(ladder, x, closed)):
+                        assert np.array_equal(bits(got), bits(want))
+                    for got, want in zip(ctrl.step_recursion(x, closed), at.step_recursion(x, closed)):
+                        assert np.array_equal(bits(got), bits(want))
 
 
 def test_random_controller_respects_gain_cap():
