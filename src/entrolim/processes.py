@@ -533,9 +533,9 @@ class VectorGaussAR(DisturbanceModel):
         prev = _state_factor(self) @ rng.standard_normal(self.dim)
         noise = self._noise.sample(length, rng)
         out = np.empty((length, self.dim))
-        # d_k = A d_{k-1} + w_k into row k; np.dot is the same gemv as @, cheaper
-        for row, w in zip(out, noise):
-            np.dot(a, prev, out=row)
+        dot = a.dot  # @'s gemv, without np.dot's dispatcher
+        for row, w in zip(out, noise):  # d_k = A d_{k-1} + w_k into row k
+            dot(prev, row)
             row += w
             prev = row
         return out

@@ -21,15 +21,18 @@ sequence) both go through ``ControllerPolicy.run``.
 reference and runs for any policy built without a kernel; each built-in
 controller carries an exact kernel that repeats its ``step``'s arithmetic
 operation for operation, so its outputs are bit-identical to that
-recursion, and both audits check this on their first trial.
+recursion, and both audits check this on their first trial.  The one
+exception is the sign of a NaN where two NaNs meet in Python-float
+arithmetic, which CPython does not fix; the check takes every NaN as one.
 
 ``zero``, the scalar ``predictor`` and ``learned`` are one FIR law on d = e - z,
 run by one step and one kernel; their ``taps`` ladder is data: empty (the
 zero law, also ``random`` with memory 0 and a white model's predictor), the
 negated Levinson taps, or the learned prefixes.  A ladder frozen at order 1
 or 2 sums on Python floats, in order from 0.0, and that step is the
-definition; higher orders make numpy's ``@`` dot.  The vector predictor and
-``random`` with memory >= 1 keep kernels of their own.
+definition; higher orders make numpy's ``@`` dot.  The vector predictor
+(z_k = (-A) d_{k-1}, one gemv) and ``random`` with memory >= 1 (written out
+on locals at its default memory 3) keep kernels of their own.
 
 Both audits, ``causality_audit`` (open loop) and
 ``closed_loop_causality_check``, run one probe loop, ``_probe_loop``: draw,
@@ -133,19 +136,11 @@ class ControllerPolicy:
     def step_recursion(self, x: np.ndarray, closed: bool):
         """The reference kernel: one ``step`` call per sample."""
         z = np.zeros_like(x)
-        if x.shape[0] == 0:
-            return z, x
-        z[0] = self.initial_output
-        step = self.step
-        if not closed:
-            for k in range(1, x.shape[0]):
-                z[k] = step(x[:k], z[:k])
-            return z, x
-        e = np.zeros_like(x)
-        e[0] = x[0] + z[0]
-        for k in range(1, x.shape[0]):
-            z[k] = step(e[:k], z[:k])
-            e[k] = x[k] + z[k]
+        e = np.zeros_like(x) if closed else x
+        for k in range(x.shape[0]):
+            z[k] = self.step(e[:k], z[:k]) if k else self.initial_output
+            if closed:
+                e[k] = x[k] + z[k]
         return z, e
 
     def respond(self, errors: np.ndarray) -> np.ndarray:
@@ -179,9 +174,6 @@ class SimulationTrace:
     @property
     def length(self) -> int:
         return self.d.shape[0]
-
-    def check_loop_identity(self, atol: float = 0.0) -> bool:
-        return np.allclose(self.e, self.d + self.z, rtol=0.0, atol=atol)
 
 
 def run_loop(
@@ -227,36 +219,32 @@ def predictor_controller(model: DisturbanceModel) -> ControllerPolicy:
     under the stationary start), frozen at the order where the prediction
     error variance has converged to the innovation variance.  For a pure
     AR(p) model that order is p and the taps are the negated AR coefficients;
-    for a white model it is 0 and the policy is the zero law.
+    for a white model it is 0 and the policy is the zero law.  The vector
+    model's policy is z_k = (-A) d_{k-1}, with -A inside the gemv; a gemv is
+    odd in A, so this is -(A d_{k-1}) up to the sign of exact zeros.
     """
     descriptor = f"predictor[{model.descriptor}]"
     if isinstance(model, VectorGaussAR):
-        a = model.transition_matrix
+        neg_a = -model.transition_matrix
 
         def step_vec(e_hist, z_hist):
-            d_prev = e_hist[-1] - z_hist[-1]
-            return -np.dot(a, d_prev)
+            return neg_a.dot(e_hist[-1] - z_hist[-1])
 
         def kernel_vec(x, closed):
-            # step_vec's np.dot (the gemv @ makes, cheaper per call) and ufuncs on
-            # rows the array iterator hands out: C-order outputs, no history slices
-            z = np.zeros_like(x, order="C")
+            # step_vec's ufuncs and gemv (the bound dot skips np.dot's dispatcher) on
+            # rows the array iterator hands out, out= positional: C-order z, no
+            # history slices, and one spare row for the z_n the last step writes
+            n, m = x.shape
+            z = np.zeros((n + 1, m))
             e = np.zeros_like(x) if closed else x
-            if not x.shape[0]:
-                return z, e
-            d_prev = np.empty(model.dim)
-            rows = zip(z, e, x)
-            z_prev, e_prev, x_0 = next(rows)
-            if closed:
-                np.add(x_0, z_prev, out=e_prev)
-            for z_k, e_k, x_k in rows:
-                np.subtract(e_prev, z_prev, out=d_prev)
-                np.dot(a, d_prev, out=z_k)
-                np.negative(z_k, out=z_k)
+            d_prev = np.empty(m)
+            dot, add, subtract = neg_a.dot, np.add, np.subtract
+            for x_k, z_k, e_k, z_next in zip(x, z, e, z[1:]):
                 if closed:
-                    np.add(x_k, z_k, out=e_k)
-                z_prev, e_prev = z_k, e_k
-            return z, e
+                    add(x_k, z_k, e_k)
+                subtract(e_k, z_k, d_prev)
+                dot(d_prev, z_next)
+            return z[:n], e
 
         return ControllerPolicy(
             step=step_vec,
@@ -390,30 +378,25 @@ def random_causal_controller(
     rng = as_rng(seed)
     if not memory:
         return ControllerPolicy(taps=_ZERO_LAW, descriptor=descriptor)
-    weights = rng.uniform(-1.0, 1.0, size=memory)
+    taps = rng.uniform(-1.0, 1.0, size=memory).tolist()
     bias = float(rng.uniform(-0.5, 0.5))
 
-    taps = weights.tolist()
-
-    # the law on Python floats: the dot is summed in order with one rounding
-    # per operation on every platform, and min/max give np.clip's result (NaN
-    # and -0.0 included) at a fraction of its cost
-    def law(recent):
-        """z_k from the errors e_{k-1}, e_{k-2}, ... (the first ``memory`` count)."""
+    def step(e_hist, z_hist):
+        # the law on Python floats, from e_{k-1}, e_{k-2}, ... (the first ``memory``
+        # count): the dot summed in order with one rounding per operation on every
+        # platform, min/max for np.clip's result (NaN and -0.0 included); with no
+        # history the bias alone, which bias + 0.0 would make +0.0 for a -0.0 bias
+        recent = e_hist[::-1][:memory].tolist()
         s = 0.0
         for t, past in zip(taps, recent):
             s += t * past
-        return min(max(bias + s, -cap), cap)
-
-    def step(e_hist, z_hist):
-        # law([]) would give bias + 0.0, which is +0.0 for a -0.0 bias
-        recent = e_hist[::-1][:memory].tolist()
-        return law(recent) if recent else min(max(bias, -cap), cap)
+        return min(max(bias + s if recent else bias, -cap), cap)
 
     def kernel(x, closed):
         # law inline: its products summed in order; comparisons pick min/max's value, NaN too
+        xs = x.tolist()
         zs, es = [], []
-        for xk in x.tolist():
+        for xk in xs if memory != 3 else xs[:3]:
             s = 0.0
             for term in map(mul, taps, reversed(es)):  # t_i * e_{k-1-i}
                 s += term
@@ -421,6 +404,17 @@ def random_causal_controller(
             zk = (-cap if zk < -cap else cap if zk > cap else zk) if es else 0.0
             zs.append(zk)
             es.append(xk + zk if closed else xk)
+        if memory != 3 or len(xs) <= 3:
+            return _outputs(x, zs, es, closed)
+        # memory 3 (the default) from step 3 on, written out on locals: e1 is e_{k-1}
+        t0, t1, t2 = taps
+        e3, e2, e1 = es
+        for xk in xs[3:]:
+            zk = bias + (((0.0 + t0 * e1) + t1 * e2) + t2 * e3)
+            zk = -cap if zk < -cap else cap if zk > cap else zk
+            e3, e2, e1 = e2, e1, (xk + zk if closed else xk)
+            zs.append(zk)
+            es.append(e1)
         return _outputs(x, zs, es, closed)
 
     return ControllerPolicy(step=step, descriptor=descriptor, kernel=kernel)
@@ -652,7 +646,12 @@ def _kernel_check(controller, x, closed, outputs) -> list[tuple[int, int]]:
 
 
 def _bits(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+    """The float64 bits of ``a`` with every NaN as one.  Which operand's NaN a
+    Python float + or * returns changes once CPython specializes the bytecode,
+    so a Python-float kernel's NaN signs vary from call to call."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.view(np.uint64)
 
 
 class _AnticipatoryPolicy(ControllerPolicy):

@@ -7,13 +7,27 @@ scalar predictor, learned, and random with memory 0) share one step and one
 kernel, which sum a ladder frozen at order 1 or 2 on Python floats, in order
 from 0.0, and make the same ``@`` dot on a negatively strided view of a
 preallocated history (a slice, or a row of a window view) from order 3; the
-vector predictor makes the same ``np.dot`` gemv with out=, and ``random``
-with memory >= 1 repeats its step's Python-float law inline.
+vector predictor makes its step's subtract, add and (-A) gemv through the
+bound ``ndarray.dot`` with out=, and ``random`` with memory >= 1 repeats its
+step's Python-float law inline, written out on locals at memory 3.
 These tests are what catches a numpy whose results depend on anything else
 (alignment, out=, the kind of view).
+
+Bits are compared exactly, NaN signs included, where a single NaN sign can
+arise or only numpy arithmetic runs (the vector predictor).  Where NaNs of
+both signs meet in Python-float arithmetic, which one comes back is not
+fixed (CPython's float + and * change operand order once the bytecode is
+specialized), so those comparisons take every NaN as one, as the audits'
+kernel check does; test_python_float_nan_signs_change_once_the_kernel_is_warm
+shows why.
 """
 
 import math
+import os
+import subprocess
+import sys
+from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,10 +218,165 @@ def test_random_kernel_at_a_signed_zero_bias_and_the_cap(monkeypatch, weights, b
 
 
 def test_vector_kernel_writes_c_order_rows_for_any_input_layout():
-    # np.dot writes only into C-contiguous rows; a Fortran-ordered input
-    # must not hand it Fortran-ordered outputs
+    # a dot with out= writes only into C-contiguous rows; a Fortran-ordered
+    # input must not hand it Fortran-ordered outputs
     ctrl = el.predictor_controller(VECTOR_MODELS["vec4"])
     d = np.asfortranarray(VECTOR_MODELS["vec4"].sample_path(50, 2))
     assert_same_bits(ctrl.respond(d), ctrl.step_recursion(d, False)[0])
     for got, want in zip(ctrl.kernel(d, True), ctrl.step_recursion(d, True)):
         assert_same_bits(got, want)
+
+
+def _four_call_vector_kernel(a, x, closed):
+    """The vector predictor's kernel under its former law z_k = -(A d_{k-1}):
+    per step a subtract, np.dot with out=, a negative and an add."""
+    z = np.zeros_like(x, order="C")
+    e = np.zeros_like(x) if closed else x
+    d_prev = np.empty(x.shape[1])
+    for k in range(x.shape[0]):
+        if k:
+            np.subtract(e[k - 1], z[k - 1], out=d_prev)
+            np.dot(a, d_prev, out=z[k])
+            np.negative(z[k], out=z[k])
+        if closed:
+            np.add(x[k], z[k], out=e[k])
+    return z, e
+
+
+def _uint64(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _random_vector_model(m, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (m, m))
+    a *= rng.uniform(0.1, 0.95) / np.max(np.abs(np.linalg.eigvals(a)))
+    b = rng.uniform(-1.0, 1.0, (m, m))
+    return el.VectorGaussAR(
+        transition=tuple(map(tuple, a)), innovation_covariance=tuple(map(tuple, b @ b.T + np.eye(m)))
+    )
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_vector_minus_a_law_is_the_negated_gemv_it_replaced(m):
+    # IEEE rounding is symmetric in sign, so the gemv is odd in A: (-A) d equals
+    # -(A d) wherever that is non-zero and finite, on any BLAS
+    for seed in range(200):
+        model = _random_vector_model(m, seed)
+        ctrl, a = el.predictor_controller(model), model.transition_matrix
+        d = model.sample_path(40, seed)
+        for closed in (True, False):
+            want = _four_call_vector_kernel(a, d, closed)
+            for run in (ctrl.kernel, ctrl.step_recursion):
+                for got, old in zip(run(d, closed), want):
+                    assert np.array_equal(_uint64(got), _uint64(old))
+        # an all-zero first row makes A d_0 exactly zero: z_1 may change only
+        # in the sign of its zeros (see test_simulator for this build's signs)
+        d[0] = 0.0
+        for closed in (True, False):
+            (z, e), (z_old, e_old) = ctrl.kernel(d, closed), _four_call_vector_kernel(a, d, closed)
+            assert (z[1] == 0.0).all() and (z_old[1] == 0.0).all()
+            z[1] = z_old[1] = 0.0
+            assert np.array_equal(_uint64(z), _uint64(z_old))
+            assert np.array_equal(_uint64(e), _uint64(e_old))
+
+
+def _generic_random_kernel(taps, bias, cap, x, closed):
+    """``random``'s kernel with one loop for every memory, as before memory 3 was
+    written out."""
+    zs, es = [], []
+    for xk in x.tolist():
+        s = 0.0
+        for term in map(mul, taps, reversed(es)):
+            s += term
+        zk = bias + s
+        zk = (-cap if zk < -cap else cap if zk > cap else zk) if es else 0.0
+        zs.append(zk)
+        es.append(xk + zk if closed else xk)
+    return np.array(zs), (np.array(es) if closed else x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_random_written_out_is_the_generic_loop(monkeypatch):
+    memory = 3
+    rng = np.random.default_rng(memory)
+    specials = (0.0, -0.0, math.nan, math.inf, -math.inf)
+    for trial in range(24):
+        if trial == 0:  # the cap hit exactly: 0.25 + 0.5 * 1.5 is 1.0
+            weights, bias, cap = [0.5] + [-0.0] * (memory - 1), 0.25, 1.0
+        else:
+            weights = rng.uniform(-1.0, 1.0, memory).tolist()
+            bias, cap = (-0.0, 0.0, 0.3, -0.45)[trial % 4], (0.5, 2.0, 1e9)[trial % 3]
+        monkeypatch.setattr(simulator, "as_rng", lambda seed: _Draws(weights, bias))
+        ctrl = el.random_causal_controller(seed=0, memory=memory, gain_cap=cap)
+        for n in (*range(1, memory + 3), 300):
+            x = np.full(n, 1.5) if trial == 0 else 3.0 * rng.standard_normal(n)
+            for _ in range(trial % 4):
+                x[rng.integers(n)] = specials[rng.integers(len(specials))]
+            for closed in (True, False):
+                want = _generic_random_kernel(weights, bias, cap, x, closed)
+                for got, old in zip(ctrl.kernel(x, closed), want):
+                    assert np.array_equal(simulator._bits(got), simulator._bits(old))
+                if trial == 0:
+                    assert (ctrl.kernel(x, closed)[0][1:] == 1.0).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kernel_check_passes_correct_kernels_on_several_non_finite_values():
+    # NaNs of both signs, planted and made (inf - inf), meet in every run
+    rng = np.random.default_rng(21)
+    policies = [
+        el.ControllerPolicy(taps=simulator._read_only([rng.uniform(-1.0, 1.0, j) for j in range(top + 1)]))
+        for top in range(1, 6) for _ in range(4)
+    ]
+    policies += [
+        el.random_causal_controller(seed=seed, memory=memory, gain_cap=cap)
+        for memory in range(6) for seed, cap in ((1, 0.5), (2, 1e9))
+    ]
+    policies += [el.predictor_controller(VECTOR_MODELS[name]) for name in ("vec2", "vec4")]
+    for ctrl in policies:
+        for n in (2, 5, 40):
+            x = 3.0 * rng.standard_normal((n,) if ctrl.dim == 1 else (n, ctrl.dim))
+            for _ in range(int(rng.integers(2, 5))):
+                x.flat[rng.integers(x.size)] = (math.nan, -math.nan, math.inf, -math.inf)[rng.integers(4)]
+            for closed in (True, False):
+                outputs = ctrl.run(x, closed)
+                assert simulator._kernel_check(ctrl, x, closed, outputs) == []
+                if ctrl.dim > 1:  # numpy arithmetic alone: the NaN signs agree too
+                    for got, want in zip(outputs, ctrl.step_recursion(x, closed)):
+                        assert np.array_equal(_uint64(got), _uint64(want))
+    # the check takes every NaN as one, and nothing else
+    nan_bits = simulator._bits([math.nan, -math.nan])
+    assert nan_bits[0] == nan_bits[1]
+    assert len(set(simulator._bits([0.0, -0.0, math.inf, -math.inf, math.nan]).tolist())) == 5
+
+
+def test_python_float_nan_signs_change_once_the_kernel_is_warm():
+    # why the kernel check takes every NaN as one: CPython's generic float + and
+    # its specialized one return different operands' NaNs, so an order-1 FIR
+    # kernel on x = [-NaN, +NaN] gives e_1 one sign in its first, cold call and
+    # the other once a 50-step call has specialized its adds.  A fresh
+    # interpreter runs it cold; where both signs agree the NaN loosening in
+    # simulator._bits may no longer be needed
+    code = (
+        "import math, numpy as np, entrolim as el\n"
+        "from entrolim import simulator\n"
+        "ctrl = el.ControllerPolicy(taps=simulator._read_only([np.zeros(0), np.array([0.7])]))\n"
+        "x = np.array([-math.nan, math.nan])\n"
+        "cold = ctrl.kernel(x, True)\n"
+        "ctrl.kernel(np.ones(50), True)\n"
+        "warm = ctrl.kernel(x, True)\n"
+        "for outputs in (cold, warm):\n"
+        "    assert simulator._kernel_check(ctrl, x, True, outputs) == []\n"
+        "print(*np.concatenate([cold[1], warm[1]]).view(np.uint64).tolist())"
+    )
+    src = str(Path(el.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    e0_cold, e1_cold, e0_warm, e1_warm = map(int, subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split())
+    assert e0_cold == e0_warm
+    if e1_cold == e1_warm:
+        pytest.skip("this CPython returns one NaN sign cold and warm")
+    assert e1_cold ^ e1_warm == 1 << 63
+    assert math.isnan(np.uint64(e1_cold).view(np.float64))

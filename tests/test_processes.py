@@ -476,8 +476,9 @@ def _random_vector_model(m: int) -> VectorGaussAR:
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_vector_sample_path_is_the_matmul_recursion(m):
-    # the vector path and predictor call np.dot, which makes the gemv call
-    # that @ makes: bit-equal to the @ recursions they replaced, on this BLAS
+    # the vector path calls the bound a.dot and the predictor (-A).dot, which make
+    # the gemv call that @ makes: bit-equal to the @ recursions they replaced on
+    # this BLAS (the predictor's -A law on finite draws: a gemv is odd in A)
     model = _random_vector_model(m)
     a = model.transition_matrix
     predictor = predictor_controller(model)

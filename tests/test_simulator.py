@@ -23,7 +23,7 @@ def test_loop_identity_is_exact():
         el.random_causal_controller(seed=7),
     ]:
         trace = el.run_loop(AR1, ctrl, 500, seed=3)
-        assert trace.check_loop_identity(atol=0.0)
+        assert np.array_equal(trace.e, trace.d + trace.z)
         assert trace.length == 500
 
 
@@ -295,6 +295,23 @@ def test_fir_orders_one_and_two_equal_the_at_recursion_they_replace():
                         assert np.array_equal(bits(got), bits(want))
                     for got, want in zip(ctrl.step_recursion(x, closed), at.step_recursion(x, closed)):
                         assert np.array_equal(bits(got), bits(want))
+
+
+def test_vector_predictor_gives_plus_zero_where_a_d_is_exactly_zero():
+    # the vector predictor's one output change under the (-A) law: where a row
+    # of A d_{k-1} is exactly zero, z_k is +0 where -(A d_{k-1}) gave -0.  This
+    # pins a gemv that sums each row from +0, as the pinned OpenBLAS does
+    model = el.VectorGaussAR(
+        transition=((0.5, 0.1, 0.0), (-0.2, 0.3, 0.1), (0.4, 0.4, 0.1)),
+        innovation_covariance=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    )
+    ctrl = el.predictor_controller(model)
+    d = model.sample_path(20, 0)
+    d[0] = 0.0
+    for closed in (True, False):
+        for z in (ctrl.kernel(d, closed)[0], ctrl.step_recursion(d, closed)[0]):
+            assert (z[1] == 0.0).all() and not np.signbit(z[1]).any()
+    assert np.signbit(-np.dot(model.transition_matrix, d[0])).all()
 
 
 def test_random_controller_respects_gain_cap():
