@@ -185,11 +185,10 @@ def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
         where = f"model {cell.model_name!r} / controllers[{entry}] t{cell.trial}"
         if name in cells:
             raise ConfigError(f"simulate: {cells[name][1]} and {where} would both write {name}")
-        cells[name] = cell, where
+        cells[name] = cell, where, resolve_controller(cell.spec, cell.model, cell.controller_seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, (cell, _) in cells.items():
-        controller = resolve_controller(cell.spec, cell.model, cell.controller_seed)
+    for name, (cell, _, controller) in cells.items():
         trace = run_loop(cell.model, controller, config.horizon, cell.trace_seed)
         save_trace(trace, out / name)
     print(f"wrote {len(cells)} trace(s) to {out}")

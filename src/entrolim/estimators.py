@@ -5,7 +5,7 @@ that makes it exactly unbiased for uniform data,
 
     H = mean_i [ ln(x_(i+m) - x_(i-m)) - psi(nu_i) ] + psi(n+1)   [nats]
 
-with window m = round(sqrt(n)), clamped indices at the edges and nu_i the
+with window m = round(n^(1/3)), clamped indices at the edges and nu_i the
 number of order-statistic gaps each spacing spans.  Joint entropies use the
 Kozachenko-Leonenko k-nearest-neighbour estimator with Euclidean balls, and
 mutual information is assembled as I = h(x) + h(y) - h(x, y), clipped at 0.
@@ -167,7 +167,8 @@ def lp_norm_estimate(samples: np.ndarray, p: float) -> tuple[float, float]:
     if math.isinf(p):
         depth = min(5, n - 1)
         top = np.partition(mag, n - 1 - depth)[-(depth + 1) :]
-        return float(top[-1]), float(max(top[-1] - top[0], 1e-300))
+        # numpy places only top[0]; the order of the rest is undefined
+        return float(top.max()), float(max(top.max() - top[0], 1e-300))
     with np.errstate(over="ignore"):
         powered = mag**p
         moment = float(powered.mean())

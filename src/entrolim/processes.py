@@ -321,8 +321,18 @@ class _ScalarLinear(DisturbanceModel):
     IID is ARMA(0, 0) and GenGaussAR has no MA part.  The innovation is a
     generalized Gaussian ``innovation``, whose entropy is the rate and every
     step's past the AR order; GaussARMA holds a Gaussian variance instead
-    and reads its entropies off the Levinson ladder.
+    and reads its entropies off the Levinson ladder.  Every one holds ``ar``
+    and ``ma`` as tuples of finite floats whose polynomials have all roots
+    outside the unit circle.
     """
+
+    def __post_init__(self):
+        object.__setattr__(self, "ar", tuple(float(a) for a in self.ar))
+        object.__setattr__(self, "ma", tuple(float(b) for b in self.ma))
+        _require_finite("ar", self.ar)
+        _require_finite("ma", self.ma)
+        _poly_roots_outside(_ar_poly(self.ar), "AR")
+        _poly_roots_outside(np.concatenate(([1.0], np.asarray(self.ma))), "MA")
 
     @property
     def innovation_variance(self) -> float:
@@ -392,16 +402,12 @@ class GaussARMA(_ScalarLinear):
     innovation_variance: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "ar", tuple(float(a) for a in self.ar))
-        object.__setattr__(self, "ma", tuple(float(b) for b in self.ma))
-        for name in ("ar", "ma", "innovation_variance"):
-            _require_finite(name, getattr(self, name))
+        super().__post_init__()
+        _require_finite("innovation_variance", self.innovation_variance)
         if not self.innovation_variance > 0.0:
             raise ValueError(
                 f"innovation variance must be positive, got {self.innovation_variance!r}"
             )
-        _poly_roots_outside(_ar_poly(self.ar), "AR")
-        _poly_roots_outside(np.concatenate(([1.0], np.asarray(self.ma))), "MA")
 
     @property
     def descriptor(self) -> str:
@@ -447,11 +453,6 @@ class GenGaussAR(_ScalarLinear):
     ar: tuple[float, ...]
     innovation: GeneralizedGaussian
     ma = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "ar", tuple(float(a) for a in self.ar))
-        _require_finite("ar", self.ar)
-        _poly_roots_outside(_ar_poly(self.ar), "AR")
 
     @property
     def descriptor(self) -> str:
@@ -600,7 +601,6 @@ def _ladder_variances(model: DisturbanceModel, order: int) -> np.ndarray:
     return variances
 
 
-@lru_cache(maxsize=64)
 def _filter_state_cov(model: GaussARMA) -> np.ndarray:
     """Stationary covariance of the ``_df2t`` recursion's state z_0..z_{n-1}."""
     p, q = len(model.ar), len(model.ma)

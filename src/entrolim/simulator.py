@@ -13,10 +13,10 @@ audit replay prefixes and perturb futures.  Since d_k = e_k - z_k inside
 the loop, a policy can reconstruct the disturbance history exactly from its
 two input histories.
 
-Every policy runs through one sequence kernel, ``kernel(x, closed) -> (z, e)``:
-the closed loop (``run_loop``, x = d, e_k = d_k + z_k) and the open-loop
-response the causality audit probes (``respond``, x = a fixed error
-sequence) both go through ``ControllerPolicy.run``.
+Every policy runs through one sequence kernel, ``kernel(x, closed) -> (z, e)``,
+and ``ControllerPolicy.run`` is the only path from a policy to its outputs:
+the closed loop (``run_loop``, x = d, e_k = d_k + z_k) and both causality
+audits, closed and open loop (x = a fixed error sequence, e = x), call it.
 ``ControllerPolicy.step_recursion``, one ``step`` call per sample, is the
 reference and runs for any policy built without a kernel; each built-in
 controller carries an exact kernel that repeats its ``step``'s arithmetic
@@ -144,11 +144,7 @@ class ControllerPolicy:
         return z, e
 
     def respond(self, errors: np.ndarray) -> np.ndarray:
-        """Open-loop response: feed a fixed error sequence, collect outputs.
-
-        Used by the causality audit.  A deliberately anticipatory test
-        double overrides it (see ``anticipatory_double``) and is caught.
-        """
+        """Open-loop response: the z of ``run`` on a fixed error sequence."""
         z, _ = self.run(np.asarray(errors, dtype=float), False)
         return z
 
@@ -524,10 +520,9 @@ def compose_loop(
         out = second.apply(first.apply(padded))
         return float(out[-1])
 
-    initial = float(second.apply(first.apply(np.zeros(1)))[0])
     return ControllerPolicy(
         step=step,
-        initial_output=initial,
+        initial_output=step(np.zeros(0), np.zeros(0)),
         descriptor=f"compose[{order}: {plant.descriptor}, {controller.descriptor}]",
     )
 
@@ -563,9 +558,12 @@ def causality_audit(
     a violation; honest history-based policies pass by construction, a
     z_k = e_k double fails at every index.  On the first trial the response
     of a policy with its own kernel must also equal ``step_recursion``'s
-    bit for bit, so the audit covers the code that runs.
+    bit for bit, so the audit covers the code that runs.  The errors come as
+    scalars, or as rows of ``dim`` for a vector z_0 or ``dim`` > 1 (a 1 x 1
+    vector model's predictor reads (n, 1) paths).
     """
-    shape = (length,) if controller.dim == 1 else (length, controller.dim)
+    rows = controller.dim != 1 or np.ndim(controller.initial_output)
+    shape = (length, controller.dim) if rows else (length,)
     return _probe_loop(
         controller, False, length, trials, seed,
         draw=lambda rng: rng.standard_normal(shape),
@@ -597,26 +595,22 @@ def closed_loop_causality_check(
 
 
 def _probe_loop(controller, closed, length, trials, seed, draw, shift) -> CausalityReport:
-    """Both audits' loop: run the policy on x = ``draw(rng)`` (closed, or its
-    open-loop ``respond``), check its kernel on trial 0, move x_j for j >= k
-    by ``shift(rng, x[k:])``, and require z to agree through index k."""
+    """Both audits' loop: ``controller.run`` on x = ``draw(rng)``, closed or
+    open loop, check its kernel on trial 0, move x_j for j >= k by
+    ``shift(rng, x[k:])``, and require z to agree through index k."""
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
-
-    def run(x):
-        return controller.run(x, True) if closed else (controller.respond(x),)
-
     rng = as_rng(seed)
     violations = []
     for trial in range(trials):
         x = draw(rng)
-        outputs = run(x)
+        outputs = controller.run(x, closed)
         if trial == 0:
             violations += _kernel_check(controller, x, closed, outputs)
         k = int(rng.integers(1, length))
         altered = x.copy()
         altered[k:] += shift(rng, altered[k:])
-        reference, moved = outputs[0][: k + 1], run(altered)[0][: k + 1]
+        reference, moved = outputs[0][: k + 1], controller.run(altered, closed)[0][: k + 1]
         if not np.array_equal(reference, moved):
             violations.append((trial, _first_mismatch(reference, moved)))
     return CausalityReport(
@@ -657,8 +651,8 @@ def _bits(a) -> np.ndarray:
 class _AnticipatoryPolicy(ControllerPolicy):
     """Deliberately broken double whose open-loop response is z_k = e_k."""
 
-    def respond(self, errors: np.ndarray) -> np.ndarray:
-        return np.array(errors, dtype=float, copy=True)
+    def run(self, x: np.ndarray, closed: bool):
+        return super().run(x, closed) if closed else (x.copy(), x)
 
 
 def anticipatory_double() -> ControllerPolicy:

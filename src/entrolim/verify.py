@@ -479,7 +479,7 @@ def resolve_controller(
         return predictor_controller(model)
     if kind == "anticipatory":
         return anticipatory_double()
-    if model.dim != 1:
+    if isinstance(model, VectorGaussAR):  # a 1 x 1 one too: its paths are (n, 1)
         raise ValueError(f"{kind} controllers support scalar models only")
     if kind == "random":
         return random_causal_controller(**settings)

@@ -30,6 +30,14 @@ VEC_SPEC = {
     "name": "vec",
 }
 
+# dim 1, but its paths are (n, 1): a vector model like any other
+ONE_BY_ONE_SPEC = {
+    "kind": "vector_gauss_ar",
+    "transition": [[0.5]],
+    "innovation_covariance": [[1.0]],
+    "name": "one",
+}
+
 
 def _write_config(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
@@ -545,6 +553,15 @@ def test_simulate_refuses_colliding_trace_names_before_writing(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+def test_simulate_refuses_a_controller_before_writing(tmp_path, capsys):
+    raw = {"models": [AR1_SPEC, VEC_SPEC], "controllers": [{"kind": "zero"}, {"kind": "random"}]}
+    path = _write_config(tmp_path, dict(raw, horizon=300))
+    out_dir = tmp_path / "traces"
+    assert cli.main(["simulate", "--config", path, "--out", str(out_dir)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: random controllers support scalar models only\n")
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # audit and verify
 
@@ -594,6 +611,29 @@ def test_audit_reports_a_refused_controller_and_audits_the_rest(tmp_path, capsys
         "ok     vec / zero",
     ]
     assert "error  vec / learned: learned controllers support scalar models only" in lines
+
+
+def test_a_one_by_one_vector_model_refuses_random_and_learned_in_audit_verify_and_sweep(
+    tmp_path, capsys
+):
+    raw = {"models": [ONE_BY_ONE_SPEC], "controllers": GRID_CONTROLLERS, "horizon": 3_000}
+    path = _write_config(tmp_path, raw)
+    refusals = [f"{kind} controllers support scalar models only" for kind in ("learned", "random")]
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_CONFIG
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "ok     one / zero",
+        "ok     one / predictor",
+        "error  one / learned",
+        "error  one / random",
+    ]
+    out_dir = tmp_path / "v"
+    assert cli.main(["verify", "--config", path, "--out", str(out_dir)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: {refusals[0]}\n")
+    assert not out_dir.exists()
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == cli.EXIT_CONFIG
+    summary = json.loads(capsys.readouterr().out)
+    assert [e["message"] for e in summary["errors"]] == [f"ValueError: {r}" for r in refusals]
+    assert summary["cells"] == 2
 
 
 def test_audit_failure_outranks_a_refused_controller(tmp_path, capsys):

@@ -2,6 +2,7 @@
 kNN entropies, mutual information, whiteness, density fit, determinants.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -42,6 +43,35 @@ def test_lp_norm_inf_is_max_with_spacing_scale():
     assert se == 10.0 - 4.0  # gap to the sixth-largest magnitude
     v2, s2 = el.lp_norm_estimate(np.array([1.0, 3.0]), math.inf)
     assert (v2, s2) == (3.0, 2.0)
+
+
+def _top_placements(n):
+    """(samples, expected) pairs whose top six magnitudes, tied, sit at every
+    position: every permutation for n <= 7, the block at every offset over a
+    lower background for n = 12,000."""
+    top = (-9.0, 7.0, -7.0, 5.0, 5.0, -5.0)
+    if n > 7:
+        background = np.random.default_rng(n).uniform(-4.0, 4.0, n)
+        for block in (top, top[::-1]):
+            for offset in range(n):
+                x = background.copy()
+                x[(offset + np.arange(6)) % n] = block
+                yield x, (9.0, 4.0)
+        return
+    # at n = 7 one value below the top six, or tied with the sixth
+    for values in [top[:n]] if n < 7 else [top + (4.0,), top + (5.0,)]:
+        ranked = sorted(map(abs, values))
+        expected = (ranked[-1], max(ranked[-1] - ranked[-min(6, n)], 1e-300))
+        for order in itertools.permutations(values):
+            yield np.array(order), expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 12_000])
+def test_lp_norm_inf_reads_the_top_block_without_its_undefined_order(n):
+    # np.partition places only the kth entry; the sample maximum and the gap to
+    # the sixth-largest magnitude must not hang on where it leaves the others
+    for x, expected in _top_placements(n):
+        assert el.lp_norm_estimate(x, math.inf) == expected
 
 
 def test_lp_norm_edge_cases():

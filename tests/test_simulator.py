@@ -459,6 +459,14 @@ def test_audit_on_vector_policy():
     assert report.passed
 
 
+def test_audit_on_a_one_by_one_vector_predictor():
+    # dim 1, but the policy reads (n, 1) rows: its z_0 is a vector
+    model = el.VectorGaussAR(transition=((0.5,),), innovation_covariance=((1.0,),))
+    ctrl = el.predictor_controller(model)
+    assert el.causality_audit(ctrl, length=64, trials=10, seed=4).passed
+    assert el.closed_loop_causality_check(model, ctrl, length=64, trials=5, seed=4).passed
+
+
 def _off_by_one_ulp(policy, index):
     """A causal kernel equal to the step recursion except one ulp at ``index``."""
 
@@ -493,6 +501,28 @@ def test_audit_violations_frozen():
     # fixed order; these indices pin that order
     report = el.causality_audit(el.anticipatory_double(), length=128, trials=25, seed=2)
     assert report.violations[:3] == ((0, 106), (1, 124), (2, 55))
+
+
+class _RespondOnlyCopy(el.ControllerPolicy):
+    """Overrides ``respond`` alone with z_k = e_k; its ``run`` is the zero law."""
+
+    def respond(self, errors):
+        return np.array(errors, dtype=float)
+
+
+def test_audits_probe_run_not_a_respond_override():
+    copy = _RespondOnlyCopy(step=lambda e_hist, z_hist: 0.0, descriptor="respond only")
+    errors = np.arange(1.0, 6.0)
+    assert np.array_equal(copy.respond(errors), errors)
+    assert el.causality_audit(copy, length=128, trials=25, seed=2).passed
+    assert el.closed_loop_causality_check(AR1, copy, length=64, trials=6, seed=3).passed
+    # the anticipatory double overrides run: caught on every trial, and zero in a closed loop
+    double = el.anticipatory_double()
+    z, e = double.run(errors, False)
+    assert np.array_equal(z, errors) and z is not errors and e is errors
+    report = el.causality_audit(double, length=128, trials=25, seed=2)
+    assert [trial for trial, _ in report.violations] == list(range(25))
+    assert not el.run_loop(AR1, double, 64, 0).z.any()
 
 
 def _peeking_policy():
