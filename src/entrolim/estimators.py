@@ -281,11 +281,18 @@ def _sorted_knn_radii(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _knn_radii(points: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each point to its k-th nearest other point."""
+    """Distance from each point to its k-th nearest other point.
+
+    The tree is queried in its own leaf order, where consecutive queries walk
+    the same nodes; a point's k-th distance does not depend on that order.
+    """
     if points.shape[1] == 1:
         return _sorted_knn_radii(points[:, 0], k)
-    dist, _ = cKDTree(points).query(points, k=k + 1, workers=_KDTREE_WORKERS)
-    return dist[:, k]
+    tree = cKDTree(points)
+    order = tree.indices
+    radii = np.empty(len(points))
+    radii[order] = tree.query(points[order], k=[k + 1], workers=_KDTREE_WORKERS)[0][:, 0]
+    return radii
 
 
 def _knn_terms_nats(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, Optional[str]]:

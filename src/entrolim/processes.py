@@ -21,7 +21,10 @@ log2(C_p mu) with C_p from ``lp_constant``: the equality case of the floor
 Sample paths start in steady state: Gaussian models draw their initial
 state from the exact stationary distribution (discrete Lyapunov equation on
 the filter state), while GenGaussAR runs a burn-in of 10x its effective
-memory before emitting samples.
+memory before emitting samples.  Every filtered path (the scalar models'
+direct-form-II-transposed state, the vector model's d) runs in blocks of 64
+numbers, a few small matrix products each: within 1e-12 of its largest
+magnitude of the per-sample recursion, further on near-integrating filters.
 
 Per-step conditional entropies h(d_k | d_0..d_{k-1}) in bits come from the
 Levinson-Durbin recursion on the model autocovariances: for a stationary
@@ -204,51 +207,40 @@ def _rational_spectrum(sigma2: float, ar: tuple, ma: tuple) -> SpectralDensity:
     return SpectralDensity(evaluate=evaluate)
 
 
-def _df2t(b, a, x: np.ndarray, zi) -> np.ndarray:
-    """Output of the filter b/a on x from state zi, a[0] == 1, len(zi) = n.
+def _run_blocks(blocks, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Outputs y_k = H x_{k-1} + D u_k of x_k = F x_{k-1} + G u_k from state x.
 
-    The direct-form-II-transposed update of ``scipy.signal.lfilter``,
-    operation for operation, on Python floats: y = z_0 + b_0 x, then
-    z_j = (z_{j+1} + b_{j+1} x) - a_{j+1} y and z_{n-1} = b_n x - a_n y, with
-    b and a zero-padded to n + 1 taps and each b_j x column taken once from
-    numpy.  A pure MA filter (a = [1]) takes lfilter's convolution instead.
-    State sizes 1 and 2 are written out: the generic loop costs about three
-    times as much per sample.
+    With ``_path_blocks``' (T, O, [Phi I], C), a block of L samples is one row
+    of u: y = u T + x O, and the next block starts from Phi x + u C.  Up to
+    63 blocks take two products for y and one for u C, and one gemv each on
+    the row (x, u C) for their states; a last, partial block reads the
+    leading rows and columns of T and O.  ``u`` is (n,) or (n, m), as is y.
     """
-    n = len(zi)
-    if len(a) == 1:
-        out = np.convolve(b, x)
-        out[:n] += zi
-        return out[: len(x)]
-    taps = np.zeros((2, n + 1))
-    taps[0, : len(b)] = b
-    taps[1, : len(a)] = a
-    columns = zip(*np.multiply.outer(taps[0], x).tolist())
-    a = taps[1].tolist()
-    z = np.asarray(zi, dtype=float).tolist()
-    out = []
-    append = out.append
-    if n == 1:
-        (a1,), (z0,) = a[1:], z
-        for u0, u1 in columns:
-            y = z0 + u0
-            z0 = u1 - y * a1
-            append(y)
-    elif n == 2:
-        (a1, a2), (z0, z1) = a[1:], z
-        for u0, u1, u2 in columns:
-            y = z0 + u0
-            z0 = (z1 + u1) - y * a1
-            z1 = u2 - y * a2
-            append(y)
-    else:
-        for u in columns:
-            y = z[0] + u[0]
-            for j in range(n - 1):
-                z[j] = (z[j + 1] + u[j + 1]) - y * a[j + 1]
-            z[n - 1] = u[n] - y * a[n]
-            append(y)
-    return np.array(out)
+    toeplitz, observe, advance, inject = blocks
+    width, n = len(toeplitz), len(x)
+    flat = u.reshape(-1)
+    out = np.empty_like(flat)
+    full = len(flat) - len(flat) % width
+    # OpenBLAS threads a gemm from M N K = 2**18 (a gemv from m n = 9216), and
+    # in forked sweep workers its threads would take the other worker's core
+    step = max(1, (2**18 - 1) // (width * max(width, n))) * width
+    for start in range(0, full, step):
+        stop = min(start + step, full)
+        rows = flat[start:stop].reshape(-1, width)
+        states = np.empty((len(rows) + 1, 2 * n))
+        states[0, :n] = x
+        np.matmul(rows, inject, out=states[:-1, n:])
+        for prev, state in zip(states, states[1:, :n]):
+            advance.dot(prev, state)
+        x = states[-1, :n]
+        y = out[start:stop].reshape(-1, width)
+        np.matmul(rows, toeplitz, out=y)
+        y += np.matmul(states[:-1, :n], observe)
+    if full < len(flat):
+        tail = len(flat) - full
+        out[full:] = np.matmul(flat[full:], toeplitz[:tail, :tail])
+        out[full:] += np.matmul(x, observe[:, :tail])
+    return out.reshape(u.shape)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -275,7 +267,8 @@ class DisturbanceModel(abc.ABC):
 
     @abc.abstractmethod
     def sample_path(self, length: int, seed) -> np.ndarray:
-        """Stationary path of shape (length,) or (length, dim)."""
+        """Stationary path of shape (length,) or (length, dim): the model's
+        draws from ``seed``, filtered by ``_run_blocks`` unless white."""
 
     @abc.abstractmethod
     def conditional_entropy_bits(self, k: int) -> float:
@@ -424,13 +417,11 @@ class GaussARMA(_ScalarLinear):
         n_state = max(p, q)
         if n_state == 0:
             return rng.normal(0.0, sigma, size=length)
-        # The DF2T recursion's state s obeys s_k = A s_{k-1} + B w_k; draw
-        # s_{-1} from its stationary law so the emitted path is stationary
-        # from the very first sample.
+        # the DF2T state s_k = F s_{k-1} + g w_k starts from its stationary
+        # law, so the path is stationary from the very first sample
         init = _state_factor(self) @ rng.standard_normal(n_state)
         w = rng.normal(0.0, sigma, size=length)
-        b_poly = np.concatenate(([1.0], np.asarray(self.ma)))
-        return _df2t(b_poly, _ar_poly(self.ar), w, init)
+        return _run_blocks(_path_blocks(self), w, init)
 
     def conditional_entropy_bits(self, k):
         self._check_step(k)
@@ -465,9 +456,8 @@ class GenGaussAR(_ScalarLinear):
         w = self.innovation.sample(length + burn, rng)
         if not self.ar:
             return w
-        # the DF2T recursion from a zero state; the burn-in forgets it
-        path = _df2t([1.0], _ar_poly(self.ar), w, np.zeros(len(self.ar)))
-        return path[burn:]
+        # the DF2T state starts from zeros; the burn-in forgets it
+        return _run_blocks(_path_blocks(self), w, np.zeros(len(self.ar)))[burn:]
 
 
 @dataclass(frozen=True)
@@ -530,16 +520,8 @@ class VectorGaussAR(DisturbanceModel):
     def sample_path(self, length, seed):
         self._check_length(length)
         rng = as_rng(seed)
-        a = self.transition_matrix
         prev = _state_factor(self) @ rng.standard_normal(self.dim)
-        noise = self._noise.sample(length, rng)
-        out = np.empty((length, self.dim))
-        dot = a.dot  # @'s gemv, without np.dot's dispatcher
-        for row, w in zip(out, noise):  # d_k = A d_{k-1} + w_k into row k
-            dot(prev, row)
-            row += w
-            prev = row
-        return out
+        return _run_blocks(_path_blocks(self), self._noise.sample(length, rng), prev)
 
     def conditional_entropy_bits(self, k):
         self._check_step(k)
@@ -601,21 +583,20 @@ def _ladder_variances(model: DisturbanceModel, order: int) -> np.ndarray:
     return variances
 
 
+def _df2t_system(model: _ScalarLinear) -> tuple[np.ndarray, np.ndarray]:
+    """F and g of a scalar ARMA model's direct-form-II-transposed state
+    s_k = F s_{k-1} + g w_k, d_k = s_{k-1}[0] + w_k (g = theta + phi)."""
+    n = max(len(model.ar), len(model.ma))
+    phi, theta = (np.pad(c, (0, n - len(c))) for c in (model.ar, model.ma))
+    f = np.eye(n, k=1)
+    f[:, 0] = phi
+    return f, theta + phi
+
+
 def _filter_state_cov(model: GaussARMA) -> np.ndarray:
-    """Stationary covariance of the ``_df2t`` recursion's state z_0..z_{n-1}."""
-    p, q = len(model.ar), len(model.ma)
-    n = max(p, q)
-    phi = np.zeros(n)
-    phi[:p] = model.ar
-    theta = np.zeros(n)
-    theta[:q] = model.ma
-    a_mat = np.zeros((n, n))
-    a_mat[:, 0] = phi
-    for i in range(n - 1):
-        a_mat[i, i + 1] = 1.0
-    b_vec = theta + phi
-    q_mat = model.innovation_variance * np.outer(b_vec, b_vec)
-    return sla.solve_discrete_lyapunov(a_mat, q_mat)
+    """Stationary covariance of the DF2T state s_0..s_{n-1} of a sample path."""
+    f, g = _df2t_system(model)
+    return sla.solve_discrete_lyapunov(f, model.innovation_variance * np.outer(g, g))
 
 
 @lru_cache(maxsize=64)
@@ -632,6 +613,38 @@ def _state_factor(model: DisturbanceModel) -> np.ndarray:
     factor = _psd_factor((_vector_stationary_cov if vector else _filter_state_cov)(model))
     factor.flags.writeable = False
     return factor
+
+
+@lru_cache(maxsize=64)
+def _path_blocks(model: DisturbanceModel) -> tuple[np.ndarray, ...]:
+    """Read-only (T, O, [Phi I], C) of a model's sample path, as rows.
+
+    The path is y_k = H x_{k-1} + D u_k, x_k = F x_{k-1} + G u_k: the DF2T
+    state (H = e_0, D = 1) of a scalar model, x = d (F = H = A, G = D = I)
+    of the vector one.  Over L = 64 // m samples, T maps input sample j to
+    output sample i by the Markov parameter of lag i - j >= 0 (D, HG, HFG,
+    ...), O holds the H F^i, Phi = F^L and C the F^(L-1-j) G.
+    """
+    if isinstance(model, VectorGaussAR):
+        f = h = model.transition_matrix
+        g = d = np.eye(model.dim)
+    else:
+        f, g = _df2t_system(model)
+        g, h, d = g[:, None], np.eye(1, len(f)), np.eye(1)
+    m, n, count = len(d), len(f), max(1, 64 // len(d))
+    power, markov, observe, inject = np.eye(n), [d], [], []
+    for _ in range(count):
+        observe.append(h @ power)
+        inject.insert(0, power @ g)
+        markov.append(h @ inject[0])
+        power = f @ power
+    lags = np.subtract.outer(np.arange(count), np.arange(count))
+    blocks = np.where(lags[..., None, None] >= 0, np.stack(markov)[lags.clip(0)], 0.0)
+    toeplitz = blocks.transpose(1, 3, 0, 2).reshape(count * m, count * m)
+    out = toeplitz, np.vstack(observe).T, np.hstack([power, np.eye(n)]), np.hstack(inject).T
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------

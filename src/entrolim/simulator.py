@@ -655,17 +655,19 @@ class _AnticipatoryPolicy(ControllerPolicy):
         return super().run(x, closed) if closed else (x.copy(), x)
 
 
-def anticipatory_double() -> ControllerPolicy:
+def anticipatory_double(dim: int = 1) -> ControllerPolicy:
     """Negative control for the causality audit: z_k copies e_k.
 
     Inside a closed loop it degrades to the zero controller (the current
     error does not exist yet when z_k is due), but its open-loop response
     depends on the present input and the audit must fail it at every index.
+    At ``dim`` > 1 its z_0 is a zero vector and the audit probes it with rows.
     """
     return _AnticipatoryPolicy(
         step=lambda e_hist, z_hist: 0.0,
-        initial_output=0.0,
+        initial_output=np.zeros(dim) if dim > 1 else 0.0,
         descriptor="anticipatory(test fixture)",
+        dim=dim,
     )
 
 

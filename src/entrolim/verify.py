@@ -478,7 +478,7 @@ def resolve_controller(
     if kind == "predictor":
         return predictor_controller(model)
     if kind == "anticipatory":
-        return anticipatory_double()
+        return anticipatory_double(model.dim)
     if isinstance(model, VectorGaussAR):  # a 1 x 1 one too: its paths are (n, 1)
         raise ValueError(f"{kind} controllers support scalar models only")
     if kind == "random":

@@ -669,6 +669,41 @@ def test_verify_refuses_anticipatory_controller(tmp_path, capsys):
     assert "causality FAILED: ar1 / anticipatory" in capsys.readouterr().err
 
 
+def test_anticipatory_double_takes_the_vector_models_dimension(tmp_path, capsys, monkeypatch):
+    # built at the model's dimension, the double is probed with (n, 2) rows
+    # in both audits and fails the open loop; sweep scores its det row, the
+    # zero law's row; verify refuses it
+    probes = set()
+    run = el.simulator._AnticipatoryPolicy.run
+
+    def recording_run(self, x, closed):
+        probes.add((x.shape[1:], closed))
+        return run(self, x, closed)
+
+    monkeypatch.setattr(el.simulator._AnticipatoryPolicy, "run", recording_run)
+    raw = {"models": [VEC_SPEC], "controllers": [{"kind": "anticipatory"}], "horizon": 3_000}
+    path = _write_config(tmp_path, raw)
+    assert cli.main(["audit", "--config", path]) == cli.EXIT_CAUSALITY
+    assert "FAILED vec / anticipatory" in capsys.readouterr().out
+    assert probes == {((2,), False), ((2,), True)}
+
+    reports = []
+    for kind in ("anticipatory", "zero"):
+        raw["controllers"] = [{"kind": kind}]
+        out_dir = tmp_path / kind
+        config = _write_config(tmp_path, raw, f"{kind}.json")
+        assert cli.main(["sweep", "--config", config, "--out", str(out_dir)]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["errors"] == []
+        with open(out_dir / "report.csv", newline="") as handle:
+            (row,) = csv.DictReader(handle)
+        assert (row["cell_id"], row["controller"], row["violation"]) == ("c00000det", kind, "false")
+        reports.append({key: value for key, value in row.items() if key not in ("controller", "runtime_ms")})
+    assert reports[0] == reports[1]
+
+    assert cli.main(["verify", "--config", path]) == cli.EXIT_CAUSALITY
+    assert "causality FAILED: vec / anticipatory" in capsys.readouterr().err
+
+
 def test_verify_ok_run_writes_csv(tmp_path, capsys):
     path = _write_config(
         tmp_path,

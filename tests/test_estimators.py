@@ -243,6 +243,22 @@ def test_knn_terms_match_kdtree_reference(k):
         assert np.array_equal(terms, ref_terms)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_kdtree_radii_queried_in_leaf_order_are_the_input_order_query(dim):
+    # _knn_radii queries the tree in its leaf order and scatters the radii
+    # back: each is the float of the input-order query, duplicate points (the
+    # "ties" path, zero radii at k = 1) included
+    g = _rng(60 + dim)
+    for n in (10_000, 20_000):
+        distinct = g.standard_normal((n, dim))
+        doubled = np.repeat(g.standard_normal((n // 2, dim)), 2, axis=0)
+        for pts in (distinct, doubled):
+            for k in (1, 4):
+                want = cKDTree(pts).query(pts, k=k + 1)[0][:, k]
+                assert np.array_equal(estimators._knn_radii(pts, k), want)
+        assert not estimators._knn_radii(doubled, 1).any()
+
+
 def test_knn_terms_reject_non_finite_points():
     x = _rng(50).standard_normal(10_000)
     bad = x.copy()
