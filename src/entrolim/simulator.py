@@ -19,20 +19,41 @@ the closed loop (``run_loop``, x = d, e_k = d_k + z_k) and both causality
 audits, closed and open loop (x = a fixed error sequence, e = x), call it.
 ``ControllerPolicy.step_recursion``, one ``step`` call per sample, is the
 reference and runs for any policy built without a kernel; each built-in
-controller carries an exact kernel that repeats its ``step``'s arithmetic
-operation for operation, so its outputs are bit-identical to that
-recursion, and both audits check this on their first trial.  The one
-exception is the sign of a NaN where two NaNs meet in Python-float
-arithmetic, which CPython does not fix; the check takes every NaN as one.
+controller carries an exact kernel that computes its ``step``'s arithmetic
+operations, though not always one step at a time, so its outputs are
+bit-identical to that recursion, and both audits check this on their first
+trial.  The one exception is the sign of a NaN where two NaNs meet, which
+CPython's float arithmetic does not fix and numpy may set otherwise; the
+check takes every NaN as one.
 
 ``zero``, the scalar ``predictor`` and ``learned`` are one FIR law on d = e - z,
 run by one step and one kernel; their ``taps`` ladder is data: empty (the
 zero law, also ``random`` with memory 0 and a white model's predictor), the
 negated Levinson taps, or the learned prefixes.  A ladder frozen at order 1
-or 2 sums on Python floats, in order from 0.0, and that step is the
-definition; higher orders make numpy's ``@`` dot.  The vector predictor
-(z_k = (-A) d_{k-1}, one gemv) and ``random`` with memory >= 1 (written out
-on locals at its default memory 3) keep kernels of their own.
+to 16 (``_FIXED_POINT_ORDER``) sums on Python floats, in order from 0.0, and
+that step is the definition; higher orders, up to the 512 cap, make numpy's
+``@`` dot step by step.  The vector predictor's law z_k = (-A) d_{k-1} sums
+each row the same way, with no BLAS call, so its bits do not depend on the
+BLAS build.  ``random`` with memory >= 1 (written out on locals at its
+default memory 3) keeps a kernel of its own.
+
+The closed loop of these linear laws is a whole-trace fixed point
+(``_fixed_point``): after the first steps, guess d = x, compute every z_k at
+once from d with one numpy multiply and add per tap (or per entry of -A),
+set e = x + z and d' = e - z, and repeat until d' equals d bit for bit (as
+uint64, so NaNs settle too).  Then every z_k sums the recursion's own d
+values with the step's own roundings, so the loop is the step recursion
+exactly.  Since z_k reads d_j for j < k only, each pass settles at least one
+more step, and rounding absorbs most changes of d: on AR(1), AR(2), the
+order-16 ARMA(2,1) predictor and the two bench vector models it settled in
+5-9 passes at 3k, 12k and 200k steps (2-5 seeds each).  After 32 passes
+(``_FIXED_POINT_PASSES``) the loop finishes step by step from the first
+unsettled step, which keeps it exact on any input: a NaN or inf makes every
+later d a NaN, a front that moves only ``top`` steps a pass.  The open loop,
+where z feeds back into d = x - z at the law's full gain and a pass settles
+about one step, and a frozen phase shorter than ``_FIXED_POINT_MIN_STEPS``
+(64) steps, where the passes cost more than the steps, run step by step on
+Python floats.
 
 Both audits, ``causality_audit`` (open loop) and
 ``closed_loop_causality_check``, run one probe loop, ``_probe_loop``: draw,
@@ -45,11 +66,11 @@ strictly causal or the composition is rejected.
 
 from __future__ import annotations
 
-import csv
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from operator import mul
+from operator import add, mul, sub
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -85,6 +106,15 @@ __all__ = [
 #: pure AR), else at the cap.  A white model freezes at 0: the empty ladder, the zero law.
 _TAP_CONVERGENCE = 1e-12
 _TAP_ORDER_CAP = 512
+#: FIR ladders frozen at orders 1 to 16 sum on Python floats and run their closed loop,
+#: like the vector predictor, as ``_fixed_point``; higher orders make the ``@`` dot.
+_FIXED_POINT_ORDER = 16
+#: Whole-trace passes before a closed loop that has not settled finishes step by step
+#: (finite loops settled within 9 passes at up to 200k steps; see the module docstring).
+_FIXED_POINT_PASSES = 32
+#: A closed loop runs ``_fixed_point`` once its frozen phase has this many steps: below
+#: about 30-100 steps, by order, the Python-float steps cost less than the passes.
+_FIXED_POINT_MIN_STEPS = 64
 
 
 Step = Callable[[np.ndarray, np.ndarray], Union[float, np.ndarray]]
@@ -216,31 +246,41 @@ def predictor_controller(model: DisturbanceModel) -> ControllerPolicy:
     error variance has converged to the innovation variance.  For a pure
     AR(p) model that order is p and the taps are the negated AR coefficients;
     for a white model it is 0 and the policy is the zero law.  The vector
-    model's policy is z_k = (-A) d_{k-1}, with -A inside the gemv; a gemv is
-    odd in A, so this is -(A d_{k-1}) up to the sign of exact zeros.
+    model's policy is z_k = (-A) d_{k-1}, each row summed on Python floats in
+    order from 0.0, so an exactly zero row gives +0; it is -(A d_{k-1}) up to
+    about an ulp where a fused gemv rounds differently.
     """
     descriptor = f"predictor[{model.descriptor}]"
     if isinstance(model, VectorGaussAR):
         neg_a = -model.transition_matrix
+        rows = neg_a.tolist()
 
         def step_vec(e_hist, z_hist):
-            return neg_a.dot(e_hist[-1] - z_hist[-1])
+            d_prev = (e_hist[-1] - z_hist[-1]).tolist()
+            return np.array([_ordered_sum(row, d_prev) for row in rows])
+
+        terms = [[(a, j, 1) for j, a in enumerate(row)] for row in rows]  # z_k[i]: d_{k-1}[j]
 
         def kernel_vec(x, closed):
-            # step_vec's ufuncs and gemv (the bound dot skips np.dot's dispatcher) on
-            # rows the array iterator hands out, out= positional: C-order z, no
-            # history slices, and one spare row for the z_n the last step writes
             n, m = x.shape
-            z = np.zeros((n + 1, m))
-            e = np.zeros_like(x) if closed else x
-            d_prev = np.empty(m)
-            dot, add, subtract = neg_a.dot, np.add, np.subtract
-            for x_k, z_k, e_k, z_next in zip(x, z, e, z[1:]):
-                if closed:
-                    add(x_k, z_k, e_k)
-                subtract(e_k, z_k, d_prev)
-                dot(d_prev, z_next)
-            return z[:n], e
+            zs, es, zk, start = [], [], [0.0] * m, 0
+            if closed and n - 1 >= _FIXED_POINT_MIN_STEPS:
+                z, e, d, settled = _fixed_point(x.T.copy(), np.zeros((m, n)), 1, terms)
+                if settled == n:
+                    return z.T.copy(), e.T.copy()
+                start = settled - 1  # finish from the last step whose z is exact
+                zs, es, zk = z.T[:start].tolist(), e.T[:start].tolist(), z[:, start].tolist()
+            for xk in x[start:].tolist():  # step_vec's sums on Python floats
+                ek = list(map(add, xk, zk)) if closed else xk
+                zs.append(zk)
+                es.append(ek)
+                dk, zk = list(map(sub, ek, zk)), []
+                for row in rows:
+                    s = 0.0
+                    for term in map(mul, row, dk):
+                        s += term
+                    zk.append(s)
+            return np.array(zs).reshape(n, m), (np.array(es).reshape(n, m) if closed else x)
 
         return ControllerPolicy(
             step=step_vec,
@@ -276,19 +316,25 @@ def _prediction_taps(model: DisturbanceModel) -> Ladder:
 
 
 def _fir_step(ladder: Ladder, e_hist, z_hist):
-    """The FIR law's step, which ``_fir_kernel`` repeats exactly.  At top order 1 or
-    2 the definition is a Python-float sum in order from 0.0 (what ``@`` sums where
-    numpy does not fuse multiply-adds); higher orders make the ``@`` dot."""
+    """The FIR law's step, which ``_fir_kernel`` repeats exactly.  Up to top order
+    ``_FIXED_POINT_ORDER`` the definition is a Python-float sum in order from 0.0
+    (what ``@`` sums where numpy does not fuse multiply-adds); higher orders make
+    the ``@`` dot."""
     top = len(ladder) - 1
     order = min(e_hist.shape[0], top)
     if order == 0:
         return 0.0
     d_recent = e_hist[-order:] - z_hist[-order:]
-    if top > 2:
+    if top > _FIXED_POINT_ORDER:
         return float(ladder[order] @ d_recent[::-1])
+    return _ordered_sum(ladder[order].tolist(), d_recent[::-1].tolist())
+
+
+def _ordered_sum(coeffs, values) -> float:
+    """sum(c * v) on Python floats, one rounding per operation, in order from 0.0."""
     s = 0.0
-    for t, d in zip(ladder[order].tolist(), d_recent[::-1].tolist()):
-        s += t * d
+    for term in map(mul, coeffs, values):
+        s += term
     return s
 
 
@@ -297,40 +343,57 @@ def _fir_kernel(ladder: Ladder, x: np.ndarray, closed: bool):
 
         s = ladder[min(k, top)] . (d_{k-1}, d_{k-2}, ...),  top = len(ladder) - 1,
 
-    summed as ``_fir_step`` sums it.  Orders 1 and 2 are written out on
-    Python floats, with d_{k-1} and d_{k-2} in locals and no numpy call per
-    step.  From order 3 each step makes the step's ``@`` dot, with the same
-    taps array and a reversed (negatively strided) view of a preallocated d
-    array as the operand, so numpy picks the same loop and the sum rounds as
-    in ``_fir_step`` (where ``np.dot`` would not): a slice while k < top, then
-    row n - k of one window view.  The empty ladder (top 0) gives z = 0
-    without a loop, in any dimension.
+    summed as ``_fir_step`` sums it.  Up to top order ``_FIXED_POINT_ORDER`` the
+    frozen phase k >= top of a long enough closed loop is ``_fixed_point``, and
+    the steps k < top, the open loop and the rest run on Python floats, one step
+    at a time.  Above that order each step makes the step's ``@`` dot (see
+    ``_fir_dot_steps``).  The empty ladder (top 0) gives z = 0 without a loop,
+    in any dimension.
     """
     z = np.zeros_like(x)
     top = len(ladder) - 1
     if not top:
         return z, (x + z if closed else x)
-    n = x.shape[0]
-    xs = x.tolist()
-    zs, es = [], []
-    if top <= 2:  # z_{k+1} is summed once step k is written
+    if top > _FIXED_POINT_ORDER:
+        return _fir_dot_steps(ladder, x, closed)
+    n, xs, zs, es = x.shape[0], x.tolist(), [], []
+    window = deque(maxlen=top)  # d_{k-1}, d_{k-2}, ...
+    if closed and n - top >= _FIXED_POINT_MIN_STEPS:
+        _fir_steps(ladder, xs, zs, es, window, top, closed)
+        z[:top] = zs
+        terms = [(t, 0, j + 1) for j, t in enumerate(ladder[top].tolist())]  # t_j d_{k-1-j}
+        z, e, d, settled = _fixed_point(x[None], z[None], top, [terms])
+        if settled == n:
+            return z[0], e[0]
+        zs, es = z[0, :settled].tolist(), e[0, :settled].tolist()
+        window.clear()
+        window.extendleft(d[0, settled - top : settled].tolist())
+    _fir_steps(ladder, xs, zs, es, window, n, closed)
+    return _outputs(x, zs, es, closed)
+
+
+def _fir_steps(ladder, xs, zs, es, window, stop, closed) -> None:
+    """Steps len(zs) to ``stop`` - 1 of the FIR law on Python floats, appended to
+    the lists of z and e; ``window`` holds the last d values, newest first."""
+    top = len(ladder) - 1
+    taps = [t.tolist() for t in ladder]
+    for k in range(len(zs), stop):
         zk = 0.0
-        (w,) = ladder[1].tolist()  # z_1's tap, and every step's at order 1
-        for xk in xs if top == 1 else xs[:1]:
-            ek = xk + zk if closed else xk
-            zs.append(zk)
-            es.append(ek)
-            d1 = ek - zk
-            zk = 0.0 + w * d1
-        if top == 2:
-            t0, t1 = ladder[2].tolist()
-            for xk in xs[1:]:
-                ek = xk + zk if closed else xk
-                zs.append(zk)
-                es.append(ek)
-                d2, d1 = d1, ek - zk
-                zk = (0.0 + t0 * d1) + t1 * d2
-        return _outputs(x, zs, es, closed)
+        for term in map(mul, taps[min(k, top)], window):
+            zk += term
+        ek = xs[k] + zk if closed else xs[k]
+        zs.append(zk)
+        es.append(ek)
+        window.appendleft(ek - zk)
+
+
+def _fir_dot_steps(ladder, x, closed):
+    """The FIR kernel above ``_FIXED_POINT_ORDER``: each step makes the step's
+    ``@`` dot, with the same taps array and a reversed (negatively strided) view
+    of a preallocated d array as the operand, so numpy picks the same loop and
+    the sum rounds as in ``_fir_step`` (where ``np.dot`` would not): a slice
+    while k < top, then row n - k of one window view."""
+    n, top, xs, zs, es = x.shape[0], len(ladder) - 1, x.tolist(), [], []
     ds = np.empty_like(x)
     rev = ds[::-1]  # rev[n - k :] is d_{k-1}, d_{k-2}, ..., d_0
     for k in range(min(top, n)):
@@ -353,6 +416,34 @@ def _fir_kernel(ladder: Ladder, x: np.ndarray, closed: bool):
 def _outputs(x, zs, es, closed):
     """A scalar kernel's (z, e) from its per-step lists; open loop, e is x."""
     return np.array(zs, dtype=x.dtype), (np.array(es, dtype=x.dtype) if closed else x)
+
+
+def _fixed_point(x, z, start, terms):
+    """The closed loop e = x + z, d = e - z on (channel, step) arrays as a
+    whole-trace fixed point (see the module docstring): z_k[i], k >= ``start``,
+    sums coeff * d_{k-lag}[j] over the (coeff, j, lag) of ``terms[i]`` in order
+    from 0.0, and z[:, :start] holds the exact first steps.  Returns (z, e, d,
+    settled): the first ``settled`` steps are exact, all n once a pass returns
+    d bit for bit, else as far as ``_FIXED_POINT_PASSES`` passes reached.
+    """
+    n = x.shape[1]
+    e = x + z
+    d = e - z
+    settled = start
+    for _ in range(_FIXED_POINT_PASSES):
+        for z_i, row in zip(z, terms):
+            s = z_i[start:]
+            s[:] = 0.0
+            for coeff, j, lag in row:
+                s += coeff * d[j, start - lag : n - lag]
+        e = x + z
+        d_next = e - z
+        moved = (d_next.view(np.uint64) != d.view(np.uint64)).any(axis=0)
+        d = d_next
+        if not moved.any():
+            return z, e, d, n
+        settled = int(moved.argmax())
+    return z, e, d, settled
 
 
 def random_causal_controller(
@@ -685,11 +776,10 @@ def save_trace(trace: SimulationTrace, csv_path) -> None:
     m = 1 if trace.d.ndim == 1 else trace.d.shape[1]
     header = ["k"] + [x if m == 1 else f"{x}_{i + 1}" for x in "dze" for i in range(m)]
     blocks = [x.reshape(trace.length, m) for x in (trace.d, trace.z, trace.e)]
-    cells = [list(map(repr, col.tolist())) for block in blocks for col in block.T]
+    cells = [map(repr, col.tolist()) for block in blocks for col in block.T]
+    rows = map(",".join, zip(map(str, range(trace.length)), *cells))
     with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(range(trace.length), *cells))
+        handle.write("\r\n".join([",".join(header), *rows, ""]))
     sidecar = {
         "seed": trace.seed,
         "model": trace.model_descriptor,

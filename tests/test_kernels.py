@@ -4,33 +4,38 @@ open-loop response.
 
 The kernels repeat their step's arithmetic: the FIR policies (zero, the
 scalar predictor, learned, and random with memory 0) share one step and one
-kernel, which sum a ladder frozen at order 1 or 2 on Python floats, in order
-from 0.0, and make the same ``@`` dot on a negatively strided view of a
-preallocated history (a slice, or a row of a window view) from order 3; the
-vector predictor makes its step's subtract, add and (-A) gemv through the
-bound ``ndarray.dot`` with out=, and ``random`` with memory >= 1 repeats its
-step's Python-float law inline, written out on locals at memory 3.
-These tests are what catches a numpy whose results depend on anything else
-(alignment, out=, the kind of view).
+kernel.  A ladder frozen at order 1 to 16 sums on Python floats, in order from
+0.0; its closed loop runs as a whole-trace fixed point of numpy multiplies and
+adds that settles on the step recursion's own values, and the open loop, the
+first steps and a fixed point that has not settled within its pass cap run
+step by step.  From order 17 the kernel makes the step's ``@`` dot on a
+negatively strided view of a preallocated history (a slice, or a row of a
+window view).  The vector predictor's law z_k = (-A) d_{k-1} sums each row in
+order from 0.0 on Python floats, and its closed loop is the same fixed point;
+``random`` with memory >= 1 repeats its step's Python-float law inline,
+written out on locals at memory 3.  These tests are what catches a numpy
+whose results depend on anything else (alignment, out=, the kind of view).
 
-Bits are compared exactly, NaN signs included, where a single NaN sign can
-arise or only numpy arithmetic runs (the vector predictor).  Where NaNs of
+Bits are compared exactly where a single NaN sign can arise.  Where NaNs of
 both signs meet in Python-float arithmetic, which one comes back is not
 fixed (CPython's float + and * change operand order once the bytecode is
-specialized), so those comparisons take every NaN as one, as the audits'
-kernel check does; test_python_float_nan_signs_change_once_the_kernel_is_warm
-shows why.
+specialized), and the fixed point's numpy arithmetic may return the other
+one, so those comparisons take every NaN as one, as the audits' kernel check
+does; test_python_float_nan_signs_change_once_the_kernel_is_warm shows why.
 """
 
 import math
 import os
 import subprocess
 import sys
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entrolim as el
 from entrolim import simulator
@@ -107,10 +112,11 @@ def test_cases_cover_the_frozen_orders():
     tops = {case_id: top for case_id, _, _, top in CASES}
     for case_id, _, ctrl, top in CASES:
         assert ctrl.taps is None or len(ctrl.taps) - 1 == top, case_id
-    # orders 1 and 2 run the written-out Python-float sums, 16 and up the @ dot
+    # orders 1 to 16 sum on Python floats, closed loops as the fixed point; the
+    # 512 cap makes the @ dot
     assert tops["predictor-ar1"] == tops["learned1-ar1"] == 1
     assert tops["predictor-ar2"] == tops["learned2-ar2"] == 2
-    assert tops["predictor-arma21"] == 16
+    assert tops["predictor-arma21"] == simulator._FIXED_POINT_ORDER == 16
     assert tops["predictor-ma099"] == simulator._TAP_ORDER_CAP
 
 
@@ -218,29 +224,15 @@ def test_random_kernel_at_a_signed_zero_bias_and_the_cap(monkeypatch, weights, b
 
 
 def test_vector_kernel_writes_c_order_rows_for_any_input_layout():
-    # a dot with out= writes only into C-contiguous rows; a Fortran-ordered
-    # input must not hand it Fortran-ordered outputs
+    # the fixed point (300 steps) runs on (channel, step) arrays, the steps
+    # (50) on lists; a Fortran-ordered input gives the same C-order rows
     ctrl = el.predictor_controller(VECTOR_MODELS["vec4"])
-    d = np.asfortranarray(VECTOR_MODELS["vec4"].sample_path(50, 2))
-    assert_same_bits(ctrl.respond(d), ctrl.step_recursion(d, False)[0])
-    for got, want in zip(ctrl.kernel(d, True), ctrl.step_recursion(d, True)):
-        assert_same_bits(got, want)
-
-
-def _four_call_vector_kernel(a, x, closed):
-    """The vector predictor's kernel under its former law z_k = -(A d_{k-1}):
-    per step a subtract, np.dot with out=, a negative and an add."""
-    z = np.zeros_like(x, order="C")
-    e = np.zeros_like(x) if closed else x
-    d_prev = np.empty(x.shape[1])
-    for k in range(x.shape[0]):
-        if k:
-            np.subtract(e[k - 1], z[k - 1], out=d_prev)
-            np.dot(a, d_prev, out=z[k])
-            np.negative(z[k], out=z[k])
-        if closed:
-            np.add(x[k], z[k], out=e[k])
-    return z, e
+    for n in (50, 300):
+        d = np.asfortranarray(VECTOR_MODELS["vec4"].sample_path(n, 2))
+        assert_same_bits(ctrl.respond(d), ctrl.step_recursion(d, False)[0])
+        for got, want in zip(ctrl.kernel(d, True), ctrl.step_recursion(d, True)):
+            assert got.flags.c_contiguous
+            assert_same_bits(got, want)
 
 
 def _uint64(a):
@@ -248,37 +240,149 @@ def _uint64(a):
 
 
 def _random_vector_model(m, seed):
+    """A non-normal A of spectral radius up to 0.99."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, (m, m))
-    a *= rng.uniform(0.1, 0.95) / np.max(np.abs(np.linalg.eigvals(a)))
+    a *= rng.uniform(0.1, 0.99) / np.max(np.abs(np.linalg.eigvals(a)))
     b = rng.uniform(-1.0, 1.0, (m, m))
     return el.VectorGaussAR(
         transition=tuple(map(tuple, a)), innovation_covariance=tuple(map(tuple, b @ b.T + np.eye(m)))
     )
 
 
-@pytest.mark.parametrize("m", [2, 4])
-def test_vector_minus_a_law_is_the_negated_gemv_it_replaced(m):
-    # IEEE rounding is symmetric in sign, so the gemv is odd in A: (-A) d equals
-    # -(A d) wherever that is non-zero and finite, on any BLAS
-    for seed in range(200):
+def _ordered_sum_vector_loop(a, x, closed):
+    """The vector predictor's law as a plain loop: z_0 = 0, and z_k[i] sums
+    (-a[i, j]) * d_{k-1}[j] over j on Python floats, in order from 0.0."""
+    rows = (-a).tolist()
+    zs, es = [], []
+    for xk in x.tolist():
+        if zs:
+            d_prev = [ej - zj for ej, zj in zip(es[-1], zs[-1])]
+            zk = []
+            for row in rows:
+                s = 0.0
+                for coeff, dj in zip(row, d_prev):
+                    s += coeff * dj
+                zk.append(s)
+        else:
+            zk = [0.0] * len(rows)
+        zs.append(zk)
+        es.append([xj + zj for xj, zj in zip(xk, zk)] if closed else xk)
+    shape = x.shape
+    return np.array(zs).reshape(shape), np.array(es).reshape(shape)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_vector_law_is_the_python_float_ordered_sum(m):
+    # no gemv: the same bits on every BLAS build, through the fixed point
+    # (closed loops of 300 steps), the step recursion and the open loop
+    for seed in range(40):
         model = _random_vector_model(m, seed)
-        ctrl, a = el.predictor_controller(model), model.transition_matrix
-        d = model.sample_path(40, seed)
-        for closed in (True, False):
-            want = _four_call_vector_kernel(a, d, closed)
-            for run in (ctrl.kernel, ctrl.step_recursion):
-                for got, old in zip(run(d, closed), want):
-                    assert np.array_equal(_uint64(got), _uint64(old))
-        # an all-zero first row makes A d_0 exactly zero: z_1 may change only
-        # in the sign of its zeros (see test_simulator for this build's signs)
-        d[0] = 0.0
-        for closed in (True, False):
-            (z, e), (z_old, e_old) = ctrl.kernel(d, closed), _four_call_vector_kernel(a, d, closed)
-            assert (z[1] == 0.0).all() and (z_old[1] == 0.0).all()
-            z[1] = z_old[1] = 0.0
-            assert np.array_equal(_uint64(z), _uint64(z_old))
-            assert np.array_equal(_uint64(e), _uint64(e_old))
+        ctrl = el.predictor_controller(model)
+        for n in (1, 2, 40, 300):
+            d = model.sample_path(n, seed)
+            for closed in (True, False):
+                want = _ordered_sum_vector_loop(model.transition_matrix, d, closed)
+                for run in (ctrl.kernel, ctrl.step_recursion):
+                    for got, ref in zip(run(d, closed), want):
+                        assert np.array_equal(_uint64(got), _uint64(ref))
+
+
+def test_vector_law_gives_plus_zero_where_a_row_sums_to_exactly_zero():
+    # each row sums from 0.0, so a row whose products are all -0.0 gives +0 on
+    # every build; summed from its first product it would be -0.0
+    a = np.array([[0.5, 0.1, 0.0], [-0.2, 0.3, 0.1], [0.4, 0.4, 0.1]])
+    model = el.VectorGaussAR(transition=tuple(map(tuple, a)), innovation_covariance=tuple(map(tuple, np.eye(3))))
+    ctrl = el.predictor_controller(model)
+    d = model.sample_path(300, 0)
+    d[0] = 0.0
+    for closed in (True, False):
+        for z in (ctrl.kernel(d, closed)[0], ctrl.step_recursion(d, closed)[0]):
+            assert (z[1] == 0.0).all() and not np.signbit(z[1]).any()
+    products = [reduce(add, map(mul, row, d[0].tolist())) for row in (-a).tolist()]
+    assert [math.copysign(1.0, p) for p in products] == [-1.0, 1.0, -1.0]
+
+
+def _fir_ladder(rng, top):
+    return simulator._read_only([rng.uniform(-1.0, 1.0, j) for j in range(top + 1)])
+
+
+def _plant(rng, x, count):
+    for _ in range(count):
+        x[rng.integers(x.size)] = (math.nan, -math.nan, math.inf, -math.inf, -0.0)[rng.integers(5)]
+    return x
+
+
+def _assert_kernel_is_the_recursion(ctrl, x):
+    for closed in (True, False):
+        for got, want in zip(ctrl.run(x, closed), ctrl.step_recursion(x, closed)):
+            assert got.shape == want.shape
+            assert np.array_equal(simulator._bits(got), simulator._bits(want))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    top=st.integers(1, simulator._FIXED_POINT_ORDER),
+    frac=st.floats(0.0, 1.0),
+    planted=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fir_fixed_point_is_the_step_recursion(top, frac, planted, seed):
+    # lengths 1 to 3 top + 2, with the fixed point below its 64-step minimum
+    # forced, and planted +-NaN, +-inf and -0.0: bit for bit, every NaN as one
+    rng = np.random.default_rng(seed)
+    ctrl = el.ControllerPolicy(taps=_fir_ladder(rng, top))
+    n = 1 + round(frac * (3 * top + 1))
+    x = _plant(rng, 3.0 * rng.standard_normal(n), planted)
+    _assert_kernel_is_the_recursion(ctrl, x)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_FIXED_POINT_MIN_STEPS", 1)
+        _assert_kernel_is_the_recursion(ctrl, x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fir_fixed_point_on_a_long_path(monkeypatch):
+    # 12k steps of the order-16 predictor settle within the pass cap, so the
+    # Python-float steps run only for k < top.  After a planted NaN or inf
+    # every later d is NaN, a front that moves at most top steps a pass, so
+    # the steps past the cap finish the loop; bit for bit either way
+    ctrl = el.predictor_controller(SCALAR_MODELS["arma21"])
+    d = SCALAR_MODELS["arma21"].sample_path(12_000, 4)
+    steps = []
+    fir_steps = simulator._fir_steps
+    monkeypatch.setattr(
+        simulator, "_fir_steps", lambda *args: steps.append(args[5]) or fir_steps(*args)
+    )
+    signed_zeros, non_finite = d.copy(), d.copy()
+    signed_zeros[::997] = -0.0
+    non_finite[[9_000, 11_000]] = (math.inf, -math.nan)
+    for x, settles in ((d, True), (signed_zeros, True), (non_finite, False)):
+        steps.clear()
+        z, e = ctrl.run(x, True)
+        assert (steps == [16]) is settles
+        z_ref, e_ref = ctrl.step_recursion(x, True)
+        assert np.array_equal(simulator._bits(z), simulator._bits(z_ref))
+        assert np.array_equal(simulator._bits(e), simulator._bits(e_ref))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("passes", [0, 1])
+def test_fixed_point_past_its_pass_cap_finishes_step_by_step(monkeypatch, passes):
+    monkeypatch.setattr(simulator, "_FIXED_POINT_PASSES", passes)
+    rng = np.random.default_rng(passes)
+    for top in (1, 2, 5, 16):
+        ctrl = el.ControllerPolicy(taps=_fir_ladder(rng, top))
+        for n in (top + 64, 500):
+            _assert_kernel_is_the_recursion(ctrl, _plant(rng, 3.0 * rng.standard_normal(n), 2))
+    for m in (1, 2, 4):
+        model = _random_vector_model(m, passes)
+        ctrl = el.predictor_controller(model)
+        for n in (65, 300):
+            d = model.sample_path(n, n)
+            want = _ordered_sum_vector_loop(model.transition_matrix, d, True)
+            for got, ref in zip(ctrl.run(d, True), want):
+                assert np.array_equal(_uint64(got), _uint64(ref))
 
 
 def _generic_random_kernel(taps, bias, cap, x, closed):
@@ -335,16 +439,13 @@ def test_kernel_check_passes_correct_kernels_on_several_non_finite_values():
     ]
     policies += [el.predictor_controller(VECTOR_MODELS[name]) for name in ("vec2", "vec4")]
     for ctrl in policies:
-        for n in (2, 5, 40):
+        for n in (2, 5, 40, 300):
             x = 3.0 * rng.standard_normal((n,) if ctrl.dim == 1 else (n, ctrl.dim))
             for _ in range(int(rng.integers(2, 5))):
                 x.flat[rng.integers(x.size)] = (math.nan, -math.nan, math.inf, -math.inf)[rng.integers(4)]
             for closed in (True, False):
                 outputs = ctrl.run(x, closed)
                 assert simulator._kernel_check(ctrl, x, closed, outputs) == []
-                if ctrl.dim > 1:  # numpy arithmetic alone: the NaN signs agree too
-                    for got, want in zip(outputs, ctrl.step_recursion(x, closed)):
-                        assert np.array_equal(_uint64(got), _uint64(want))
     # the check takes every NaN as one, and nothing else
     nan_bits = simulator._bits([math.nan, -math.nan])
     assert nan_bits[0] == nan_bits[1]

@@ -8,6 +8,8 @@ the distribution of the very first sample with the analytic marginal.
 
 import hashlib
 import math
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -573,21 +575,28 @@ def test_vector_sample_path_is_the_matmul_recursion(m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_vector_predictor_kernel_repeats_the_at_recursion_bit_for_bit(m):
-    # the predictor calls the bound (-A).dot, which makes the gemv call that
-    # @ makes: bit-equal to the @ recursion it replaced on this BLAS (the -A
-    # law on finite draws: a gemv is odd in A)
+def test_vector_predictor_kernel_repeats_the_ordered_sum_recursion_bit_for_bit(m):
+    # the predictor sums each row of (-A) d_{k-1} on Python floats in order
+    # from 0.0, not through a gemv: its closed loop on the block path is that
+    # recursion bit for bit on any BLAS, and within 1e-14 of max|e| of the
+    # -(A @ d) recursion it replaced, where a fused gemv rounds differently
     model = _random_vector_model(m)
     a = model.transition_matrix
+    rows = (-a).tolist()
     predictor = predictor_controller(model)
     for seed in range(20):
         path = model.sample_path(300, seed)
         z, e = predictor.run(path, True)
         z_want, e_want = np.zeros_like(path), path.copy()
+        z_at, e_at = np.zeros_like(path), path.copy()
         for k in range(1, 300):
-            z_want[k] = -(a @ (e_want[k - 1] - z_want[k - 1]))
+            d_prev = (e_want[k - 1] - z_want[k - 1]).tolist()
+            z_want[k] = [reduce(add, map(mul, row, d_prev), 0.0) for row in rows]
             e_want[k] = path[k] + z_want[k]
+            z_at[k] = -(a @ (e_at[k - 1] - z_at[k - 1]))
+            e_at[k] = path[k] + z_at[k]
         assert z.tobytes() == z_want.tobytes() and e.tobytes() == e_want.tobytes()
+        assert np.max(np.abs(e - e_at)) <= 1e-14 * np.max(np.abs(e_at))
 
 
 def test_state_factor_is_a_cached_read_only_psd_factor():
