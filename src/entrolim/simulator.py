@@ -48,12 +48,12 @@ more step, and rounding absorbs most changes of d: on AR(1), AR(2), the
 order-16 ARMA(2,1) predictor and the two bench vector models it settled in
 5-9 passes at 3k, 12k and 200k steps (2-5 seeds each).  After 32 passes
 (``_FIXED_POINT_PASSES``) the loop finishes step by step from the first
-unsettled step, which keeps it exact on any input: a NaN or inf makes every
-later d a NaN, a front that moves only ``top`` steps a pass.  The open loop,
-where z feeds back into d = x - z at the law's full gain and a pass settles
-about one step, and a frozen phase shorter than ``_FIXED_POINT_MIN_STEPS``
-(64) steps, where the passes cost more than the steps, run step by step on
-Python floats.
+unsettled step, which keeps it exact on any input.  It does so at once when
+that step's d is a NaN or inf: then every later d is a NaN, a front that
+would move only ``top`` steps a pass.  The open loop, where z feeds back
+into d = x - z at the law's full gain and a pass settles about one step, and
+a frozen phase shorter than ``_FIXED_POINT_MIN_STEPS`` (64) steps, where the
+passes cost more than the steps, run step by step on Python floats.
 
 Both audits, ``causality_audit`` (open loop) and
 ``closed_loop_causality_check``, run one probe loop, ``_probe_loop``: draw,
@@ -112,8 +112,11 @@ _FIXED_POINT_ORDER = 16
 #: Whole-trace passes before a closed loop that has not settled finishes step by step
 #: (finite loops settled within 9 passes at up to 200k steps; see the module docstring).
 _FIXED_POINT_PASSES = 32
-#: A closed loop runs ``_fixed_point`` once its frozen phase has this many steps: below
-#: about 30-100 steps, by order, the Python-float steps cost less than the passes.
+#: A closed loop runs ``_fixed_point`` once its frozen phase has this many steps.  Median
+#: kernel times in us (fixed point / steps) at 32, 64 and 128 frozen steps on a shared
+#: Xeon core: AR(1) 39/23, 39/40, 40/74; the order-16 predictor 148/65, 145/100, 124/183;
+#: ``vec4`` 105/108, 129/230, 143/429.  So the steps win below about 64 frozen steps at
+#: orders 1-2, 96 at order 16 and 32 for the vector law.
 _FIXED_POINT_MIN_STEPS = 64
 
 
@@ -270,16 +273,12 @@ def predictor_controller(model: DisturbanceModel) -> ControllerPolicy:
                     return z.T.copy(), e.T.copy()
                 start = settled - 1  # finish from the last step whose z is exact
                 zs, es, zk = z.T[:start].tolist(), e.T[:start].tolist(), z[:, start].tolist()
-            for xk in x[start:].tolist():  # step_vec's sums on Python floats
+            for xk in x[start:].tolist():  # step_vec's law on Python floats
                 ek = list(map(add, xk, zk)) if closed else xk
                 zs.append(zk)
                 es.append(ek)
-                dk, zk = list(map(sub, ek, zk)), []
-                for row in rows:
-                    s = 0.0
-                    for term in map(mul, row, dk):
-                        s += term
-                    zk.append(s)
+                dk = list(map(sub, ek, zk))
+                zk = [_ordered_sum(row, dk) for row in rows]
             return np.array(zs).reshape(n, m), (np.array(es).reshape(n, m) if closed else x)
 
         return ControllerPolicy(
@@ -424,7 +423,8 @@ def _fixed_point(x, z, start, terms):
     sums coeff * d_{k-lag}[j] over the (coeff, j, lag) of ``terms[i]`` in order
     from 0.0, and z[:, :start] holds the exact first steps.  Returns (z, e, d,
     settled): the first ``settled`` steps are exact, all n once a pass returns
-    d bit for bit, else as far as ``_FIXED_POINT_PASSES`` passes reached.
+    d bit for bit, else as far as ``_FIXED_POINT_PASSES`` passes reached, or
+    up to the first unsettled step whose d is not finite.
     """
     n = x.shape[1]
     e = x + z
@@ -443,6 +443,8 @@ def _fixed_point(x, z, start, terms):
         if not moved.any():
             return z, e, d, n
         settled = int(moved.argmax())
+        if not np.isfinite(d[:, settled]).all():  # a NaN front: the steps are faster
+            break
     return z, e, d, settled
 
 

@@ -341,26 +341,44 @@ def test_fir_fixed_point_is_the_step_recursion(top, frac, planted, seed):
         _assert_kernel_is_the_recursion(ctrl, x)
 
 
+class _CountedPasses(list):
+    """``_fixed_point``'s terms, counting its passes: each iterates them once."""
+
+    def __init__(self, terms, passes):
+        super().__init__(terms)
+        self.passes = passes
+
+    def __iter__(self):
+        self.passes.append(1)
+        return super().__iter__()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fir_fixed_point_on_a_long_path(monkeypatch):
-    # 12k steps of the order-16 predictor settle within the pass cap, so the
-    # Python-float steps run only for k < top.  After a planted NaN or inf
-    # every later d is NaN, a front that moves at most top steps a pass, so
-    # the steps past the cap finish the loop; bit for bit either way
+    # 12k steps of the order-16 predictor settle well within the pass cap, so
+    # the Python-float steps run only for k < top.  After a planted inf every
+    # later d is NaN, a front that moves at most top steps a pass, so the
+    # passes stop once it is the first unsettled step and the Python-float
+    # steps finish the loop; bit for bit either way
     ctrl = el.predictor_controller(SCALAR_MODELS["arma21"])
     d = SCALAR_MODELS["arma21"].sample_path(12_000, 4)
-    steps = []
-    fir_steps = simulator._fir_steps
+    steps, passes = [], []
+    fir_steps, fixed_point = simulator._fir_steps, simulator._fixed_point
     monkeypatch.setattr(
         simulator, "_fir_steps", lambda *args: steps.append(args[5]) or fir_steps(*args)
+    )
+    monkeypatch.setattr(
+        simulator, "_fixed_point", lambda x, z, start, terms: fixed_point(x, z, start, _CountedPasses(terms, passes))
     )
     signed_zeros, non_finite = d.copy(), d.copy()
     signed_zeros[::997] = -0.0
     non_finite[[9_000, 11_000]] = (math.inf, -math.nan)
     for x, settles in ((d, True), (signed_zeros, True), (non_finite, False)):
         steps.clear()
+        passes.clear()
         z, e = ctrl.run(x, True)
         assert (steps == [16]) is settles
+        assert len(passes) <= 12
         z_ref, e_ref = ctrl.step_recursion(x, True)
         assert np.array_equal(simulator._bits(z), simulator._bits(z_ref))
         assert np.array_equal(simulator._bits(e), simulator._bits(e_ref))
