@@ -26,27 +26,28 @@ trial.  The one exception is the sign of a NaN where two NaNs meet, which
 CPython's float arithmetic does not fix and numpy may set otherwise; the
 check takes every NaN as one.
 
-``zero``, the scalar ``predictor`` and ``learned`` are one FIR law on d = e - z,
-run by one step and one kernel; their ``taps`` ladder is data: empty (the
-zero law, also ``random`` with memory 0 and a white model's predictor), the
-negated Levinson taps, or the learned prefixes.  A ladder frozen at order 1
-to 16 (``_FIXED_POINT_ORDER``) sums on Python floats, in order from 0.0, and
-that step is the definition; higher orders, up to the 512 cap, make numpy's
-``@`` dot step by step.  The vector predictor's law z_k = (-A) d_{k-1} sums
-each row the same way, with no BLAS call, so its bits do not depend on the
-BLAS build.  ``random`` with memory >= 1 (written out on locals at its
-default memory 3) keeps a kernel of its own.
+``zero``, ``predictor`` and ``learned`` are one FIR law on d = e - z, run by
+one step and one kernel in every dimension; their ``taps`` ladder is data,
+``taps[j]`` holding j scalars at dim 1 or j m x m matrices: empty for the
+zero law (also ``random`` with memory 0 and a white model's predictor), the
+negated Levinson taps, (no taps, -A) for the vector predictor, or the
+learned prefixes.  A ladder frozen at order 1 to 16 (``_FIXED_POINT_ORDER``)
+sums z_k[i] on Python floats in order from 0.0, over d_{k-1}, d_{k-2}, ...
+and each lag's channels in order; that step is the definition and makes no
+BLAS call.  Higher orders, up to the 512 cap and scalar only, make numpy's
+``@`` dot step by step.  ``random`` with memory >= 1 (written out on locals
+at its default memory 3) keeps a kernel of its own.
 
 The closed loop of these linear laws is a whole-trace fixed point
 (``_fixed_point``): after the first steps, guess d = x, compute every z_k at
-once from d with one numpy multiply and add per tap (or per entry of -A),
-set e = x + z and d' = e - z, and repeat until d' equals d bit for bit (as
-uint64, so NaNs settle too).  Then every z_k sums the recursion's own d
-values with the step's own roundings, so the loop is the step recursion
-exactly.  Since z_k reads d_j for j < k only, each pass settles at least one
-more step, and rounding absorbs most changes of d: on AR(1), AR(2), the
-order-16 ARMA(2,1) predictor and the two bench vector models it settled in
-5-9 passes at 3k, 12k and 200k steps (2-5 seeds each).  After 32 passes
+once from d with one numpy multiply and add per tap entry, set e = x + z
+and d' = e - z, and repeat until d' equals d bit for bit (as uint64, so
+NaNs settle too).  Then every z_k sums the recursion's own d values with
+the step's own roundings, so the loop is the step recursion exactly.
+Since z_k reads d_j for j < k only, each pass settles at least one more
+step, and rounding absorbs most changes of d: on AR(1), AR(2), the order-16
+ARMA(2,1) predictor and the two bench vector models it settled in 5-9
+passes at 3k, 12k and 200k steps (2-5 seeds each).  After 32 passes
 (``_FIXED_POINT_PASSES``) the loop finishes step by step from the first
 unsettled step, which keeps it exact on any input.  It does so at once when
 that step's d is a NaN or inf: then every later d is a NaN, a front that
@@ -106,8 +107,8 @@ __all__ = [
 #: pure AR), else at the cap.  A white model freezes at 0: the empty ladder, the zero law.
 _TAP_CONVERGENCE = 1e-12
 _TAP_ORDER_CAP = 512
-#: FIR ladders frozen at orders 1 to 16 sum on Python floats and run their closed loop,
-#: like the vector predictor, as ``_fixed_point``; higher orders make the ``@`` dot.
+#: FIR ladders frozen at orders 1 to 16, scalar or matrix, sum on Python floats and run
+#: their closed loop as ``_fixed_point``; higher orders (scalar only) make the ``@`` dot.
 _FIXED_POINT_ORDER = 16
 #: Whole-trace passes before a closed loop that has not settled finishes step by step
 #: (finite loops settled within 9 passes at up to 200k steps; see the module docstring).
@@ -138,8 +139,8 @@ class ControllerPolicy:
 
     ``taps``, if given, makes the policy the FIR law and sets its step and
     kernel to ``_fir_step`` and ``_fir_kernel`` on that ladder of read-only
-    arrays: ``taps[j]`` holds j taps and the top entry is the frozen one.
-    Only the empty ladder ``(taps[0],)``, the zero law, fits a vector policy.
+    arrays: ``taps[j]`` holds j taps (scalars at ``dim`` 1, else ``dim`` x ``dim``
+    matrices, up to order ``_FIXED_POINT_ORDER``); the top entry is frozen.
     """
 
     # the descriptor names the law; a ladder's repr would run to megabytes
@@ -151,16 +152,18 @@ class ControllerPolicy:
     taps: Optional[Ladder] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        shape, top = _tap_shape(self.dim), len(self.taps or ()) - 1
         if self.taps is None:
             if self.step is None:
                 raise ValueError("a policy needs a step or taps")
-        elif not self.taps or any(t.shape != (j,) for j, t in enumerate(self.taps)):
-            raise ValueError("taps[j] must hold j taps, for j = 0 up to the frozen order")
-        elif (len(self.taps) > 1 and self.dim != 1) or np.any(self.initial_output):
-            raise ValueError("taps make a scalar law with z_0 = 0, or the zero law in any dim")
+        elif top < 0 or any(t.shape != (j, *shape) for j, t in enumerate(self.taps)):
+            raise ValueError(f"taps[j] must hold j taps of shape {shape}, j = 0 up to the top")
+        elif np.any(self.initial_output) or (shape and top > _FIXED_POINT_ORDER):
+            raise ValueError(f"taps need z_0 = 0, matrix taps up to order {_FIXED_POINT_ORDER}")
         else:
-            object.__setattr__(self, "step", partial(_fir_step, self.taps))
-            object.__setattr__(self, "kernel", partial(_fir_kernel, self.taps))
+            rows = None if top > _FIXED_POINT_ORDER else _coefficient_rows(self.taps, self.dim)
+            object.__setattr__(self, "step", partial(_fir_step, self.taps, rows))
+            object.__setattr__(self, "kernel", partial(_fir_kernel, self.taps, rows))
 
     def run(self, x: np.ndarray, closed: bool):
         """(z, e) over a whole sequence: the policy's kernel, else ``step_recursion``."""
@@ -175,11 +178,6 @@ class ControllerPolicy:
             if closed:
                 e[k] = x[k] + z[k]
         return z, e
-
-    def respond(self, errors: np.ndarray) -> np.ndarray:
-        """Open-loop response: the z of ``run`` on a fixed error sequence."""
-        z, _ = self.run(np.asarray(errors, dtype=float), False)
-        return z
 
 
 @dataclass(frozen=True)
@@ -234,71 +232,47 @@ def run_loop(
 
 
 def zero_controller(dim: int = 1) -> ControllerPolicy:
-    """The do-nothing policy: e_k = d_k, the FIR law on the empty ladder."""
-    return ControllerPolicy(taps=_ZERO_LAW, descriptor="zero", dim=dim)
+    """The do-nothing policy: e_k = d_k, the FIR law on the empty ladder of its dimension."""
+    return ControllerPolicy(
+        taps=_read_only([np.zeros((0, *_tap_shape(dim)))]), descriptor="zero", dim=dim
+    )
 
 
 def predictor_controller(model: DisturbanceModel) -> ControllerPolicy:
     """Cancel the best linear one-step prediction of the disturbance.
 
     The policy reconstructs d_j = e_j - z_j from its histories and outputs
-    z_k = -(prediction of d_k).  A scalar model's policy is the FIR law on
-    the negated taps of the Levinson-Durbin recursion on the model
-    autocovariances: order-k taps while k is small (they are exactly optimal
-    under the stationary start), frozen at the order where the prediction
-    error variance has converged to the innovation variance.  For a pure
-    AR(p) model that order is p and the taps are the negated AR coefficients;
-    for a white model it is 0 and the policy is the zero law.  The vector
-    model's policy is z_k = (-A) d_{k-1}, each row summed on Python floats in
-    order from 0.0, so an exactly zero row gives +0; it is -(A d_{k-1}) up to
-    about an ulp where a fused gemv rounds differently.
+    z_k = -(prediction of d_k), as the FIR law on a ladder of negated taps.
+    A scalar model's taps come from the Levinson-Durbin recursion on the
+    model autocovariances: order-k taps while k is small (they are exactly
+    optimal under the stationary start), frozen at the order where the
+    prediction error variance has converged to the innovation variance.  For
+    a pure AR(p) model that order is p and the taps are the negated AR
+    coefficients; for a white model it is 0 and the policy is the zero law.
+    The vector model's ladder is (no taps, -A): z_k = (-A) d_{k-1}, each row
+    summed on Python floats in order from 0.0, so an exactly zero row gives
+    +0; it is -(A d_{k-1}) up to about an ulp where a fused gemv rounds
+    differently.
     """
     descriptor = f"predictor[{model.descriptor}]"
     if isinstance(model, VectorGaussAR):
-        neg_a = -model.transition_matrix
-        rows = neg_a.tolist()
-
-        def step_vec(e_hist, z_hist):
-            d_prev = (e_hist[-1] - z_hist[-1]).tolist()
-            return np.array([_ordered_sum(row, d_prev) for row in rows])
-
-        terms = [[(a, j, 1) for j, a in enumerate(row)] for row in rows]  # z_k[i]: d_{k-1}[j]
-
-        def kernel_vec(x, closed):
-            n, m = x.shape
-            zs, es, zk, start = [], [], [0.0] * m, 0
-            if closed and n - 1 >= _FIXED_POINT_MIN_STEPS:
-                z, e, d, settled = _fixed_point(x.T.copy(), np.zeros((m, n)), 1, terms)
-                if settled == n:
-                    return z.T.copy(), e.T.copy()
-                start = settled - 1  # finish from the last step whose z is exact
-                zs, es, zk = z.T[:start].tolist(), e.T[:start].tolist(), z[:, start].tolist()
-            for xk in x[start:].tolist():  # step_vec's law on Python floats
-                ek = list(map(add, xk, zk)) if closed else xk
-                zs.append(zk)
-                es.append(ek)
-                dk = list(map(sub, ek, zk))
-                zk = [_ordered_sum(row, dk) for row in rows]
-            return np.array(zs).reshape(n, m), (np.array(es).reshape(n, m) if closed else x)
-
+        m, shape = model.dim, _tap_shape(model.dim)
+        ladder = _read_only([np.zeros((0, *shape)), -model.transition_matrix.reshape(1, *shape)])
         return ControllerPolicy(
-            step=step_vec,
-            initial_output=np.zeros(model.dim),
-            descriptor=descriptor,
-            dim=model.dim,
-            kernel=kernel_vec,
+            taps=ladder, initial_output=np.zeros(m), descriptor=descriptor, dim=m
         )
-
     return ControllerPolicy(taps=_prediction_taps(model), descriptor=descriptor)
+
+
+def _tap_shape(dim: int) -> tuple[int, ...]:
+    """One tap's shape: a scalar at dim 1, a dim x dim matrix above."""
+    return (dim, dim) if dim > 1 else ()
 
 
 def _read_only(ladder: Sequence[np.ndarray]) -> Ladder:
     for taps in ladder:
         taps.flags.writeable = False
     return tuple(ladder)
-
-
-_ZERO_LAW = _read_only([np.zeros(0)])
 
 
 @lru_cache(maxsize=64)
@@ -314,19 +288,28 @@ def _prediction_taps(model: DisturbanceModel) -> Ladder:
     return _read_only([-taps for taps in coeffs])
 
 
-def _fir_step(ladder: Ladder, e_hist, z_hist):
+def _coefficient_rows(ladder: Ladder, m: int) -> list:
+    """Each order's taps T_l as m lists of Python floats: row i holds T_l[i, c]
+    over lags l in order and channels c in order within a lag, as the FIR law
+    sums z_k[i]."""
+    return [t.reshape(j, m, m).swapaxes(0, 1).reshape(m, -1).tolist() for j, t in enumerate(ladder)]
+
+
+def _fir_step(ladder: Ladder, rows, e_hist, z_hist):
     """The FIR law's step, which ``_fir_kernel`` repeats exactly.  Up to top order
-    ``_FIXED_POINT_ORDER`` the definition is a Python-float sum in order from 0.0
-    (what ``@`` sums where numpy does not fuse multiply-adds); higher orders make
-    the ``@`` dot."""
-    top = len(ladder) - 1
-    order = min(e_hist.shape[0], top)
+    ``_FIXED_POINT_ORDER`` (``rows`` given) the definition is a Python-float sum
+    of row i in order from 0.0 (what ``@`` sums where numpy does not fuse
+    multiply-adds), over d_{k-1}, d_{k-2}, ... and each lag's channels in order;
+    higher orders, scalar only, make the ``@`` dot."""
+    order = min(e_hist.shape[0], len(ladder) - 1)
     if order == 0:
         return 0.0
-    d_recent = e_hist[-order:] - z_hist[-order:]
-    if top > _FIXED_POINT_ORDER:
-        return float(ladder[order] @ d_recent[::-1])
-    return _ordered_sum(ladder[order].tolist(), d_recent[::-1].tolist())
+    if rows is None:
+        return float(ladder[order] @ (e_hist[-order:] - z_hist[-order:])[::-1])
+    values = (e_hist[: -order - 1 : -1] - z_hist[: -order - 1 : -1]).ravel().tolist()
+    if len(rows[order]) == 1:
+        return _ordered_sum(rows[order][0], values)
+    return np.array([_ordered_sum(row, values) for row in rows[order]])
 
 
 def _ordered_sum(coeffs, values) -> float:
@@ -337,53 +320,69 @@ def _ordered_sum(coeffs, values) -> float:
     return s
 
 
-def _fir_kernel(ladder: Ladder, x: np.ndarray, closed: bool):
+def _fir_kernel(ladder: Ladder, rows, x: np.ndarray, closed: bool):
     """Exact kernel of the FIR law z_k = s on d_j = e_j - z_j,
 
         s = ladder[min(k, top)] . (d_{k-1}, d_{k-2}, ...),  top = len(ladder) - 1,
 
     summed as ``_fir_step`` sums it.  Up to top order ``_FIXED_POINT_ORDER`` the
-    frozen phase k >= top of a long enough closed loop is ``_fixed_point``, and
-    the steps k < top, the open loop and the rest run on Python floats, one step
-    at a time.  Above that order each step makes the step's ``@`` dot (see
-    ``_fir_dot_steps``).  The empty ladder (top 0) gives z = 0 without a loop,
-    in any dimension.
+    frozen phase k >= top of a long enough closed loop is ``_fixed_point`` on a
+    (channel, step) view, and the steps k < top, the open loop and the rest run
+    on Python floats, one step at a time.  Above that order each step makes the
+    step's ``@`` dot (see ``_fir_dot_steps``).  The empty ladder (top 0) gives
+    z = 0 without a loop, in any dimension.
     """
-    z = np.zeros_like(x)
     top = len(ladder) - 1
     if not top:
+        z = np.zeros_like(x)
         return z, (x + z if closed else x)
-    if top > _FIXED_POINT_ORDER:
+    if rows is None:
         return _fir_dot_steps(ladder, x, closed)
-    n, xs, zs, es = x.shape[0], x.tolist(), [], []
-    window = deque(maxlen=top)  # d_{k-1}, d_{k-2}, ...
+    n, m = x.shape[0], len(rows[0])
+    zs, es, window = [], [], []
     if closed and n - top >= _FIXED_POINT_MIN_STEPS:
-        _fir_steps(ladder, xs, zs, es, window, top, closed)
-        z[:top] = zs
-        terms = [(t, 0, j + 1) for j, t in enumerate(ladder[top].tolist())]  # t_j d_{k-1-j}
-        z, e, d, settled = _fixed_point(x[None], z[None], top, [terms])
+        _fir_steps(rows, x, zs, es, window, top, closed)
+        z = np.zeros((m, n))
+        z.T[:top] = np.array(zs).reshape(top, m)
+        terms = [[(t, j % m, j // m + 1) for j, t in enumerate(row)] for row in rows[top]]
+        z, e, d, settled = _fixed_point(np.ascontiguousarray(x.reshape(n, m).T), z, top, terms)
         if settled == n:
-            return z[0], e[0]
-        zs, es = z[0, :settled].tolist(), e[0, :settled].tolist()
-        window.clear()
-        window.extendleft(d[0, settled - top : settled].tolist())
-    _fir_steps(ladder, xs, zs, es, window, n, closed)
+            return tuple(np.ascontiguousarray(a.T).reshape(x.shape) for a in (z, e))
+        zs, es = [(a[0] if m == 1 else a.T)[:settled].tolist() for a in (z, e)]
+        window = d[:, settled - top : settled][:, ::-1].T.ravel().tolist()
+    _fir_steps(rows, x, zs, es, window, n, closed)
     return _outputs(x, zs, es, closed)
 
 
-def _fir_steps(ladder, xs, zs, es, window, stop, closed) -> None:
+def _fir_steps(rows, x, zs, es, window, stop, closed) -> None:
     """Steps len(zs) to ``stop`` - 1 of the FIR law on Python floats, appended to
-    the lists of z and e; ``window`` holds the last d values, newest first."""
-    top = len(ladder) - 1
-    taps = [t.tolist() for t in ladder]
-    for k in range(len(zs), stop):
-        zk = 0.0
-        for term in map(mul, taps[min(k, top)], window):
-            zk += term
-        ek = xs[k] + zk if closed else xs[k]
+    the lists of z and e: floats at m = 1 (also from (n, 1) rows), lists of m
+    floats above.  ``window`` holds the floats of the last min(len(zs), top) d,
+    newest lag first and channels in order within a lag, so its length picks
+    the order."""
+    top, m = len(rows) - 1, len(rows[0])
+    if m == 1:
+        taps, window = [row for row, in rows], deque(window, maxlen=top)
+        for xk in x[len(zs) : stop].ravel().tolist():
+            zk = 0.0
+            for term in map(mul, taps[len(window)], window):
+                zk += term
+            ek = xk + zk if closed else xk
+            zs.append(zk)
+            es.append(ek)
+            window.appendleft(ek - zk)
+        return
+    for xk in x[len(zs) : stop].tolist():
+        zk = []
+        for row in rows[len(window) // m]:
+            s = 0.0
+            for term in map(mul, row, window):
+                s += term
+            zk.append(s)
+        ek = list(map(add, xk, zk)) if closed else xk
         zs.append(zk)
         es.append(ek)
-        window.appendleft(ek - zk)
+        window = [*map(sub, ek, zk), *window[: (top - 1) * m]]
 
 
 def _fir_dot_steps(ladder, x, closed):
@@ -413,8 +412,9 @@ def _fir_dot_steps(ladder, x, closed):
 
 
 def _outputs(x, zs, es, closed):
-    """A scalar kernel's (z, e) from its per-step lists; open loop, e is x."""
-    return np.array(zs, dtype=x.dtype), (np.array(es, dtype=x.dtype) if closed else x)
+    """A kernel's (z, e) in the shape of x from its per-step lists; open loop, e is x."""
+    z = np.array(zs, dtype=x.dtype).reshape(x.shape)
+    return z, (np.array(es, dtype=x.dtype).reshape(x.shape) if closed else x)
 
 
 def _fixed_point(x, z, start, terms):
@@ -466,7 +466,7 @@ def random_causal_controller(
     cap = float(gain_cap)
     rng = as_rng(seed)
     if not memory:
-        return ControllerPolicy(taps=_ZERO_LAW, descriptor=descriptor)
+        return ControllerPolicy(taps=zero_controller().taps, descriptor=descriptor)
     taps = rng.uniform(-1.0, 1.0, size=memory).tolist()
     bias = float(rng.uniform(-0.5, 0.5))
 
@@ -631,9 +631,6 @@ class CausalityReport:
     passed: bool
     trials: int
     violations: tuple[tuple[int, int], ...] = ()
-
-    def first_violation(self) -> Optional[tuple[int, int]]:
-        return self.violations[0] if self.violations else None
 
 
 def causality_audit(

@@ -152,10 +152,6 @@ class TightnessReport:
     def mi_err_lag1_bits(self) -> float:
         return self.whiteness.mi_lag1_bits
 
-    @property
-    def mi_err_lag1_se(self) -> float:
-        return self.whiteness.mi_lag1_se
-
 
 @dataclass(frozen=True)
 class ProductBoundCheck:

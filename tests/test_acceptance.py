@@ -282,11 +282,11 @@ def test_criterion_11_causality_audits():
     assert not report.passed
     assert len(report.violations) == 25
     base = np.random.default_rng(9).standard_normal(64)
-    reference = double.respond(base)
+    reference = double.run(base, False)[0]
     for k in range(64):
         perturbed = base.copy()
         perturbed[k] += 1.0
-        assert double.respond(perturbed)[k] != reference[k]
+        assert double.run(perturbed, False)[0][k] != reference[k]
 
     models = [
         AR1,

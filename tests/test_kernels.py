@@ -3,15 +3,16 @@ step recursion it replaces, bit for bit, in the closed loop and in the
 open-loop response.
 
 The kernels repeat their step's arithmetic: the FIR policies (zero, the
-scalar predictor, learned, and random with memory 0) share one step and one
-kernel.  A ladder frozen at order 1 to 16 sums on Python floats, in order from
-0.0; its closed loop runs as a whole-trace fixed point of numpy multiplies and
-adds that settles on the step recursion's own values, and the open loop, the
-first steps and a fixed point that has not settled within its pass cap run
-step by step.  From order 17 the kernel makes the step's ``@`` dot on a
-negatively strided view of a preallocated history (a slice, or a row of a
-window view).  The vector predictor's law z_k = (-A) d_{k-1} sums each row in
-order from 0.0 on Python floats, and its closed loop is the same fixed point;
+predictor, learned, and random with memory 0) share one step and one kernel
+in every dimension, on ladders of scalar taps or of m x m matrices; the
+vector predictor is the ladder (no taps, -A).  A ladder frozen at order 1 to
+16 sums each row on Python floats in order from 0.0, over lags in order and
+each lag's channels in order; its closed loop runs as a whole-trace fixed
+point of numpy multiplies and adds that settles on the step recursion's own
+values, and the open loop, the first steps and a fixed point that has not
+settled within its pass cap run step by step.  From order 17 (scalar
+ladders only) the kernel makes the step's ``@`` dot on a negatively strided
+view of a preallocated history (a slice, or a row of a window view).
 ``random`` with memory >= 1 repeats its step's Python-float law inline,
 written out on locals at memory 3.  These tests are what catches a numpy
 whose results depend on anything else (alignment, out=, the kind of view).
@@ -84,8 +85,7 @@ def _cases():
     for name, model in {**SCALAR_MODELS, **VECTOR_MODELS}.items():
         yield f"zero-{name}", model, el.zero_controller(model.dim), 0
         pred = el.predictor_controller(model)
-        top = 1 if pred.taps is None else len(pred.taps) - 1
-        yield f"predictor-{name}", model, pred, top
+        yield f"predictor-{name}", model, pred, len(pred.taps) - 1
     for name, model in SCALAR_MODELS.items():
         for memory in (1, 2, 3, 40):
             yield f"learned{memory}-{name}", model, _learned(model, memory), memory
@@ -120,26 +120,35 @@ def test_cases_cover_the_frozen_orders():
     assert tops["predictor-ma099"] == simulator._TAP_ORDER_CAP
 
 
+def _tap_shape(model):
+    return () if model.dim == 1 else (model.dim, model.dim)
+
+
 def test_zero_law_is_the_empty_ladder():
     # zero in any dimension, random with memory 0 and the predictor of every
-    # white model are one policy: the FIR law on the empty ladder
+    # white model are one policy: the FIR law on the empty ladder of its dimension
     white = {f"predictor-{name}" for name in ("iid", "white", "ggwhite")}
     empty = [c for c in CASES if c[0].startswith(("zero-", "random0-")) or c[0] in white]
     assert len(empty) == 2 * len(SCALAR_MODELS) + len(VECTOR_MODELS) + len(white)
-    for case_id, _, ctrl, top in empty:
+    for case_id, model, ctrl, top in empty:
         assert top == 0, case_id
-        assert len(ctrl.taps) == 1 and ctrl.taps[0].shape == (0,), case_id
+        assert len(ctrl.taps) == 1 and ctrl.taps[0].shape == (0, *_tap_shape(model)), case_id
 
 
 def test_fir_ladders_are_read_only_data():
-    fir = [(case_id, ctrl.taps) for case_id, _, ctrl, _ in CASES if ctrl.taps is not None]
-    assert {case_id.split("-")[0] for case_id, _ in fir} == {
+    # taps[j] holds j scalars, or j m x m matrices for an m-channel model: the
+    # vector predictor is the ladder (no taps, -A)
+    fir = [(case_id, model, ctrl.taps) for case_id, model, ctrl, _ in CASES if ctrl.taps is not None]
+    assert {case_id.split("-")[0] for case_id, _, _ in fir} == {
         "zero", "predictor", "learned1", "learned2", "learned3", "learned40", "random0"
     }
-    for case_id, ladder in fir:
+    for case_id, model, ladder in fir:
         for order, taps in enumerate(ladder):
-            assert taps.shape == (order,), case_id
+            assert taps.shape == (order, *_tap_shape(model)), case_id
             assert not taps.flags.writeable, case_id
+    for name, model in VECTOR_MODELS.items():
+        ladder = el.predictor_controller(model).taps
+        assert len(ladder) == 2 and np.array_equal(ladder[1][0], -model.transition_matrix), name
 
 
 @pytest.mark.parametrize("model, ctrl, top", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
@@ -157,8 +166,8 @@ def test_kernel_is_the_step_recursion(model, ctrl, top):
         assert_same_bits(trace.e, e_ref)
 
         errors = 3.0 * rng.standard_normal(d.shape)
-        assert_same_bits(ctrl.respond(errors), ctrl.step_recursion(errors, False)[0])
-        assert_same_bits(ctrl.respond(trace.e), trace.z)
+        assert_same_bits(ctrl.run(errors, False)[0], ctrl.step_recursion(errors, False)[0])
+        assert_same_bits(ctrl.run(trace.e, False)[0], trace.z)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -174,7 +183,7 @@ def test_kernel_propagates_nan_inf_and_signed_zero_like_the_step_recursion(model
         assert np.isfinite(e).all() == math.isfinite(bad)
         assert_same_bits(z, z_ref)
         assert_same_bits(e, e_ref)
-        assert_same_bits(ctrl.respond(d), ctrl.step_recursion(d, False)[0])
+        assert_same_bits(ctrl.run(d, False)[0], ctrl.step_recursion(d, False)[0])
 
 
 def test_kernels_leave_their_inputs_alone():
@@ -182,14 +191,14 @@ def test_kernels_leave_their_inputs_alone():
         d = model.sample_path(top + 3, 1)
         kept = d.copy()
         ctrl.kernel(d, True)
-        ctrl.respond(d)
+        ctrl.run(d, False)
         assert_same_bits(d, kept)
 
 
 def test_empty_open_loop_response():
     for _, model, ctrl, _ in CASES:
         shape = (0,) if model.dim == 1 else (0, model.dim)
-        assert ctrl.respond(np.zeros(shape)).shape == shape
+        assert ctrl.run(np.zeros(shape), False)[0].shape == shape
 
 
 class _Draws:
@@ -214,7 +223,7 @@ def test_random_kernel_at_a_signed_zero_bias_and_the_cap(monkeypatch, weights, b
     monkeypatch.setattr(simulator, "as_rng", lambda seed: _Draws(weights, bias))
     ctrl = el.random_causal_controller(seed=0, memory=len(weights), gain_cap=1.0)
     errors = np.array(errors)
-    z = ctrl.respond(errors)
+    z = ctrl.run(errors, False)[0]
     assert_same_bits(z, ctrl.step_recursion(errors, False)[0])
     assert z[1].hex() == z1.hex()
     assert ctrl.step(errors[:0], z[:0]).hex() == max(bias, -1.0).hex()
@@ -229,7 +238,7 @@ def test_vector_kernel_writes_c_order_rows_for_any_input_layout():
     ctrl = el.predictor_controller(VECTOR_MODELS["vec4"])
     for n in (50, 300):
         d = np.asfortranarray(VECTOR_MODELS["vec4"].sample_path(n, 2))
-        assert_same_bits(ctrl.respond(d), ctrl.step_recursion(d, False)[0])
+        assert_same_bits(ctrl.run(d, False)[0], ctrl.step_recursion(d, False)[0])
         for got, want in zip(ctrl.kernel(d, True), ctrl.step_recursion(d, True)):
             assert got.flags.c_contiguous
             assert_same_bits(got, want)
@@ -250,26 +259,34 @@ def _random_vector_model(m, seed):
     )
 
 
-def _ordered_sum_vector_loop(a, x, closed):
-    """The vector predictor's law as a plain loop: z_0 = 0, and z_k[i] sums
-    (-a[i, j]) * d_{k-1}[j] over j on Python floats, in order from 0.0."""
-    rows = (-a).tolist()
-    zs, es = [], []
-    for xk in x.tolist():
-        if zs:
-            d_prev = [ej - zj for ej, zj in zip(es[-1], zs[-1])]
-            zk = []
-            for row in rows:
-                s = 0.0
-                for coeff, dj in zip(row, d_prev):
-                    s += coeff * dj
-                zk.append(s)
-        else:
-            zk = [0.0] * len(rows)
+def _ordered_sum_ladder_loop(ladder, x, closed):
+    """A ladder's law on (n, m) rows as a plain loop: z_0 = 0, and z_k[i] sums
+    T_l[i, c] * d_{k-1-l}[c] on Python floats in order from 0.0, over lags l
+    in order and channels c in order within a lag, with T = ladder[min(k, top)]
+    read as m x m matrices."""
+    top, m = len(ladder) - 1, x.shape[1]
+    zs, es, ds = [], [], []
+    for k, xk in enumerate(x.tolist()):
+        taps = ladder[min(k, top)].reshape(-1, m, m).tolist()
+        zk = []
+        for i in range(m):
+            s = 0.0
+            for lag, tap in enumerate(taps):
+                for coeff, dc in zip(tap[i], ds[k - 1 - lag]):
+                    s += coeff * dc
+            zk.append(s)
+        ek = [xc + zc for xc, zc in zip(xk, zk)] if closed else xk
         zs.append(zk)
-        es.append([xj + zj for xj, zj in zip(xk, zk)] if closed else xk)
-    shape = x.shape
-    return np.array(zs).reshape(shape), np.array(es).reshape(shape)
+        es.append(ek)
+        ds.append([ec - zc for ec, zc in zip(ek, zk)])
+    return np.array(zs).reshape(x.shape), np.array(es).reshape(x.shape)
+
+
+def _ordered_sum_vector_loop(a, x, closed):
+    """The vector predictor's law z_k = (-a) d_{k-1} as a plain loop: the
+    ladder (no taps, -a)."""
+    m = a.shape[0]
+    return _ordered_sum_ladder_loop((np.zeros((0, m, m)), -a[None]), x, closed)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -307,9 +324,15 @@ def _fir_ladder(rng, top):
     return simulator._read_only([rng.uniform(-1.0, 1.0, j) for j in range(top + 1)])
 
 
+def _matrix_ladder(rng, m, top):
+    """A random ladder of j m x m matrices per order j, scalars at m = 1."""
+    shape = () if m == 1 else (m, m)
+    return simulator._read_only([rng.uniform(-1.0, 1.0, (j, *shape)) / m for j in range(top + 1)])
+
+
 def _plant(rng, x, count):
     for _ in range(count):
-        x[rng.integers(x.size)] = (math.nan, -math.nan, math.inf, -math.inf, -0.0)[rng.integers(5)]
+        x.flat[rng.integers(x.size)] = (math.nan, -math.nan, math.inf, -math.inf, -0.0)[rng.integers(5)]
     return x
 
 
@@ -339,6 +362,37 @@ def test_fir_fixed_point_is_the_step_recursion(top, frac, planted, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "_FIXED_POINT_MIN_STEPS", 1)
         _assert_kernel_is_the_recursion(ctrl, x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    top=st.integers(1, 4),
+    frac=st.floats(0.0, 1.0),
+    planted=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_ladder_is_the_ordered_sum_loop(m, top, frac, planted, seed):
+    # m-channel ladders at orders 1 to 4 (at m = 1 scalar taps on (n, 1) rows,
+    # as the 1 x 1 vector predictor runs), lengths 1 to top + 80, planted
+    # +-NaN, +-inf and -0.0, and the fixed point's 64-step minimum as is and
+    # forced to 1: the kernel and the step recursion sum each row in order
+    # from 0.0, lags in order and channels in order within a lag
+    rng = np.random.default_rng(seed)
+    ladder = _matrix_ladder(rng, m, top)
+    ctrl = el.ControllerPolicy(taps=ladder, initial_output=np.zeros(m), dim=m)
+    n = 1 + round(frac * (top + 79))
+    x = _plant(rng, 3.0 * rng.standard_normal((n, m)), planted)
+    wants = {closed: _ordered_sum_ladder_loop(ladder, x, closed) for closed in (True, False)}
+    for min_steps in (simulator._FIXED_POINT_MIN_STEPS, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_FIXED_POINT_MIN_STEPS", min_steps)
+            for closed, want in wants.items():
+                for run in (ctrl.run, ctrl.step_recursion):
+                    for got, ref in zip(run(x, closed), want):
+                        assert got.shape == ref.shape
+                        assert np.array_equal(simulator._bits(got), simulator._bits(ref))
 
 
 class _CountedPasses(list):
@@ -401,6 +455,15 @@ def test_fixed_point_past_its_pass_cap_finishes_step_by_step(monkeypatch, passes
             want = _ordered_sum_vector_loop(model.transition_matrix, d, True)
             for got, ref in zip(ctrl.run(d, True), want):
                 assert np.array_equal(_uint64(got), _uint64(ref))
+    # matrix ladders at order 3: the steps refill their window with the last
+    # three d vectors, newest first, which no built-in policy reaches
+    for m in (2, 4):
+        ladder = _matrix_ladder(rng, m, 3)
+        ctrl = el.ControllerPolicy(taps=ladder, initial_output=np.zeros(m), dim=m)
+        for n in (3 + 64, 300):
+            x = _plant(rng, 3.0 * rng.standard_normal((n, m)), 2)
+            for got, ref in zip(ctrl.run(x, True), _ordered_sum_ladder_loop(ladder, x, True)):
+                assert np.array_equal(simulator._bits(got), simulator._bits(ref))
 
 
 def _generic_random_kernel(taps, bias, cap, x, closed):

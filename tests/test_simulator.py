@@ -144,10 +144,26 @@ def test_policy_needs_a_step_or_a_well_formed_ladder():
     for bad in ((), ladder[1:], ladder[::-1]):
         with pytest.raises(ValueError, match="j taps"):
             el.ControllerPolicy(taps=bad)
-    with pytest.raises(ValueError, match="scalar law"):
-        el.ControllerPolicy(taps=ladder, dim=2)
     with pytest.raises(ValueError, match="z_0 = 0"):
         el.ControllerPolicy(taps=ladder, initial_output=1.0)
+    # above dim 1, taps[j] holds j dim x dim matrices, z_0 is a zero vector and
+    # the frozen order is at most 16
+    square = simulator._read_only([np.zeros((j, 2, 2)) for j in range(3)])
+    for bad, dim in (
+        (ladder, 2),  # scalar taps at dim 2
+        (simulator._read_only([np.zeros((j, 2, 3)) for j in range(3)]), 2),  # not square
+        (square, 3),  # 2 x 2 matrices at dim 3
+        (square, 1),
+    ):
+        with pytest.raises(ValueError, match="j taps"):
+            el.ControllerPolicy(taps=bad, dim=dim)
+    with pytest.raises(ValueError, match="z_0 = 0"):
+        el.ControllerPolicy(taps=square, dim=2, initial_output=np.array([0.0, 1.0]))
+    assert el.ControllerPolicy(taps=square, dim=2, initial_output=np.zeros(2)).kernel is not None
+    deep = simulator._read_only([np.zeros((j, 2, 2)) for j in range(simulator._FIXED_POINT_ORDER + 2)])
+    with pytest.raises(ValueError, match="up to order 16"):
+        el.ControllerPolicy(taps=deep, dim=2)
+    assert el.ControllerPolicy(taps=deep[:-1], dim=2).kernel is not None
     # the taps are the law: a policy built from them, or a copy under another
     # name, plays the predictor's outputs
     want = el.run_loop(AR2, el.predictor_controller(AR2), 50, seed=2).z
@@ -304,7 +320,7 @@ def test_fir_orders_up_to_sixteen_equal_the_at_recursion_they_replace():
 def test_random_controller_respects_gain_cap():
     ctrl = el.random_causal_controller(seed=21, memory=4, gain_cap=1.5)
     huge = 50.0 * np.ones(100)
-    out = ctrl.respond(huge)
+    out = ctrl.run(huge, False)[0]
     assert np.all(np.abs(out) <= 1.5)
     with pytest.raises(ValueError, match="memory"):
         el.random_causal_controller(seed=0, memory=-1)
@@ -314,7 +330,7 @@ def test_random_controller_respects_gain_cap():
 
 def test_random_controller_memory_zero_is_constant():
     ctrl = el.random_causal_controller(seed=3, memory=0)
-    out = ctrl.respond(np.random.default_rng(0).standard_normal(50))
+    out = ctrl.run(np.random.default_rng(0).standard_normal(50), False)[0]
     assert np.all(out == 0.0)
 
 
@@ -375,7 +391,7 @@ def test_random_controller_loop_matches_np_clip_reference():
 def test_respond_matches_closed_loop_outputs():
     ctrl = el.predictor_controller(AR2)
     trace = el.run_loop(AR2, ctrl, 250, seed=17)
-    assert np.array_equal(ctrl.respond(trace.e), trace.z)
+    assert np.array_equal(ctrl.run(trace.e, False)[0], trace.z)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +408,8 @@ def test_compose_orders_differ_for_nonlinear_stages():
     errors = np.array([0.2, 0.2, 0.2])
     kp = el.compose_loop(plant, clip, order="KP")   # clip(2 e_{k-1})
     pk = el.compose_loop(plant, clip, order="PK")   # 2 clip(e_{k-1})
-    assert kp.respond(errors)[2] == pytest.approx(0.1)
-    assert pk.respond(errors)[2] == pytest.approx(0.2)
+    assert kp.run(errors, False)[0][2] == pytest.approx(0.1)
+    assert pk.run(errors, False)[0][2] == pytest.approx(0.2)
 
 
 def test_compose_delay_gain_in_loop():
@@ -434,7 +450,6 @@ def test_audit_fails_anticipatory_double_every_trial():
     report = el.causality_audit(el.anticipatory_double(), length=128, trials=25, seed=2)
     assert not report.passed
     assert len(report.violations) == 25
-    assert report.first_violation() is not None
 
 
 def test_audit_on_vector_policy():
@@ -490,20 +505,9 @@ def test_audit_violations_frozen():
     assert report.violations[:3] == ((0, 106), (1, 124), (2, 55))
 
 
-class _RespondOnlyCopy(el.ControllerPolicy):
-    """Overrides ``respond`` alone with z_k = e_k; its ``run`` is the zero law."""
-
-    def respond(self, errors):
-        return np.array(errors, dtype=float)
-
-
-def test_audits_probe_run_not_a_respond_override():
-    copy = _RespondOnlyCopy(step=lambda e_hist, z_hist: 0.0, descriptor="respond only")
-    errors = np.arange(1.0, 6.0)
-    assert np.array_equal(copy.respond(errors), errors)
-    assert el.causality_audit(copy, length=128, trials=25, seed=2).passed
-    assert el.closed_loop_causality_check(AR1, copy, length=64, trials=6, seed=3).passed
+def test_audits_catch_the_anticipatory_run_override():
     # the anticipatory double overrides run: caught on every trial, and zero in a closed loop
+    errors = np.arange(1.0, 6.0)
     double = el.anticipatory_double()
     z, e = double.run(errors, False)
     assert np.array_equal(z, errors) and z is not errors and e is errors

@@ -246,7 +246,6 @@ def test_sweep_certificate_is_tightness_report_without_the_identity():
                 got_value = getattr(got_part, field.name)
                 assert np.array_equal(got_value, getattr(want_part, field.name)), field
         assert got.mi_err_lag1_bits == want.mi_err_lag1_bits
-        assert got.mi_err_lag1_se == want.mi_err_lag1_se
         assert got.whiteness_pass == want.whiteness_pass
         assert got.gg_fit_pass == want.gg_fit_pass
         assert math.isfinite(got.mi_err_lag1_bits)
@@ -275,7 +274,6 @@ def test_sweep_rows_derive_ratios_and_flags():
         assert tight.whiteness_pass == tight.whiteness.passed()
         assert tight.gg_fit_pass == tight.gg_fit.passed
         assert tight.mi_err_lag1_bits == tight.whiteness.mi_lag1_bits
-        assert tight.mi_err_lag1_se == tight.whiteness.mi_lag1_se
 
 
 def test_certified_cell_builds_one_two_dimensional_knn(monkeypatch):
@@ -342,8 +340,8 @@ def test_resolve_controller_kinds():
     rand = el.resolve_controller({"kind": "random", "memory": 2, "gain_cap": 1.0}, AR1, 5)
     probe = np.linspace(-3, 3, 40)
     again = el.resolve_controller({"kind": "random", "memory": 2, "gain_cap": 1.0}, AR1, 5)
-    assert np.array_equal(rand.respond(probe), again.respond(probe))
-    assert np.max(np.abs(rand.respond(100 * probe))) <= 1.0
+    assert np.array_equal(rand.run(probe, False)[0], again.run(probe, False)[0])
+    assert np.max(np.abs(rand.run(100 * probe, False)[0])) <= 1.0
     anticip = el.resolve_controller({"kind": "anticipatory"}, AR1, 0)
     assert not el.causality_audit(anticip, trials=5).passed
 
