@@ -11,8 +11,8 @@ All subcommands read one JSON config through ``config.load_config`` (see
 the package README for the schema) and share --seed (master seed override)
 and --out (output directory) where applicable.  ``sweep`` scores its cells
 in --threads worker processes (default: the ENTROLIM_THREADS environment
-variable, else 1); the workers are forked on Linux, and elsewhere the cells
-run serially.
+variable, else 1); the workers are forked on Linux for a plan above
+``verify.run_cells``' fork crossover, and otherwise the cells run serially.
 
 ``verify.run_plan`` decides which controller runs on which seed: ``simulate``
 and ``sweep`` run it with the config's trials, ``verify`` with one.  ``audit``
@@ -335,8 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--threads",
                 type=int,
                 default=None,
-                help="worker processes, forked on Linux; serial elsewhere "
-                "(default: ENTROLIM_THREADS or 1)",
+                help="worker processes, forked on Linux for a large plan; "
+                "serial otherwise (default: ENTROLIM_THREADS or 1)",
             )
 
     common(sub.add_parser("bound", help="print analytic floors per model and p"))

@@ -132,10 +132,11 @@ class ControllerPolicy:
 
     ``initial_output`` is the (deterministic) z_0 emitted before any error
     has been observed; the default 0 keeps d_0 visible in e_0.  ``dim`` is
-    the error dimension the policy expects.  ``kernel(x, closed)``, if
-    given, runs the law over a whole sequence and returns (z, e): with
-    ``closed`` x is the disturbance and e_k = x_k + z_k, otherwise x is a
-    fixed error sequence and e is x.
+    the error dimension the policy expects; z_0 has shape ``(dim,)``, or is
+    a scalar at ``dim`` 1.  ``kernel(x, closed)``, if given, runs the law
+    over a whole sequence and returns (z, e): with ``closed`` x is the
+    disturbance and e_k = x_k + z_k, otherwise x is a fixed error sequence
+    and e is x.
 
     ``taps``, if given, makes the policy the FIR law and sets its step and
     kernel to ``_fir_step`` and ``_fir_kernel`` on that ladder of read-only
@@ -160,7 +161,10 @@ class ControllerPolicy:
             raise ValueError(f"taps[j] must hold j taps of shape {shape}, j = 0 up to the top")
         elif np.any(self.initial_output) or (shape and top > _FIXED_POINT_ORDER):
             raise ValueError(f"taps need z_0 = 0, matrix taps up to order {_FIXED_POINT_ORDER}")
-        else:
+        z0 = np.shape(self.initial_output)
+        if z0 != (self.dim,) and not (z0 == () and self.dim == 1):
+            raise ValueError(f"z_0 must be a scalar at dim 1 or have shape ({self.dim},)")
+        if self.taps is not None:
             rows = None if top > _FIXED_POINT_ORDER else _coefficient_rows(self.taps, self.dim)
             object.__setattr__(self, "step", partial(_fir_step, self.taps, rows))
             object.__setattr__(self, "kernel", partial(_fir_kernel, self.taps, rows))
@@ -234,7 +238,10 @@ def run_loop(
 def zero_controller(dim: int = 1) -> ControllerPolicy:
     """The do-nothing policy: e_k = d_k, the FIR law on the empty ladder of its dimension."""
     return ControllerPolicy(
-        taps=_read_only([np.zeros((0, *_tap_shape(dim)))]), descriptor="zero", dim=dim
+        taps=_read_only([np.zeros((0, *_tap_shape(dim)))]),
+        initial_output=np.zeros(dim) if dim > 1 else 0.0,
+        descriptor="zero",
+        dim=dim,
     )
 
 

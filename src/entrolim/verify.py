@@ -28,7 +28,8 @@ cells (k fixed) measure across independent trials at exactly index k.
 ``verify_bound`` and ``verify_mimo_bound`` score one cell directly.
 ``run_plan`` alone decides which controller of a ``config.ExperimentConfig``
 runs on which seed, and ``run_cells`` scores its cells in plan order, each
-failure isolated, optionally in worker processes (forked, on Linux only).
+failure isolated, in worker processes (forked, on Linux only) once a plan's
+work reaches ``_FORK_MIN_STEPS``.
 ``sweep`` runs the plan with the config's trials, one trace per cell, and
 writes deterministic CSV/JSON (reruns differ only in runtime_ms);
 ``entrolim verify`` runs the one-trial plan and pools ``trials`` traces per
@@ -41,6 +42,7 @@ import csv
 import json
 import math
 import multiprocessing
+import os
 import pickle
 import sys
 import time
@@ -490,6 +492,21 @@ def resolve_controller(
 
 #: Whether ``run_cells`` may fork worker processes: on Linux only.
 _FORK = sys.platform.startswith("linux")
+#: ``run_cells`` forks only for a plan of at least ``_FORK_MIN_STEPS`` steps of work:
+#: cells x horizon x pooled traces, each step counted ``_TIGHTNESS_WEIGHT`` times with
+#: the certificates on (they make a step about 1.5x dearer, and the kNN MI, from about
+#: 11k steps, about 4.5x).  Below it a pool costs more than it saves: its first cell
+#: comes back 15-25 ms after the call, and two busy workers run a cell about 1.4x slower
+#: on two cores.  Median ``run_cells`` walls in ms, serial / 2 workers, weighted steps in
+#: thousands, on a 2-core Xeon VM: ``sweep_drive``'s grid 1 (24) 19/35 and grid 0 (96)
+#: 51/63, grid 0 at 4, 8, 12 and 16 trials (192-768) 98/109, 183/195, 290/278, 376/353;
+#: with the certificates, the README example at horizon 5k, 10k, 15k and 20k (180-720)
+#: 29/48, 43/56, 221/184, 273/219, CI's grid.json at 8k and 12k (384, 576) 33/45,
+#: 122/107, ``sweep_certify``'s grid at one trial and 6k, 8k, 12k (432-864) 58/68, 62/68,
+#: 269/220, and at its two trials (1,728) 444/377.  Of these plans only
+#: ``sweep_certify``'s at one trial and 8k forks where serial is faster, by 8%.
+_TIGHTNESS_WEIGHT = 6
+_FORK_MIN_STEPS = 500_000
 
 
 _worker_score = None  # a forked worker's cell scorer, set by _start_worker
@@ -523,11 +540,14 @@ def run_cells(
     and the controller it resolves, or ``controllers[i]`` when given.  An
     exception comes back as ``error``, with ``scored`` empty, and never
     stops the other cells.  ``threads`` > 1 scores the cells in up to that
-    many worker processes, forked on Linux, which inherit the plan and the
-    warm caches and get only cell indices; elsewhere the cells run serially.
-    A worker that dies makes ``BrokenProcessPool`` the error of its cell and
-    of every cell that had not come back.  A fork copies only the calling
-    thread: call it from a program's only thread that runs entrolim.
+    many worker processes, at most one per CPU, forked on Linux, which
+    inherit the plan and the warm caches and get only cell indices.  A plan
+    below the fork crossover (``_FORK_MIN_STEPS``), or any plan on another
+    platform, runs serially in the calling process at any ``threads``, with
+    the same outcomes.  A worker that dies makes ``BrokenProcessPool`` the
+    error of its cell and of every cell that had not come back.  A fork
+    copies only the calling thread: call it from a program's only thread
+    that runs entrolim.
     """
 
     def score(index: int):
@@ -544,9 +564,12 @@ def run_cells(
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point
             return [], exc
 
-    if threads > 1 and len(cells) > 1 and _FORK:
+    steps = len(cells) * config.horizon * (pooled or 1)
+    if tightness:
+        steps *= _TIGHTNESS_WEIGHT
+    if threads > 1 and len(cells) > 1 and _FORK and steps >= _FORK_MIN_STEPS:
         with ProcessPoolExecutor(
-            min(threads, len(cells)),
+            min(threads, len(cells), len(os.sched_getaffinity(0))),
             mp_context=multiprocessing.get_context("fork"),
             initializer=_start_worker,
             initargs=(score,),
@@ -643,7 +666,9 @@ def sweep(
     is scored at every requested p.  Cells that raise are recorded in the
     summary and skipped, the sweep continues.  Output rows are written in
     plan order, so reruns with the same config and master seed are
-    reproducible.  No causality audit runs here; ``entrolim audit`` covers
+    reproducible, at any ``threads``: ``run_cells`` forks that many workers
+    only for a plan above its crossover and otherwise scores the cells
+    serially.  No causality audit runs here; ``entrolim audit`` covers
     every controller a sweep resolves.
     """
     start = time.perf_counter()

@@ -163,7 +163,17 @@ def test_policy_needs_a_step_or_a_well_formed_ladder():
     deep = simulator._read_only([np.zeros((j, 2, 2)) for j in range(simulator._FIXED_POINT_ORDER + 2)])
     with pytest.raises(ValueError, match="up to order 16"):
         el.ControllerPolicy(taps=deep, dim=2)
-    assert el.ControllerPolicy(taps=deep[:-1], dim=2).kernel is not None
+    assert el.ControllerPolicy(taps=deep[:-1], dim=2, initial_output=np.zeros(2)).kernel is not None
+    # z_0 has shape (dim,), or () at dim 1; a wrong shape is refused where the
+    # policy is made, not in the audit's broadcast
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        el.ControllerPolicy(taps=square, dim=2, initial_output=np.zeros(3))
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        el.ControllerPolicy(taps=square, dim=2)
+    with pytest.raises(ValueError, match=r"shape \(1,\)"):
+        el.ControllerPolicy(step=lambda e_hist, z_hist: 0.0, initial_output=np.zeros(2))
+    one_by_one = el.VectorGaussAR(transition=((0.5,),), innovation_covariance=((1.0,),))
+    assert np.shape(el.predictor_controller(one_by_one).initial_output) == (1,)
     # the taps are the law: a policy built from them, or a copy under another
     # name, plays the predictor's outputs
     want = el.run_loop(AR2, el.predictor_controller(AR2), 50, seed=2).z

@@ -4,9 +4,12 @@ certificates, controller resolution, and sweep output determinism.
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,11 +446,91 @@ def test_sweep_runs_serially_where_it_cannot_fork(tmp_path, monkeypatch):
         raise AssertionError("a worker pool was started without fork")
 
     monkeypatch.setattr(verify_module, "_FORK", False)
+    monkeypatch.setattr(verify_module, "_FORK_MIN_STEPS", 0)  # only the platform keeps it serial
     monkeypatch.setattr(verify_module, "ProcessPoolExecutor", no_pool)
     unforked = el.sweep(config, threads=2, out_dir=tmp_path / "u")
     assert len(unforked.errors) == 1  # vec x random
     assert _strip_runtime(serial.csv_path) == _strip_runtime(unforked.csv_path)
     assert _summary_without_wall_time(serial) == _summary_without_wall_time(unforked)
+
+
+def test_sweep_below_the_fork_crossover_runs_serially_at_any_thread_count(tmp_path, monkeypatch):
+    # 4 cells x 3 000 steps x 6 with the certificates on: 72 000 weighted steps
+    config = _config(
+        [AR1, VEC], ["ar1", "vec"], [{"kind": "zero"}, {"kind": "random"}], [2.0],
+        horizon=3_000,
+    )
+    serial = el.sweep(config, out_dir=tmp_path / "s")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started below the fork crossover")
+
+    monkeypatch.setattr(verify_module, "_FORK", True)
+    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", no_pool)
+    small = el.sweep(config, threads=2, out_dir=tmp_path / "t")
+    assert len(small.errors) == 1  # vec x random
+    assert _strip_runtime(serial.csv_path) == _strip_runtime(small.csv_path)
+    assert _summary_without_wall_time(serial) == _summary_without_wall_time(small)
+
+
+def test_fork_crossover_keeps_each_measured_plan_on_its_side(monkeypatch):
+    # weighted steps (cells x horizon, x 6 with the certificates on) against
+    # _FORK_MIN_STEPS: sweep_drive's grids 96 000 and 24 000 run serially;
+    # sweep_certify's grid 1 728 000, the README example 720 000 and CI's
+    # grid.json 576 000 fork.  Every plan is read from where it is defined.
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    drive = workloads.raw_inputs("sweep_drive", "bench", 0)["sweeps"]
+    (certify,) = workloads.raw_inputs("sweep_certify", "bench", 0)["sweeps"]
+    (readme,) = re.findall(r"```json\n(.*?)```", (root / "README.md").read_text(), flags=re.S)
+    (grid,) = re.findall(
+        r"echo '(.*)' > \"\$RUNNER_TEMP/grid.json\"",
+        (root / ".github" / "workflows" / "tests.yml").read_text(),
+    )
+
+    class Forked(Exception):
+        pass
+
+    def pool(*args, **kwargs):
+        raise Forked
+
+    monkeypatch.setattr(verify_module, "_FORK", True)
+    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", pool)
+
+    def forks(raw, tightness):
+        config = cli.config_from_dict(raw)
+        cells = verify_module.run_plan(config, config.trials)
+        try:  # the side is chosen before the first cell comes back
+            next(verify_module.run_cells(cells, config, tightness=tightness, threads=2))
+        except Forked:
+            return True
+        return False
+
+    assert [forks(raw, False) for raw in drive] == [False, False]
+    assert forks(certify, True)
+    assert forks(json.loads(readme), True)
+    assert forks(json.loads(grid), True)  # so its t1 = t2 check in CI covers the pool
+
+
+def test_run_cells_starts_no_more_workers_than_cpus(monkeypatch):
+    counts = []
+
+    def recording_pool(workers, **kwargs):
+        counts.append(workers)
+        raise RuntimeError("recorded; no process started")
+
+    monkeypatch.setattr(verify_module, "_FORK", True)
+    monkeypatch.setattr(verify_module, "_FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", recording_pool)
+    config = _config([AR1], ["ar1"], [{"kind": "zero"}], [2.0], horizon=100, trials=5)
+    cells = verify_module.run_plan(config, config.trials)
+    for cpus, threads, want in ((2, 5000, 2), (8, 5000, 5), (8, 3, 3)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        with pytest.raises(RuntimeError, match="recorded"):
+            list(verify_module.run_cells(cells, config, threads=threads))
+        assert counts.pop() == want
 
 
 def test_sweep_seed_changes_rows(tmp_path):
@@ -472,7 +555,8 @@ def test_sweep_vector_cells_emit_det_rows():
     assert row.report.product is not None
 
 
-def test_run_cells_yields_errors_in_plan_order_at_any_thread_count():
+def test_run_cells_yields_errors_in_plan_order_at_any_thread_count(monkeypatch):
+    monkeypatch.setattr(verify_module, "_FORK_MIN_STEPS", 0)  # this small plan forks too
     config = _config(
         [AR1, VEC], ["ar1", "vec"], [{"kind": "random"}, {"kind": "zero"}], [1.0, 2.0],
         horizon=3_000,
@@ -496,13 +580,15 @@ def test_run_cells_yields_errors_in_plan_order_at_any_thread_count():
             for cell, scored, _ in results
         ]
 
-    for threads in (2, 4):  # fewer workers than cells, and one per cell
+    for threads in (2, 4):  # fewer workers than cells, and one per cell or per CPU
         threaded = outcomes(threads)
         assert [type(error) for _, _, error in threaded] == [type(error) for error in errors]
         assert without_runtime(threaded) == without_runtime(serial)
 
 
-def test_run_cells_names_a_cell_error_that_cannot_be_pickled():
+def test_run_cells_names_a_cell_error_that_cannot_be_pickled(monkeypatch):
+    monkeypatch.setattr(verify_module, "_FORK_MIN_STEPS", 0)
+
     class LocalError(Exception):  # a local class: pickle cannot find it
         pass
 
@@ -530,6 +616,9 @@ def test_run_cells_names_a_cell_error_that_cannot_be_pickled():
 
 @pytest.mark.skipif(not verify_module._FORK, reason="a serial sweep would run os._exit here")
 def test_a_dead_worker_becomes_error_cells(tmp_path, monkeypatch):
+    # below the crossover os._exit would run in this process
+    monkeypatch.setattr(verify_module, "_FORK_MIN_STEPS", 0)
+
     class Dying:
         dim = 1
         descriptor = "dying"
