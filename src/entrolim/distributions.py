@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = ["GeneralizedGaussian", "GaussianVector"]
 
@@ -44,6 +43,7 @@ def lp_constant(p: float) -> float:
 
     GG(p, mu) has entropy log2(C_p mu): the floor 2^h / C_p's equality case.
     """
+    from scipy import special
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p!r}")
     if math.isinf(p):
@@ -113,6 +113,7 @@ class GeneralizedGaussian:
 
     def pdf(self, x):
         """Density at ``x`` (scalar or array, vectorized)."""
+        from scipy import special
         xv = np.asarray(x, dtype=float)
         if self.is_uniform:
             out = np.where(np.abs(xv) <= self.scale, 1.0 / (2.0 * self.scale), 0.0)
@@ -126,6 +127,7 @@ class GeneralizedGaussian:
 
     def cdf(self, x):
         """Distribution function, via the regularized incomplete gamma."""
+        from scipy import special
         xv = np.asarray(x, dtype=float)
         if self.is_uniform:
             out = np.clip((xv + self.scale) / (2.0 * self.scale), 0.0, 1.0)
@@ -160,6 +162,7 @@ class GeneralizedGaussian:
 
     def variance(self) -> float:
         """E[x^2] = (p mu^p)^(2/p) Gamma(3/p) / Gamma(1/p); mu^2/3 if uniform."""
+        from scipy import special
         if self.is_uniform:
             return self.scale**2 / 3.0
         p, mu = self.power, self.scale

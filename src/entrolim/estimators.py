@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
-from scipy.spatial import cKDTree
 
 from .distributions import _LN2, GeneralizedGaussian, as_rng
 
@@ -199,6 +197,7 @@ def _jackknife_se(n: int, leave_out) -> float:
 
 
 def _spacing_entropy_nats(x: np.ndarray) -> float:
+    from scipy import special
     n = x.size
     # Window growth n^(1/3), not the classical sqrt(n): the digamma
     # correction makes the estimator exactly unbiased under a uniform law
@@ -250,6 +249,7 @@ def entropy_estimate_1d(samples: np.ndarray) -> EntropyEstimate:
 
 
 def _unit_ball_log_volume(dim: int) -> float:
+    from scipy import special
     return 0.5 * dim * math.log(math.pi) - special.gammaln(0.5 * dim + 1.0)
 
 
@@ -280,6 +280,16 @@ def _sorted_knn_radii(x: np.ndarray, k: int) -> np.ndarray:
     return radii
 
 
+def cKDTree(points: np.ndarray):
+    """``scipy.spatial.cKDTree(points)``; scipy.spatial loads at the first tree.
+
+    ``_knn_radii`` calls it through this module global, so a profiler can
+    rebind the name to count the trees.
+    """
+    from scipy.spatial import cKDTree as tree
+    return tree(points)
+
+
 def _knn_radii(points: np.ndarray, k: int) -> np.ndarray:
     """Distance from each point to its k-th nearest other point.
 
@@ -301,6 +311,7 @@ def _knn_terms_nats(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, Optio
     The k-th neighbour radii come from the sorted sample for 1-D points
     and from a kd-tree for two dimensions and up.
     """
+    from scipy import special
     n, dim = points.shape
     if not np.isfinite(points).all():
         raise ValueError("kNN points must be finite")
@@ -446,6 +457,7 @@ def whiteness_stats(errors: np.ndarray, *, seed=0) -> WhitenessReport:
     _MI_MAX_SAMPLES pairs for it (the portmanteau always uses the full
     trace).  ``mi_flag`` keeps the MI estimator's "ties" or "degenerate" flag.
     """
+    from scipy import special
     x = np.asarray(errors, dtype=float).reshape(-1)
     n = x.size
     if n < _WHITENESS_MIN_SAMPLES:

@@ -47,7 +47,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import linalg as sla
 
 from .distributions import (
     _TWO_PI_E, GaussianVector, GeneralizedGaussian, _gaussian_entropy_bits, as_rng
@@ -595,13 +594,15 @@ def _df2t_system(model: _ScalarLinear) -> tuple[np.ndarray, np.ndarray]:
 
 def _filter_state_cov(model: GaussARMA) -> np.ndarray:
     """Stationary covariance of the DF2T state s_0..s_{n-1} of a sample path."""
+    from scipy import linalg
     f, g = _df2t_system(model)
-    return sla.solve_discrete_lyapunov(f, model.innovation_variance * np.outer(g, g))
+    return linalg.solve_discrete_lyapunov(f, model.innovation_variance * np.outer(g, g))
 
 
 @lru_cache(maxsize=64)
 def _vector_stationary_cov(model: VectorGaussAR) -> np.ndarray:
-    return sla.solve_discrete_lyapunov(
+    from scipy import linalg
+    return linalg.solve_discrete_lyapunov(
         model.transition_matrix, model.innovation_covariance_matrix
     )
 

@@ -493,19 +493,24 @@ def resolve_controller(
 #: Whether ``run_cells`` may fork worker processes: on Linux only.
 _FORK = sys.platform.startswith("linux")
 #: ``run_cells`` forks only for a plan of at least ``_FORK_MIN_STEPS`` steps of work:
-#: cells x horizon x pooled traces, each step counted ``_TIGHTNESS_WEIGHT`` times with
-#: the certificates on (they make a step about 1.5x dearer, and the kNN MI, from about
-#: 11k steps, about 4.5x).  Below it a pool costs more than it saves: its first cell
-#: comes back 15-25 ms after the call, and two busy workers run a cell about 1.4x slower
-#: on two cores.  Median ``run_cells`` walls in ms, serial / 2 workers, weighted steps in
+#: cells x horizon x pooled traces.  With the certificates on, each step counts
+#: ``_KNN_WEIGHT`` times when some scalar cell's post-burn-in window reaches the kNN MI
+#: (more than ``_KNN_MIN_SAMPLES`` samples; that makes a step about 4.5x dearer) and
+#: ``_CERTIFICATE_WEIGHT`` times otherwise (the other certificates, about 1.5x).  The
+#: weight is the plan's, not each cell's: weighted per cell, CI's grid.json at 12k (4 of
+#: its 8 cells vector) would count 336k, below the crossover, where its pool is
+#: faster.  Below the crossover a pool costs more than it saves: its first cell comes
+#: back 15-25 ms after the call, and two busy workers run a cell about 1.4x slower on
+#: two cores.  Median ``run_cells`` walls in ms, serial / 2 workers, weighted steps in
 #: thousands, on a 2-core Xeon VM: ``sweep_drive``'s grid 1 (24) 19/35 and grid 0 (96)
 #: 51/63, grid 0 at 4, 8, 12 and 16 trials (192-768) 98/109, 183/195, 290/278, 376/353;
-#: with the certificates, the README example at horizon 5k, 10k, 15k and 20k (180-720)
-#: 29/48, 43/56, 221/184, 273/219, CI's grid.json at 8k and 12k (384, 576) 33/45,
-#: 122/107, ``sweep_certify``'s grid at one trial and 6k, 8k, 12k (432-864) 58/68, 62/68,
-#: 269/220, and at its two trials (1,728) 444/377.  Of these plans only
-#: ``sweep_certify``'s at one trial and 8k forks where serial is faster, by 8%.
-_TIGHTNESS_WEIGHT = 6
+#: with the certificates, the README example at horizon 5k and 10k (60, 120) 29/48,
+#: 43/56, and at 15k and 20k (540, 720) 221/184, 273/219, CI's grid.json at 8k (128)
+#: 33/45 and at 12k (576) 122/107, ``sweep_certify``'s grid at one trial and 6k, 8k
+#: (144, 192) 58/68, 62/68 and 12k (864) 269/220, and at its two trials (1,728)
+#: 444/377.  Each of these plans runs on its faster side.
+_KNN_WEIGHT = 6
+_CERTIFICATE_WEIGHT = 2
 _FORK_MIN_STEPS = 500_000
 
 
@@ -531,6 +536,19 @@ def _score_in_worker(index: int):
     return scored, error
 
 
+def _weighted_steps(cells, config: ExperimentConfig, pooled, tightness: bool) -> int:
+    """A plan's work against ``_FORK_MIN_STEPS``, weighted as the constants say."""
+    steps = len(cells) * config.horizon * (pooled or 1)
+    if not tightness:
+        return steps
+    knn = any(
+        cell.model.dim == 1
+        and config.horizon - default_burn_in(cell.model) > _estimators._KNN_MIN_SAMPLES
+        for cell in cells
+    )
+    return steps * (_KNN_WEIGHT if knn else _CERTIFICATE_WEIGHT)
+
+
 def run_cells(
     cells, config: ExperimentConfig, *, pooled=None, controllers=None, tightness=True, threads=1
 ):
@@ -544,7 +562,10 @@ def run_cells(
     inherit the plan and the warm caches and get only cell indices.  A plan
     below the fork crossover (``_FORK_MIN_STEPS``), or any plan on another
     platform, runs serially in the calling process at any ``threads``, with
-    the same outcomes.  A worker that dies makes ``BrokenProcessPool`` the
+    the same outcomes.  Before it forks, the calling process imports the
+    scipy subpackages a cell may reach (``linalg``, ``special``,
+    ``spatial``), which the package otherwise loads at first use, so the
+    workers inherit them.  A worker that dies makes ``BrokenProcessPool`` the
     error of its cell and of every cell that had not come back.  A fork
     copies only the calling thread: call it from a program's only thread
     that runs entrolim.
@@ -564,10 +585,15 @@ def run_cells(
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point
             return [], exc
 
-    steps = len(cells) * config.horizon * (pooled or 1)
-    if tightness:
-        steps *= _TIGHTNESS_WEIGHT
-    if threads > 1 and len(cells) > 1 and _FORK and steps >= _FORK_MIN_STEPS:
+    if (
+        threads > 1
+        and len(cells) > 1
+        and _FORK
+        and _weighted_steps(cells, config, pooled, tightness) >= _FORK_MIN_STEPS
+    ):
+        # imported once here, inherited by every worker
+        from scipy import linalg, spatial, special  # noqa: F401
+
         with ProcessPoolExecutor(
             min(threads, len(cells), len(os.sched_getaffinity(0))),
             mp_context=multiprocessing.get_context("fork"),

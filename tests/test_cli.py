@@ -329,18 +329,83 @@ def test_resolve_threads(monkeypatch):
 # cold start
 
 
-def test_cold_start_leaves_the_heavy_scipy_subpackages_unloaded():
-    # scipy.signal alone cost 0.9 s of a 1.4 s import; the ARMA paths run
-    # their own DF2T recursion.  A scipy release whose linalg, sparse,
-    # spatial or special starts importing one of these fails here.
-    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.ndimage"]
-    code = f"import sys, entrolim, entrolim.cli\nprint(*[m for m in {heavy!r} if m in sys.modules])"
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter on this checkout; return its stdout."""
     src = str(Path(el.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    loaded = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert loaded == []
+    ).stdout
+
+
+def test_cold_start_loads_no_scipy_module():
+    # scipy.special, spatial and linalg took about 0.37 s of a 0.66 s import;
+    # the package imports each where it is first used.  A config that names
+    # every model kind and every controller kind is parsed, and its models
+    # built, in a fresh interpreter.
+    code = """
+import sys
+import entrolim, entrolim.cli
+from entrolim import config
+raw = {
+    "models": [
+        {"kind": "iid", "innovation": {"family": "gg", "p": 1.5, "mu": 1.0}},
+        {"kind": "gauss_arma", "ar": [0.5, -0.3], "ma": [0.4]},
+        {"kind": "gengauss_ar", "ar": [0.7], "innovation": {"p": "inf", "mu": 1.0}},
+        {"kind": "vector_gauss_ar", "transition": [[0.5, 0.1], [0.0, 0.3]],
+         "innovation_covariance": [[1.0, 0.2], [0.2, 0.5]]},
+    ],
+    "controllers": [{"kind": kind} for kind in config._CONTROLLER_KEYS],
+}
+parsed = entrolim.cli.config_from_dict(raw)
+assert {m["kind"] for m in raw["models"]} == set(config._MODEL_KEYS)
+assert len(parsed.models) == 4
+print(*sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    assert _fresh_python(code).split() == []
+
+
+def test_cold_start_scipy_subpackages_leave_the_heavy_ones_unloaded():
+    # scipy.signal alone cost 0.9 s of a 1.4 s import; the ARMA paths run
+    # their own recursion.  A scipy release whose special, spatial or linalg
+    # starts importing one of these fails here.
+    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.ndimage"]
+    code = (
+        "import sys, scipy.special, scipy.spatial, scipy.linalg\n"
+        f"print(*[m for m in {heavy!r} if m in sys.modules])"
+    )
+    assert _fresh_python(code).split() == []
+
+
+def test_cold_fork_loads_the_scipy_subpackages_before_the_pool():
+    # the workers inherit what the parent has imported when it forks; a
+    # recording stand-in for the pool starts no process
+    code = """
+import sys
+from entrolim import cli, verify
+wanted = ["scipy.linalg", "scipy.spatial", "scipy.special"]
+
+class Recorded(Exception):
+    pass
+
+def pool(*args, **kwargs):
+    raise Recorded([m for m in wanted if m in sys.modules])
+
+verify._FORK, verify._FORK_MIN_STEPS, verify.ProcessPoolExecutor = True, 0, pool
+config = cli.config_from_dict({"models": [{"kind": "gauss_arma", "ar": [0.9]}],
+                               "controllers": [{"kind": "zero"}, {"kind": "predictor"}],
+                               "horizon": 3000})
+cells = verify.run_plan(config, config.trials)
+print("before:", *[m for m in wanted if m in sys.modules])
+try:
+    next(verify.run_cells(cells, config, threads=2))
+except Recorded as exc:
+    print("at the pool:", *exc.args[0])
+"""
+    assert _fresh_python(code).splitlines() == [
+        "before:",
+        "at the pool: scipy.linalg scipy.spatial scipy.special",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.spatial import cKDTree
 
 import entrolim as el
@@ -206,8 +207,8 @@ def _tree_terms(points, k, seed):
         points = points + 1e-12 * scale * rng.standard_normal(points.shape)
         eps = np.maximum(cKDTree(points).query(points, k=k + 1)[0][:, k], 1e-300)
     const = (
-        float(estimators.special.digamma(n))
-        - float(estimators.special.digamma(k))
+        float(special.digamma(n))
+        - float(special.digamma(k))
         + estimators._unit_ball_log_volume(dim)
     )
     return const + dim * np.log(eps), flag
@@ -390,7 +391,7 @@ def test_whiteness_sums_do_not_depend_on_blas_threads():
 def test_ljung_box_tail_is_scipy_stats_chi2_sf():
     # the p-value calls special.chdtrc, the function chi2.sf evaluates, so that
     # estimators need not import scipy.stats
-    from scipy import special, stats
+    from scipy import stats
 
     q = np.concatenate([np.linspace(0.0, 1e4, 100_001), np.geomspace(1e-12, 1e4, 10_001)])
     tail = special.chdtrc(estimators._LJUNG_BOX_LAGS, q)

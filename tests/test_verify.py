@@ -455,7 +455,8 @@ def test_sweep_runs_serially_where_it_cannot_fork(tmp_path, monkeypatch):
 
 
 def test_sweep_below_the_fork_crossover_runs_serially_at_any_thread_count(tmp_path, monkeypatch):
-    # 4 cells x 3 000 steps x 6 with the certificates on: 72 000 weighted steps
+    # 4 cells x 3 000 steps x 2 with the certificates on but no window long
+    # enough for the kNN MI: 24 000 weighted steps
     config = _config(
         [AR1, VEC], ["ar1", "vec"], [{"kind": "zero"}, {"kind": "random"}], [2.0],
         horizon=3_000,
@@ -474,10 +475,10 @@ def test_sweep_below_the_fork_crossover_runs_serially_at_any_thread_count(tmp_pa
 
 
 def test_fork_crossover_keeps_each_measured_plan_on_its_side(monkeypatch):
-    # weighted steps (cells x horizon, x 6 with the certificates on) against
-    # _FORK_MIN_STEPS: sweep_drive's grids 96 000 and 24 000 run serially;
-    # sweep_certify's grid 1 728 000, the README example 720 000 and CI's
-    # grid.json 576 000 fork.  Every plan is read from where it is defined.
+    # weighted steps (cells x horizon, with the certificates on x 6 where a
+    # scalar cell's post-burn-in window reaches the kNN MI and x 2 where none
+    # does) against _FORK_MIN_STEPS, for each plan of the table at the
+    # constants.  Every base plan is read from where it is defined.
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -489,6 +490,7 @@ def test_fork_crossover_keeps_each_measured_plan_on_its_side(monkeypatch):
         r"echo '(.*)' > \"\$RUNNER_TEMP/grid.json\"",
         (root / ".github" / "workflows" / "tests.yml").read_text(),
     )
+    readme, grid = json.loads(readme), json.loads(grid)
 
     class Forked(Exception):
         pass
@@ -499,19 +501,27 @@ def test_fork_crossover_keeps_each_measured_plan_on_its_side(monkeypatch):
     monkeypatch.setattr(verify_module, "_FORK", True)
     monkeypatch.setattr(verify_module, "ProcessPoolExecutor", pool)
 
-    def forks(raw, tightness):
-        config = cli.config_from_dict(raw)
+    def side(raw, tightness, **changes):
+        config = cli.config_from_dict({**raw, **changes})
         cells = verify_module.run_plan(config, config.trials)
+        steps = verify_module._weighted_steps(cells, config, None, tightness)
         try:  # the side is chosen before the first cell comes back
             next(verify_module.run_cells(cells, config, tightness=tightness, threads=2))
         except Forked:
-            return True
-        return False
+            return steps, "fork"
+        return steps, "serial"
 
-    assert [forks(raw, False) for raw in drive] == [False, False]
-    assert forks(certify, True)
-    assert forks(json.loads(readme), True)
-    assert forks(json.loads(grid), True)  # so its t1 = t2 check in CI covers the pool
+    assert [side(raw, False) for raw in drive] == [(96_000, "serial"), (24_000, "serial")]
+    assert side(certify, True) == (1_728_000, "fork")
+    assert side(certify, True, trials=1, horizon=6_000) == (144_000, "serial")
+    assert side(certify, True, trials=1, horizon=8_000) == (192_000, "serial")
+    assert side(certify, True, trials=1, horizon=12_000) == (864_000, "fork")
+    assert side(readme, True) == (720_000, "fork")
+    assert side(readme, True, horizon=10_000) == (120_000, "serial")
+    assert side(readme, True, horizon=15_000) == (540_000, "fork")
+    # so that its t1 = t2 check in CI covers the pool
+    assert side(grid, True) == (576_000, "fork")
+    assert side(grid, True, horizon=8_000) == (128_000, "serial")
 
 
 def test_run_cells_starts_no_more_workers_than_cpus(monkeypatch):
