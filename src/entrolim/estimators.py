@@ -50,6 +50,15 @@ _JACKKNIFE_FOLDS = 20
 #: tightness certificate.
 _KS_COEFF = 1.63
 
+#: The exact KS maximum of ``density_fit_gg``: the cdf runs at every
+#: _KS_BLOCK-th order statistic first, and inside a block only when the
+#: block's bound comes within _KS_SLACK of the largest term found there.
+_KS_BLOCK = 16
+_KS_SLACK = 1e-12
+
+#: The one error of every estimator given a NaN or an infinity.
+_NON_FINITE = "non-finite sample: it holds a NaN or an inf"
+
 #: The whiteness gate: a Ljung-Box portmanteau over lags 1.._LJUNG_BOX_LAGS
 #: passes when its p-value is at least _LJUNG_BOX_ALPHA.
 _LJUNG_BOX_ALPHA = 0.005
@@ -145,6 +154,8 @@ class DetEstimate:
 def lp_norm_estimate(samples: np.ndarray, p: float) -> tuple[float, float]:
     """Sample L_p norm E[|x|^p]^(1/p) and its delta-method standard error.
 
+    A NaN or inf in the sample raises ValueError.
+
     p = inf returns the sample maximum of |x|.  That statistic estimates
     the essential supremum strictly from below with exponentially skewed
     error, so a symmetric CLT rate would be miscalibrated; the reported
@@ -165,8 +176,12 @@ def lp_norm_estimate(samples: np.ndarray, p: float) -> tuple[float, float]:
     if math.isinf(p):
         depth = min(5, n - 1)
         top = np.partition(mag, n - 1 - depth)[-(depth + 1) :]
-        # numpy places only top[0]; the order of the rest is undefined
-        return float(top.max()), float(max(top.max() - top[0], 1e-300))
+        # numpy places only top[0]; the order of the rest is undefined, but a
+        # NaN or an inf sorts into the block
+        peak = float(top.max())
+        if not math.isfinite(peak):
+            raise ValueError(_NON_FINITE)
+        return peak, float(max(peak - top[0], 1e-300))
     with np.errstate(over="ignore"):
         powered = mag**p
         moment = float(powered.mean())
@@ -175,6 +190,8 @@ def lp_norm_estimate(samples: np.ndarray, p: float) -> tuple[float, float]:
         finite = 0.0 < moment < math.inf
         se_moment = float(powered.std(ddof=1)) / math.sqrt(n) if finite else math.nan
     if not (finite and se_moment < math.inf):
+        if not np.isfinite(mag).all():
+            raise ValueError(_NON_FINITE)
         # at a large p, |x|^p under- or overflows: an error, never a verdict
         raise ValueError(
             f"L_p norm at p={p:g}: mean(|x|^p) = {moment!r} with standard error "
@@ -224,14 +241,18 @@ def entropy_estimate_1d(samples: np.ndarray) -> EntropyEstimate:
 
     Window m = round(n^(1/3)); standard error from a 20-fold delete-block
     jackknife.  Samples with more than 10% tied values are flagged ("ties")
-    since spacings collapse and the estimate degrades.
+    since spacings collapse and the estimate degrades.  A NaN or inf in the
+    sample raises ValueError.
     """
     x = np.asarray(samples, dtype=float).reshape(-1)
     n = x.size
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
+    values = np.unique(x)  # sorted, with -inf first and +inf or NaN last
+    if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
+        raise ValueError(_NON_FINITE)
     flag = None
-    if np.unique(x).size < 0.9 * n:
+    if values.size < 0.9 * n:
         flag = "ties"
     value = _spacing_entropy_nats(x) / _LN2
     se = _jackknife_se(n, lambda fold: _spacing_entropy_nats(np.delete(x, fold)) / _LN2)
@@ -314,7 +335,7 @@ def _knn_terms_nats(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, Optio
     from scipy import special
     n, dim = points.shape
     if not np.isfinite(points).all():
-        raise ValueError("kNN points must be finite")
+        raise ValueError(_NON_FINITE)
     flag = None
     eps = _knn_radii(points, k)
     if np.any(eps == 0.0):
@@ -464,6 +485,8 @@ def whiteness_stats(errors: np.ndarray, *, seed=0) -> WhitenessReport:
         raise ValueError(f"need at least {_WHITENESS_MIN_SAMPLES} samples, got {n}")
     centered = x - x.mean()
     denom = _dot(centered, centered)
+    if math.isnan(denom):  # a NaN or an inf in x, never a finite sample
+        raise ValueError(_NON_FINITE)
     if denom == 0.0:
         raise ValueError("constant error trace; whiteness undefined")
     lags = range(1, _LJUNG_BOX_LAGS + 1)
@@ -495,6 +518,19 @@ def density_fit_gg(samples: np.ndarray, p: float) -> GGFitReport:
 
     The scale is the sample L_p norm (the maximum-likelihood-flavored
     moment match); pass/fail compares against 1.63 / sqrt(n).
+
+    The distance is the largest term max(grid_i - F_i, F_i - lower_i) over
+    the sorted sample, grid_i = (i + 1) / n, lower_i = grid_i - 1/n and F
+    the GG(p) cdf, and it is exact: the cdf runs at every _KS_BLOCK-th
+    order statistic and at the last one first.  F and rounding are both
+    monotone, so between two such knots a < b every term is at most
+    max(grid_b - F_a, F_b - lower_a); the cdf then runs only inside the
+    blocks whose bound reaches the largest knot term less _KS_SLACK.  The
+    slack, far above one ulp, covers a computed cdf that is monotone only
+    to within rounding.  Each term is the expression of the full
+    evaluation on the same element, so the maximum is the same bits.  A
+    NaN or inf in the sample raises ValueError (from ``lp_norm_estimate``);
+    the bounds need a finite sample.
     """
     x = np.asarray(samples, dtype=float).reshape(-1)
     n = x.size
@@ -505,9 +541,20 @@ def density_fit_gg(samples: np.ndarray, p: float) -> GGFitReport:
         raise ValueError("degenerate sample: L_p norm is zero")
     reference = GeneralizedGaussian(p, scale)
     order = np.sort(x)
-    cdf = reference.cdf(order)
     grid = np.arange(1, n + 1) / n
-    distance = float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / n))))
+    lower = grid - 1.0 / n
+    knots = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
+    at_knots = reference.cdf(order[knots])
+    best = np.max(np.maximum(grid[knots] - at_knots, at_knots - lower[knots]))
+    bounds = np.maximum(grid[knots[1:]] - at_knots[:-1], at_knots[1:] - lower[knots[:-1]])
+    # the points of the blocks whose bound may beat the best knot, knots left out
+    in_open_block = np.repeat(bounds >= best - _KS_SLACK, np.diff(knots))
+    in_open_block[::_KS_BLOCK] = False
+    inside = np.flatnonzero(in_open_block)
+    cdf = reference.cdf(order[inside])
+    distance = float(
+        np.max(np.maximum(grid[inside] - cdf, cdf - lower[inside]), initial=best)
+    )
     return GGFitReport(
         ks_distance=distance,
         threshold=_KS_COEFF / math.sqrt(n),
@@ -536,6 +583,10 @@ def covariance_det_estimate(samples: np.ndarray) -> DetEstimate:
     if n < 10 * m:
         raise ValueError(f"need at least {10 * m} samples, got {n}")
     gram = pts.T @ pts
+    if not np.isfinite(gram).all():
+        if not np.isfinite(pts).all():
+            raise ValueError(_NON_FINITE)
+        raise ValueError("second-moment matrix out of the float64 range")
     det = float(np.linalg.det(gram / n))
     se = _jackknife_se(n, lambda f: np.linalg.det((gram - pts[f].T @ pts[f]) / (n - f.size)))
     moment = gram / n

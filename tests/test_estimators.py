@@ -11,7 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import special, stats
 from scipy.spatial import cKDTree
 
 import entrolim as el
@@ -436,6 +439,124 @@ def test_gg_fit_validation():
         el.density_fit_gg(np.zeros(200), 2.0)
 
 
+def _ks_terms(samples, p):
+    """Every KS term of the fit to GG(p): the cdf at every order statistic."""
+    x = np.asarray(samples, dtype=float).reshape(-1)
+    n = x.size
+    scale, _ = el.lp_norm_estimate(x, p)  # on the sample's own order, as the fit sums it
+    cdf = el.GeneralizedGaussian(p, scale).cdf(np.sort(x))
+    grid = np.arange(1, n + 1) / n
+    return np.maximum(grid - cdf, cdf - (grid - 1.0 / n))
+
+
+def _full_gg_fit(samples, p):
+    """The reference KS fit: (ks_distance, passed) from the cdf at every point,
+    as ``density_fit_gg`` computed them before its exact maximum."""
+    distance = float(np.max(_ks_terms(samples, p)))
+    return distance, distance < estimators._KS_COEFF / math.sqrt(np.size(samples))
+
+
+def _assert_fit_is_the_full_evaluation(x, p):
+    report = el.density_fit_gg(x, p)
+    distance, passed = _full_gg_fit(x, p)
+    assert report.ks_distance.hex() == distance.hex(), (x.size, p)
+    assert report.passed == passed
+
+
+FIT_POWERS = (1.0, 1.5, 2.0, 3.0, 4.0, math.inf)
+FIT_SIZES = (100, 101, 115, 1_000, 11_000, 20_001)
+
+
+def _fit_samples(n):
+    """GG(p) draws and AR-filtered paths of n samples, plain, tied and with one outlier."""
+    for q in (1.0, 1.5, 2.0, 3.0, math.inf):
+        yield el.GeneralizedGaussian(q, 1.0).sample(n, seed=n + int(min(q, 9) * 10))
+    yield el.GaussARMA(ar=(0.9,)).sample_path(n, n)
+    yield el.GaussARMA(ar=(0.5, -0.3), ma=(0.4,)).sample_path(n, n + 1)
+    x = el.GeneralizedGaussian(2.0, 1.0).sample(n, seed=n + 2)
+    yield np.round(x, 1)  # ties
+    outlier = x.copy()
+    outlier[n // 3] = 50.0
+    yield outlier
+
+
+@pytest.mark.parametrize("n", FIT_SIZES)
+def test_gg_fit_is_the_full_evaluation_bit_for_bit(n):
+    for x in _fit_samples(n):
+        for p in FIT_POWERS:
+            _assert_fit_is_the_full_evaluation(x, p)
+
+
+def _quantile_sample(n, p):
+    """n GG(p) quantiles at the midpoints (i + 1/2) / n: every KS term is near 1/(2n)."""
+    q = (np.arange(n) + 0.5) / n
+    if math.isinf(p):
+        return 2.0 * q - 1.0
+    return stats.gennorm.ppf(q, p)
+
+
+@pytest.mark.parametrize("n", [100, 115, 1_000, 11_000])
+def test_gg_fit_is_exact_when_the_maximum_sits_in_an_end_block(n):
+    # the six smallest (largest) quantiles pulled in onto the seventh put the
+    # largest KS term, about 6/n, in the first (last) block
+    block = estimators._KS_BLOCK
+    last_block = (n - 1) // block * block
+    for p in FIT_POWERS:
+        x = _quantile_sample(n, p)
+        first, last = x.copy(), x.copy()
+        first[:6] = x[6]
+        last[-6:] = x[-7]
+        assert int(np.argmax(_ks_terms(first, p))) < block
+        assert int(np.argmax(_ks_terms(last, p))) >= last_block
+        _assert_fit_is_the_full_evaluation(first, p)
+        _assert_fit_is_the_full_evaluation(last, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=hnp.arrays(
+        np.float64,
+        st.integers(100, 400),
+        elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+    ),
+    p=st.sampled_from(FIT_POWERS),
+)
+def test_gg_fit_is_the_full_evaluation_on_any_sample(x, p):
+    try:
+        _full_gg_fit(x, p)
+    except ValueError:  # a zero or underflowing L_p norm
+        with pytest.raises(ValueError):
+            el.density_fit_gg(x, p)
+        return
+    _assert_fit_is_the_full_evaluation(x, p)
+
+
+@pytest.mark.parametrize(
+    "model, spec",
+    [
+        (el.GaussARMA(ar=(0.9,)), {"kind": "predictor"}),
+        (el.GaussARMA(ar=(0.5, -0.3), ma=(0.4,)), {"kind": "random"}),
+        (el.GaussARMA(ar=(0.9,)), {"kind": "zero"}),
+    ],
+)
+def test_gg_fit_evaluates_the_cdf_at_a_quarter_of_the_points_at_most(monkeypatch, model, spec):
+    points = []
+    cdf = el.GeneralizedGaussian.cdf
+
+    def counted(self, x):
+        points.append(np.size(x))
+        return cdf(self, x)
+
+    monkeypatch.setattr(el.GeneralizedGaussian, "cdf", counted)
+    controller = el.resolve_controller(spec, model, 3)
+    errors = el.run_loop(model, controller, 12_000, 5).e
+    for p in (1.0, 2.0, math.inf):
+        points.clear()
+        el.density_fit_gg(errors, p)
+        assert len(points) == 2
+        assert sum(points) <= 0.25 * errors.size
+
+
 # ---------------------------------------------------------------------------
 # covariance determinant
 
@@ -465,6 +586,46 @@ def test_det_estimate_1d_is_second_moment():
 def test_det_estimate_needs_samples():
     with pytest.raises(ValueError, match="at least"):
         el.covariance_det_estimate(np.ones((15, 2)))
+
+
+# ---------------------------------------------------------------------------
+# non-finite samples
+
+
+def _public_estimates(x):
+    """Every public estimator on one scalar sample x (and on (x, x) pairs)."""
+    yield lambda: el.lp_norm_estimate(x, 1.0)
+    yield lambda: el.lp_norm_estimate(x, 2.0)
+    yield lambda: el.lp_norm_estimate(x, math.inf)
+    yield lambda: el.entropy_estimate_1d(x)
+    yield lambda: el.entropy_estimate_knn(x)
+    yield lambda: el.entropy_estimate_knn(np.column_stack([x, np.roll(x, 1)]))
+    yield lambda: el.conditional_entropy_estimate(x, 1)
+    yield lambda: el.mutual_information_estimate(x[:-1], x[1:])
+    yield lambda: el.whiteness_stats(x)
+    for p in (1.0, 2.0, math.inf):
+        yield lambda p=p: el.density_fit_gg(x, p)
+    yield lambda: el.covariance_det_estimate(x)
+    yield lambda: el.covariance_det_estimate(np.column_stack([x, np.roll(x, 1)]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_estimator_refuses_a_non_finite_sample(bad):
+    x = _rng(60).standard_normal(10_001)
+    x[4_321] = bad
+    for estimate in _public_estimates(x):
+        with pytest.raises(ValueError, match=f"^{estimators._NON_FINITE}$"):
+            estimate()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_finite_second_moment_overflow_is_not_a_non_finite_sample():
+    x = _rng(61).standard_normal(1_000) * 1e200
+    with pytest.raises(ValueError, match="out of the float64 range"):
+        el.covariance_det_estimate(x)
+    with pytest.raises(ValueError, match="out of the float64 range"):
+        el.lp_norm_estimate(x, 2.0)
 
 
 # ---------------------------------------------------------------------------
