@@ -477,16 +477,21 @@ def whiteness_stats(errors: np.ndarray, *, seed=0) -> WhitenessReport:
     _KNN_MIN_SAMPLES + 1 points; longer traces are truncated to
     _MI_MAX_SAMPLES pairs for it (the portmanteau always uses the full
     trace).  ``mi_flag`` keeps the MI estimator's "ties" or "degenerate" flag.
+    A NaN or inf in the sample, or a finite one whose centred sum of squares
+    overflows, raises ValueError.
     """
     from scipy import special
     x = np.asarray(errors, dtype=float).reshape(-1)
     n = x.size
     if n < _WHITENESS_MIN_SAMPLES:
         raise ValueError(f"need at least {_WHITENESS_MIN_SAMPLES} samples, got {n}")
-    centered = x - x.mean()
-    denom = _dot(centered, centered)
-    if math.isnan(denom):  # a NaN or an inf in x, never a finite sample
-        raise ValueError(_NON_FINITE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean()
+        denom = _dot(centered, centered)
+    if not math.isfinite(denom):
+        if not np.isfinite(x).all():
+            raise ValueError(_NON_FINITE)
+        raise ValueError(f"centred sum of squares {denom!r} is out of the float64 range")
     if denom == 0.0:
         raise ValueError("constant error trace; whiteness undefined")
     lags = range(1, _LJUNG_BOX_LAGS + 1)

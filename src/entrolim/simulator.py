@@ -16,7 +16,8 @@ two input histories.
 Every policy runs through one sequence kernel, ``kernel(x, closed) -> (z, e)``,
 and ``ControllerPolicy.run`` is the only path from a policy to its outputs:
 the closed loop (``run_loop``, x = d, e_k = d_k + z_k) and both causality
-audits, closed and open loop (x = a fixed error sequence, e = x), call it.
+audits, closed and open loop (x = a fixed error sequence, e = x), call it,
+or run a batch of the open loops that ``run`` runs as a batch of one.
 ``ControllerPolicy.step_recursion``, one ``step`` call per sample, is the
 reference and runs for any policy built without a kernel; each built-in
 controller carries an exact kernel that computes its ``step``'s arithmetic
@@ -51,14 +52,23 @@ passes at 3k, 12k and 200k steps (2-5 seeds each).  After 32 passes
 (``_FIXED_POINT_PASSES``) the loop finishes step by step from the first
 unsettled step, which keeps it exact on any input.  It does so at once when
 that step's d is a NaN or inf: then every later d is a NaN, a front that
-would move only ``top`` steps a pass.  The open loop, where z feeds back
-into d = x - z at the law's full gain and a pass settles about one step, and
-a frozen phase shorter than ``_FIXED_POINT_MIN_STEPS`` (64) steps, where the
-passes cost more than the steps, run step by step on Python floats.
+would move only ``top`` steps a pass.  A frozen phase shorter than
+``_FIXED_POINT_MIN_STEPS`` (64) steps, where the passes cost more than the
+steps, runs step by step on Python floats.  The open loop, where z feeds back
+into d = x - z at the law's full gain and a pass would settle about one step,
+runs step by step too, but across loops: ``_fir_open`` steps a batch of open
+loops in numpy, each z_k[i] one multiply into a term buffer whose first row
+is 0.0 and ``np.add.accumulate`` down it, the step's ordered sum from 0.0.
+A lone open loop is its batch of one.
 
 Both audits, ``causality_audit`` (open loop) and
-``closed_loop_causality_check``, run one probe loop, ``_probe_loop``: draw,
-run, check the kernel on trial 0, perturb from k and compare through k.
+``closed_loop_causality_check``, run one probe loop, ``_probe_loop``: draw
+every trial's input, k and input perturbed from k, run them all, check the
+kernel on trial 0 and compare z through k, every NaN as one.  The open loops
+of a ladder at order 1 to 16 whose class keeps ``run`` run as one
+``_fir_open`` batch of 2 x trials loops; higher orders, ``random``, step
+policies such as ``compose_loop``, a class that overrides ``run`` and the
+closed-loop audit make one ``run`` per input.
 
 ``compose_loop`` builds such a policy from two sequence-level stages (a
 plant and a controller in either order); at least one stage must be
@@ -333,11 +343,12 @@ def _fir_kernel(ladder: Ladder, rows, x: np.ndarray, closed: bool):
         s = ladder[min(k, top)] . (d_{k-1}, d_{k-2}, ...),  top = len(ladder) - 1,
 
     summed as ``_fir_step`` sums it.  Up to top order ``_FIXED_POINT_ORDER`` the
-    frozen phase k >= top of a long enough closed loop is ``_fixed_point`` on a
-    (channel, step) view, and the steps k < top, the open loop and the rest run
-    on Python floats, one step at a time.  Above that order each step makes the
-    step's ``@`` dot (see ``_fir_dot_steps``).  The empty ladder (top 0) gives
-    z = 0 without a loop, in any dimension.
+    open loop is ``_fir_open``'s batch of one, the frozen phase k >= top of a
+    long enough closed loop is ``_fixed_point`` on a (channel, step) view, and
+    the steps k < top and the rest of the closed loop run on Python floats, one
+    step at a time.  Above that order each step makes the step's ``@`` dot (see
+    ``_fir_dot_steps``).  The empty ladder (top 0) gives z = 0 without a loop,
+    in any dimension.
     """
     top = len(ladder) - 1
     if not top:
@@ -346,9 +357,11 @@ def _fir_kernel(ladder: Ladder, rows, x: np.ndarray, closed: bool):
     if rows is None:
         return _fir_dot_steps(ladder, x, closed)
     n, m = x.shape[0], len(rows[0])
+    if not closed:
+        return _fir_open(rows, x.reshape(n, m, 1)).reshape(x.shape), x
     zs, es, window = [], [], []
-    if closed and n - top >= _FIXED_POINT_MIN_STEPS:
-        _fir_steps(rows, x, zs, es, window, top, closed)
+    if n - top >= _FIXED_POINT_MIN_STEPS:
+        _fir_steps(rows, x, zs, es, window, top)
         z = np.zeros((m, n))
         z.T[:top] = np.array(zs).reshape(top, m)
         terms = [[(t, j % m, j // m + 1) for j, t in enumerate(row)] for row in rows[top]]
@@ -357,16 +370,16 @@ def _fir_kernel(ladder: Ladder, rows, x: np.ndarray, closed: bool):
             return tuple(np.ascontiguousarray(a.T).reshape(x.shape) for a in (z, e))
         zs, es = [(a[0] if m == 1 else a.T)[:settled].tolist() for a in (z, e)]
         window = d[:, settled - top : settled][:, ::-1].T.ravel().tolist()
-    _fir_steps(rows, x, zs, es, window, n, closed)
-    return _outputs(x, zs, es, closed)
+    _fir_steps(rows, x, zs, es, window, n)
+    return _outputs(x, zs, es, True)
 
 
-def _fir_steps(rows, x, zs, es, window, stop, closed) -> None:
-    """Steps len(zs) to ``stop`` - 1 of the FIR law on Python floats, appended to
-    the lists of z and e: floats at m = 1 (also from (n, 1) rows), lists of m
-    floats above.  ``window`` holds the floats of the last min(len(zs), top) d,
-    newest lag first and channels in order within a lag, so its length picks
-    the order."""
+def _fir_steps(rows, x, zs, es, window, stop) -> None:
+    """Closed-loop steps len(zs) to ``stop`` - 1 of the FIR law on Python floats,
+    appended to the lists of z and e: floats at m = 1 (also from (n, 1) rows),
+    lists of m floats above.  ``window`` holds the floats of the last
+    min(len(zs), top) d, newest lag first and channels in order within a lag,
+    so its length picks the order."""
     top, m = len(rows) - 1, len(rows[0])
     if m == 1:
         taps, window = [row for row, in rows], deque(window, maxlen=top)
@@ -374,7 +387,7 @@ def _fir_steps(rows, x, zs, es, window, stop, closed) -> None:
             zk = 0.0
             for term in map(mul, taps[len(window)], window):
                 zk += term
-            ek = xk + zk if closed else xk
+            ek = xk + zk
             zs.append(zk)
             es.append(ek)
             window.appendleft(ek - zk)
@@ -386,10 +399,41 @@ def _fir_steps(rows, x, zs, es, window, stop, closed) -> None:
             for term in map(mul, row, window):
                 s += term
             zk.append(s)
-        ek = list(map(add, xk, zk)) if closed else xk
+        ek = list(map(add, xk, zk))
         zs.append(zk)
         es.append(ek)
         window = [*map(sub, ek, zk), *window[: (top - 1) * m]]
+
+
+def _fir_open(rows, x: np.ndarray) -> np.ndarray:
+    """z of the FIR law's open loops (e = x, d_k = x_k - z_k) at top order 1 to
+    ``_FIXED_POINT_ORDER``, one loop per column of x shaped (n, m, b), all b in
+    one numpy step loop.  Each z_k[i] is ``_fir_step``'s ordered sum: one
+    multiply fills rows 1.. of a term buffer whose row 0 stays 0.0, and
+    ``np.add.accumulate`` down its rows adds each term in order from 0.0, one
+    rounding per add, as the Python-float loop does (``np.add.reduce`` may sum
+    pairwise).  The buffer's rows run over lags newest first and each lag's
+    channels in order: a slice of the d history, kept newest at the bottom."""
+    n, m, b = x.shape
+    z = np.zeros((n, m, b))
+    top = len(rows) - 1
+    if not (n and top):
+        return z
+    coeffs = [np.array(row).T.reshape(-1, m, 1) for row in rows]
+    terms = np.zeros((top * m + 1, m, b))
+    hist = np.empty((n * m, 1, b))  # d_k in rows (n - 1 - k) m to (n - k) m - 1
+    low = (n - 1) * m
+    np.subtract(x[0], z[0], out=hist[low:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats are
+        for k in range(1, n):
+            span = min(k, top) * m
+            sums = terms[: span + 1]
+            np.multiply(coeffs[span // m], hist[low : low + span], out=sums[1:])
+            np.add.accumulate(sums, axis=0, out=sums)
+            z[k] = sums[span]
+            low -= m
+            np.subtract(x[k], z[k], out=hist[low : low + m, 0])
+    return z
 
 
 def _fir_dot_steps(ladder, x, closed):
@@ -655,9 +699,12 @@ def causality_audit(
     a violation; honest history-based policies pass by construction, a
     z_k = e_k double fails at every index.  On the first trial the response
     of a policy with its own kernel must also equal ``step_recursion``'s
-    bit for bit, so the audit covers the code that runs.  The errors come as
-    scalars, or as rows of ``dim`` for a vector z_0 or ``dim`` > 1 (a 1 x 1
-    vector model's predictor reads (n, 1) paths).
+    bit for bit, so the audit covers the code that runs: an FIR ladder at
+    order 1 to 16 runs its 2 x ``trials`` open loops as one batch, the code
+    its lone open loop runs.  Responses agree when their bits do, every NaN
+    taken as one.  The errors come as scalars, or as rows of ``dim`` for a
+    vector z_0 or ``dim`` > 1 (a 1 x 1 vector model's predictor reads (n, 1)
+    paths).
     """
     rows = controller.dim != 1 or np.ndim(controller.initial_output)
     shape = (length, controller.dim) if rows else (length,)
@@ -692,27 +739,43 @@ def closed_loop_causality_check(
 
 
 def _probe_loop(controller, closed, length, trials, seed, draw, shift) -> CausalityReport:
-    """Both audits' loop: ``controller.run`` on x = ``draw(rng)``, closed or
-    open loop, check its kernel on trial 0, move x_j for j >= k by
-    ``shift(rng, x[k:])``, and require z to agree through index k."""
+    """Both audits' loop: for each trial draw x = ``draw(rng)`` and k, and move
+    x_j for j >= k by ``shift(rng, x[k:])``; run the policy on every x and
+    moved x, closed or open loop (``_runs``); check its kernel on trial 0; and
+    require z to agree through index k, every NaN taken as one (``_bits``)."""
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
     rng = as_rng(seed)
-    violations = []
-    for trial in range(trials):
+    probes = []
+    for _ in range(trials):
         x = draw(rng)
-        outputs = controller.run(x, closed)
-        if trial == 0:
-            violations += _kernel_check(controller, x, closed, outputs)
         k = int(rng.integers(1, length))
         altered = x.copy()
         altered[k:] += shift(rng, altered[k:])
-        reference, moved = outputs[0][: k + 1], controller.run(altered, closed)[0][: k + 1]
+        probes.append((x, k, altered))
+    runs = _runs(controller, closed, [y for x, _, altered in probes for y in (x, altered)])
+    violations = []
+    for trial, ((x, k, _), outputs, (moved, _)) in enumerate(zip(probes, runs[::2], runs[1::2])):
+        if trial == 0:
+            violations += _kernel_check(controller, x, closed, outputs)
+        reference, moved = _bits(outputs[0][: k + 1]), _bits(moved[: k + 1])
         if not np.array_equal(reference, moved):
             violations.append((trial, _first_mismatch(reference, moved)))
     return CausalityReport(
         passed=not violations, trials=trials, violations=tuple(violations)
     )
+
+
+def _runs(controller, closed, xs) -> list:
+    """``controller.run(x, closed)`` for each x.  The open loops of the FIR law at
+    top order 1 to ``_FIXED_POINT_ORDER``, on a class that keeps ``run``, run as
+    one ``_fir_open`` batch, the code a lone open loop runs."""
+    kernel = controller.kernel
+    rows = kernel.args[1] if getattr(kernel, "func", None) is _fir_kernel else None
+    if closed or rows is None or len(rows) < 2 or type(controller).run is not ControllerPolicy.run:
+        return [controller.run(x, closed) for x in xs]
+    z = _fir_open(rows, np.stack(xs, axis=-1).reshape(xs[0].shape[0], len(rows[0]), len(xs)))
+    return [(z[..., i].reshape(x.shape), x) for i, x in enumerate(xs)]
 
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray) -> int:

@@ -628,6 +628,22 @@ def test_a_finite_second_moment_overflow_is_not_a_non_finite_sample():
         el.lp_norm_estimate(x, 2.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e307])
+def test_whiteness_refuses_a_float64_overflow_and_keeps_the_non_finite_message(scale):
+    # at 1e200 the centred sum of squares overflows to inf; at 1e307 the
+    # centring itself overflows, into inf - inf.  Both samples are finite: no
+    # NaN portmanteau, no warning and no "non-finite sample"
+    x = _rng(62).standard_normal(2_000)
+    with pytest.raises(ValueError, match="^centred sum of squares .* out of the float64 range$"):
+        el.whiteness_stats(x * scale)
+    for bad in (math.nan, math.inf, -math.inf):
+        y = x.copy()
+        y[1_234] = bad
+        with pytest.raises(ValueError, match=f"^{estimators._NON_FINITE}$"):
+            el.whiteness_stats(y * scale)
+
+
 # ---------------------------------------------------------------------------
 # report validation
 

@@ -9,8 +9,10 @@ vector predictor is the ladder (no taps, -A).  A ladder frozen at order 1 to
 16 sums each row on Python floats in order from 0.0, over lags in order and
 each lag's channels in order; its closed loop runs as a whole-trace fixed
 point of numpy multiplies and adds that settles on the step recursion's own
-values, and the open loop, the first steps and a fixed point that has not
-settled within its pass cap run step by step.  From order 17 (scalar
+values, the first steps and a fixed point that has not settled within its
+pass cap run step by step, and its open loops run step by step as one numpy
+batch (one multiply into a term buffer, then np.add.accumulate), which the
+open-loop audit runs on all its inputs at once.  From order 17 (scalar
 ladders only) the kernel makes the step's ``@`` dot on a negatively strided
 view of a preallocated history (a slice, or a row of a window view).
 ``random`` with memory >= 1 repeats its step's Python-float law inline,
@@ -562,3 +564,156 @@ def test_python_float_nan_signs_change_once_the_kernel_is_warm():
         pytest.skip("this CPython returns one NaN sign cold and warm")
     assert e1_cold ^ e1_warm == 1 << 63
     assert math.isnan(np.uint64(e1_cold).view(np.float64))
+
+
+# ---------------------------------------------------------------------------
+# the open-loop batch: the audit runs a ladder's open loops as one _fir_open
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    order=st.integers(1, simulator._FIXED_POINT_ORDER),
+    batch=st.sampled_from([1, 2, 40]),
+    length=st.sampled_from(["0", "1", "top", "top + 1", "300"]),
+    as_rows=st.booleans(),
+    planted=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_open_batch_is_the_step_recursion(m, order, batch, length, as_rows, planted, seed):
+    # scalar ladders at orders 1-16 on (n,) or (n, 1) inputs and m x m ladders
+    # at m = 2-4 and orders 1-4 on (n, m) inputs, with planted +-NaN, +-inf and
+    # -0.0: every row of one batch is the step recursion bit for bit, every
+    # NaN as one
+    rng = np.random.default_rng(seed)
+    top = order if m == 1 else 1 + order % 4
+    rows = m > 1 or as_rows
+    ctrl = el.ControllerPolicy(
+        taps=_matrix_ladder(rng, m, top), initial_output=np.zeros(m) if rows else 0.0, dim=m
+    )
+    n = {"0": 0, "1": 1, "top": top, "top + 1": top + 1, "300": 300}[length]
+    shape = (n, m) if rows else (n,)
+    xs = [_plant(rng, 3.0 * rng.standard_normal(shape), planted if n else 0) for _ in range(batch)]
+    runs = simulator._runs(ctrl, False, xs)
+    assert len(runs) == batch
+    for x, (z, e) in zip(xs, runs):
+        want = ctrl.step_recursion(x, False)[0]
+        assert e is x and z.shape == want.shape
+        assert np.array_equal(simulator._bits(z), simulator._bits(want))
+
+
+def _per_trial_probe_loop(controller, closed, length, trials, seed, draw, shift):
+    """The probe loop before the open-loop batch, the reference for
+    ``simulator._probe_loop``: each trial draws x and runs it, checks the kernel
+    on trial 0, then draws k and the shift and runs the moved x; z must agree
+    through index k, every NaN as one."""
+    if length < 2:
+        raise ValueError(f"length must be >= 2, got {length}")
+    rng = simulator.as_rng(seed)
+    violations = []
+    for trial in range(trials):
+        x = draw(rng)
+        outputs = controller.run(x, closed)
+        if trial == 0:
+            violations += simulator._kernel_check(controller, x, closed, outputs)
+        k = int(rng.integers(1, length))
+        altered = x.copy()
+        altered[k:] += shift(rng, altered[k:])
+        reference = simulator._bits(outputs[0][: k + 1])
+        moved = simulator._bits(controller.run(altered, closed)[0][: k + 1])
+        if not np.array_equal(reference, moved):
+            violations.append((trial, simulator._first_mismatch(reference, moved)))
+    return el.CausalityReport(passed=not violations, trials=trials, violations=tuple(violations))
+
+
+class _LeakyLadder(el.ControllerPolicy):
+    """A ladder whose ``run`` leaks 1e-3 x_k into z_k at every 10th index of an
+    open loop: its kernel check fails on trial 0 at index 0."""
+
+    def run(self, x, closed):
+        z, e = super().run(x, closed)
+        if closed:
+            return z, e
+        z = z.copy()
+        z[::10] += 1e-3 * x[::10]
+        return z, e
+
+
+ONE_BY_ONE = el.VectorGaussAR(transition=((0.5,),), innovation_covariance=((1.0,),))
+
+
+def _audited():
+    """(id, model, policy): every built-in controller kind on the scalar and
+    vector models, ``compose_loop`` and the anticipatory double at dim 1 and 2."""
+    ar2, vec2 = SCALAR_MODELS["ar2"], VECTOR_MODELS["vec2"]
+    yield "zero", ar2, el.zero_controller()
+    yield "zero-vec2", vec2, el.zero_controller(2)
+    for name in ("ar1", "arma21", "ma099", "white"):
+        yield f"predictor-{name}", SCALAR_MODELS[name], el.predictor_controller(SCALAR_MODELS[name])
+    for name, model in {**VECTOR_MODELS, "1x1": ONE_BY_ONE}.items():
+        yield f"predictor-{name}", model, el.predictor_controller(model)
+    for memory in (0, 3, 5):
+        yield f"random{memory}", ar2, el.random_causal_controller(seed=5, memory=memory)
+    for memory in (2, 40):
+        yield f"learned{memory}", ar2, _learned(ar2, memory)
+    yield "compose", ar2, el.compose_loop(el.delay_stage(0.5), el.gain_stage(0.7), "KP")
+    yield "anticipatory", ar2, el.anticipatory_double()
+    yield "anticipatory-dim2", vec2, el.anticipatory_double(2)
+
+
+AUDITED = list(_audited())
+
+
+@pytest.mark.parametrize("model, ctrl", [c[1:] for c in AUDITED], ids=[c[0] for c in AUDITED])
+def test_probe_loop_is_the_per_trial_loop(monkeypatch, model, ctrl):
+    # drawing every trial's input first and running the open loops of a ladder
+    # as one batch give the per-trial loop's reports, open and closed loop, at
+    # the audits' trial counts (a batch of 40 open loops) on 32 steps, past the
+    # top order 16
+    audits = (
+        lambda seed: el.causality_audit(ctrl, length=32, seed=seed),
+        lambda seed: el.closed_loop_causality_check(model, ctrl, length=32, seed=seed),
+    )
+    for seed in range(50):
+        reports = [audit(seed) for audit in audits]
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_probe_loop", _per_trial_probe_loop)
+            assert reports == [audit(seed) for audit in audits], seed
+        assert reports[0].passed is not isinstance(ctrl, simulator._AnticipatoryPolicy)
+        assert reports[1].passed
+
+
+def test_open_audit_batches_ladders_at_orders_1_to_16(monkeypatch):
+    batches = []
+    fir_open = simulator._fir_open
+    monkeypatch.setattr(simulator, "_fir_open", lambda rows, x: batches.append(x.shape) or fir_open(rows, x))
+    cases = {c[0]: c[1:] for c in AUDITED}
+    for case_id, m in (("predictor-ar1", 1), ("predictor-arma21", 1), ("learned2", 1),
+                       ("predictor-vec4", 4), ("predictor-1x1", 1)):
+        model, ctrl = cases[case_id]
+        batches.clear()
+        assert el.causality_audit(ctrl, seed=0).passed
+        assert batches == [(256, m, 40)], case_id
+        batches.clear()
+        assert el.closed_loop_causality_check(model, ctrl, seed=0).passed
+        assert batches == [], case_id
+    # the empty ladder, orders above 16, step policies and every other kernel
+    # make one run per input; a class that overrides run runs its own
+    for case_id in ("zero", "predictor-ma099", "learned40", "random3", "compose", "anticipatory"):
+        batches.clear()
+        el.causality_audit(cases[case_id][1], seed=0)
+        assert batches == [], case_id
+    batches.clear()
+    el.causality_audit(_LeakyLadder(taps=cases["predictor-ar1"][1].taps), seed=0)
+    assert batches == [(256, 1, 1)] * 40
+
+
+@pytest.mark.parametrize("model", [SCALAR_MODELS["arma21"], VECTOR_MODELS["vec2"]], ids=["arma21", "vec2"])
+def test_a_ladder_whose_run_leaks_fails_the_open_audit_on_every_seed(model):
+    honest = el.predictor_controller(model)
+    leaky = _LeakyLadder(taps=honest.taps, initial_output=honest.initial_output, dim=model.dim)
+    for seed in range(50):
+        assert el.causality_audit(honest, length=64, seed=seed).passed
+        report = el.causality_audit(leaky, length=64, seed=seed)
+        assert not report.passed and report.violations[0] == (0, 0), seed

@@ -508,6 +508,19 @@ def test_audits_check_the_kernel_against_the_step_recursion():
     assert el.causality_audit(plain, length=64, trials=3, seed=1).passed
 
 
+@pytest.mark.filterwarnings("error")
+def test_audit_passes_a_causal_ladder_whose_open_loop_goes_nan():
+    # z_k = 30 d_{k-1} + 30 d_{k-2} is causal by construction, but its open loop
+    # overflows near step 213 and goes NaN from there in both runs of a trial;
+    # NaNs at the same index are no leak, whatever their signs
+    ladder = simulator._read_only([np.zeros(0), np.array([30.0]), np.array([30.0, 30.0])])
+    ctrl = el.ControllerPolicy(taps=ladder)
+    z = ctrl.run(np.random.default_rng(0).standard_normal(256), False)[0]
+    assert np.isnan(z[220:]).all()
+    report = el.causality_audit(ctrl, seed=0)
+    assert report.passed and report.violations == ()
+
+
 def test_audit_violations_frozen():
     # the audit draws its inputs, indices and perturbations from one rng in a
     # fixed order; these indices pin that order
