@@ -71,8 +71,9 @@ class BoundReport:
     vector.  ``k`` is None for the asymptotic, spectral and GW forms.  The
     record holds what was measured; ``value`` is derived once at
     construction, by lp_bound(h_bits, p) or mimo_det_bound(h_bits,
-    dimension), so an invalid p raises here, and ``constant`` (C_p, or
-    (2 pi e)^m for the determinant) is read off the same inputs.
+    dimension), so an invalid p raises here, as does a value that is no
+    positive normal float (a floor that underflows is an error, never a
+    verdict); ``constant`` (C_p, or (2 pi e)^m) is read off the same inputs.
     """
 
     form: str
@@ -89,6 +90,9 @@ class BoundReport:
             value = lp_bound(self.h_bits, self.p)
         else:
             raise ValueError(f"unknown bound form {self.form!r}")
+        if not 2.0**-1022 <= value < math.inf:  # the positive normal floats
+            raise ValueError(f"{self.form} floor {value:g} is out of the float64 range "
+                             f"(h = {self.h_bits:g} bits)")
         object.__setattr__(self, "value", value)
 
     @property

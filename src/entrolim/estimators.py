@@ -188,6 +188,13 @@ def lp_norm_estimate(samples: np.ndarray, p: float) -> tuple[float, float]:
         if moment == 0.0 and not mag.any():
             return 0.0, 1e-300
         finite = 0.0 < moment < math.inf
+        # outside 2^-500..2^500 the squares in std(|x|^p) leave the normal floats:
+        # rescale x exactly, to a largest |x| in [0.5, 1), and both results back
+        outside = finite and not 2.0**-500 <= moment <= 2.0**500
+        shift = math.frexp(float(mag.max()))[1] if outside else 0
+        if shift:
+            value, se_value = lp_norm_estimate(np.ldexp(x, -shift), p)
+            return math.ldexp(value, shift), math.ldexp(se_value, shift)
         se_moment = float(powered.std(ddof=1)) / math.sqrt(n) if finite else math.nan
     if not (finite and se_moment < math.inf):
         if not np.isfinite(mag).all():
@@ -592,9 +599,12 @@ def covariance_det_estimate(samples: np.ndarray) -> DetEstimate:
         if not np.isfinite(pts).all():
             raise ValueError(_NON_FINITE)
         raise ValueError("second-moment matrix out of the float64 range")
-    det = float(np.linalg.det(gram / n))
-    se = _jackknife_se(n, lambda f: np.linalg.det((gram - pts[f].T @ pts[f]) / (n - f.size)))
     moment = gram / n
+    det = float(np.linalg.det(moment))
+    if not 2.0**-1022 <= abs(det) < math.inf and np.linalg.slogdet(moment)[0]:
+        # a matrix that is not exactly singular: its determinant under- or overflowed
+        raise ValueError(f"second-moment determinant {det!r} is out of the float64 range")
+    se = _jackknife_se(n, lambda f: np.linalg.det((gram - pts[f].T @ pts[f]) / (n - f.size)))
     eigenvalues = np.linalg.eigvalsh(moment)
     singular = bool(
         det <= 0.0 or eigenvalues[0] <= 1e-12 * max(eigenvalues[-1], 1e-300)

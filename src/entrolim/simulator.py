@@ -17,7 +17,7 @@ Every policy runs through one sequence kernel, ``kernel(x, closed) -> (z, e)``,
 and ``ControllerPolicy.run`` is the only path from a policy to its outputs:
 the closed loop (``run_loop``, x = d, e_k = d_k + z_k) and both causality
 audits, closed and open loop (x = a fixed error sequence, e = x), call it,
-or run a batch of the open loops that ``run`` runs as a batch of one.
+or run a batch of the loops that ``run`` runs as a batch of one.
 ``ControllerPolicy.step_recursion``, one ``step`` call per sample, is the
 reference and runs for any policy built without a kernel; each built-in
 controller carries an exact kernel that computes its ``step``'s arithmetic
@@ -33,42 +33,41 @@ one step and one kernel in every dimension; their ``taps`` ladder is data,
 zero law (also ``random`` with memory 0 and a white model's predictor), the
 negated Levinson taps, (no taps, -A) for the vector predictor, or the
 learned prefixes.  A ladder frozen at order 1 to 16 (``_FIXED_POINT_ORDER``)
-sums z_k[i] on Python floats in order from 0.0, over d_{k-1}, d_{k-2}, ...
-and each lag's channels in order; that step is the definition and makes no
-BLAS call.  Higher orders, up to the 512 cap and scalar only, make numpy's
-``@`` dot step by step.  ``random`` with memory >= 1 (written out on locals
-at its default memory 3) keeps a kernel of its own.
+sums z_k[i] in order from 0.0, over d_{k-1}, d_{k-2}, ... and each lag's
+channels in order, making no BLAS call: its step on Python floats, which
+is the definition, and its kernel in numpy.  Higher orders, up to the 512
+cap and scalar only, make numpy's ``@`` dot step by step.  ``random`` with
+memory >= 1 (written out on locals at its default memory 3) keeps a kernel
+of its own.
 
-The closed loop of these linear laws is a whole-trace fixed point
-(``_fixed_point``): after the first steps, guess d = x, compute every z_k at
-once from d with one numpy multiply and add per tap entry, set e = x + z
-and d' = e - z, and repeat until d' equals d bit for bit (as uint64, so
-NaNs settle too).  Then every z_k sums the recursion's own d values with
-the step's own roundings, so the loop is the step recursion exactly.
-Since z_k reads d_j for j < k only, each pass settles at least one more
-step, and rounding absorbs most changes of d: on AR(1), AR(2), the order-16
-ARMA(2,1) predictor and the two bench vector models it settled in 5-9
-passes at 3k, 12k and 200k steps (2-5 seeds each).  After 32 passes
-(``_FIXED_POINT_PASSES``) the loop finishes step by step from the first
-unsettled step, which keeps it exact on any input.  It does so at once when
-that step's d is a NaN or inf: then every later d is a NaN, a front that
-would move only ``top`` steps a pass.  A frozen phase shorter than
-``_FIXED_POINT_MIN_STEPS`` (64) steps, where the passes cost more than the
-steps, runs step by step on Python floats.  The open loop, where z feeds back
-into d = x - z at the law's full gain and a pass would settle about one step,
-runs step by step too, but across loops: ``_fir_open`` steps a batch of open
-loops in numpy, each z_k[i] one multiply into a term buffer whose first row
-is 0.0 and ``np.add.accumulate`` down it, the step's ordered sum from 0.0.
-A lone open loop is its batch of one.
+The kernel at order 1 to 16 is one engine, ``_fir_loops``, for a batch of
+loops, open or closed; a lone loop is a batch of one.  Its step loop makes
+each z_k[i] of every loop as one multiply into a term buffer whose first
+row is 0.0 and ``np.add.accumulate`` down it, the step's ordered sum.  Open
+loops, where z feeds back into d = x - z at the law's full gain, and closed
+loops whose frozen phase k >= top is shorter than
+``_FIXED_POINT_MIN_STEPS`` (64) steps run it throughout.  A longer closed
+loop is, after its first steps, a whole-trace fixed point (``_fixed_point``):
+guess d = x, compute every z_k at once from d with one numpy multiply and
+add per tap entry, set e = x + z and d' = e - z, and repeat until d' equals
+d bit for bit (as uint64, so NaNs settle too).  Then every z_k sums the
+recursion's own d values with the step's own roundings, so the loop is the
+step recursion exactly.  Since z_k reads d_j for j < k only, each pass
+settles at least one more step, and rounding absorbs most changes of d: on
+AR(1), AR(2), the order-16 ARMA(2,1) predictor and the two bench vector
+models it settled in 5-9 passes at 3k, 12k and 200k steps (2-5 seeds each).
+A batch passes until every loop has settled.  After 32 passes
+(``_FIXED_POINT_PASSES``), or at once where some loop's first unsettled d
+is a NaN or inf (a front that would move only ``top`` steps a pass), the
+step loop finishes the batch from there, which keeps it exact on any input.
 
 Both audits, ``causality_audit`` (open loop) and
 ``closed_loop_causality_check``, run one probe loop, ``_probe_loop``: draw
 every trial's input, k and input perturbed from k, run them all, check the
-kernel on trial 0 and compare z through k, every NaN as one.  The open loops
-of a ladder at order 1 to 16 whose class keeps ``run`` run as one
-``_fir_open`` batch of 2 x trials loops; higher orders, ``random``, step
-policies such as ``compose_loop``, a class that overrides ``run`` and the
-closed-loop audit make one ``run`` per input.
+kernel on trial 0 and compare z through k, every NaN as one.  A ladder at
+order 1 to 16 whose class keeps ``run`` runs its 2 x trials loops as one
+batch, as ``run_loops`` runs a cell's pooled traces; other policies make
+one ``run`` per input.
 
 ``compose_loop`` builds such a policy from two sequence-level stages (a
 plant and a controller in either order); at least one stage must be
@@ -78,10 +77,9 @@ strictly causal or the composition is rejected.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from operator import add, mul, sub
+from operator import mul
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -98,6 +96,7 @@ __all__ = [
     "CausalStage",
     "CausalityReport",
     "run_loop",
+    "run_loops",
     "zero_controller",
     "predictor_controller",
     "random_causal_controller",
@@ -117,17 +116,20 @@ __all__ = [
 #: pure AR), else at the cap.  A white model freezes at 0: the empty ladder, the zero law.
 _TAP_CONVERGENCE = 1e-12
 _TAP_ORDER_CAP = 512
-#: FIR ladders frozen at orders 1 to 16, scalar or matrix, sum on Python floats and run
-#: their closed loop as ``_fixed_point``; higher orders (scalar only) make the ``@`` dot.
+#: FIR ladders frozen at orders 1 to 16, scalar or matrix, run ``_fir_loops``, the numpy
+#: step loop and ``_fixed_point``; higher orders (scalar only) make the ``@`` dot.
 _FIXED_POINT_ORDER = 16
 #: Whole-trace passes before a closed loop that has not settled finishes step by step
 #: (finite loops settled within 9 passes at up to 200k steps; see the module docstring).
 _FIXED_POINT_PASSES = 32
-#: A closed loop runs ``_fixed_point`` once its frozen phase has this many steps.  Median
-#: kernel times in us (fixed point / steps) at 32, 64 and 128 frozen steps on a shared
-#: Xeon core: AR(1) 39/23, 39/40, 40/74; the order-16 predictor 148/65, 145/100, 124/183;
-#: ``vec4`` 105/108, 129/230, 143/429.  So the steps win below about 64 frozen steps at
-#: orders 1-2, 96 at order 16 and 32 for the vector law.
+#: A closed loop runs ``_fixed_point`` once its frozen phase has this many steps.  A batch
+#: of b loops in us (fixed point / steps) at 32, 64 and 128 frozen steps, on a shared
+#: 2-core Xeon VM: b = 1, AR(1) 38/141, 39/268, 39/524; the order-16 predictor 236/227,
+#: 240/357, 178/636; ``vec4`` 100/186, 102/386, 144/721.  b = 20: 110/224, 117/404,
+#: 144/760; 528/387, 613/620, 845/1078; 530/304, 695/575, 898/1171.  b = 100: 282/390,
+#: 344/610, 521/1134; 1355/810, 1861/1309, 2788/2261; 1295/809, 2821/2602, 6353/4268.
+#: The larger the batch, the further up the steps win; at 64 the closed audits (b = 20
+#: loops of 256 steps) pass and the step-k trials (b = 100, at most 65 steps) step.
 _FIXED_POINT_MIN_STEPS = 64
 
 
@@ -176,8 +178,9 @@ class ControllerPolicy:
             raise ValueError(f"z_0 must be a scalar at dim 1 or have shape ({self.dim},)")
         if self.taps is not None:
             rows = None if top > _FIXED_POINT_ORDER else _coefficient_rows(self.taps, self.dim)
+            plan = _fir_plan(self.taps, rows, self.dim) if rows and top else None
             object.__setattr__(self, "step", partial(_fir_step, self.taps, rows))
-            object.__setattr__(self, "kernel", partial(_fir_kernel, self.taps, rows))
+            object.__setattr__(self, "kernel", partial(_fir_kernel, self.taps, plan))
 
     def run(self, x: np.ndarray, closed: bool):
         """(z, e) over a whole sequence: the policy's kernel, else ``step_recursion``."""
@@ -220,7 +223,17 @@ class SimulationTrace:
 def run_loop(
     model: DisturbanceModel, controller: ControllerPolicy, length: int, seed
 ) -> SimulationTrace:
-    """Simulate e_k = d_k + z_k for ``length`` steps; deterministic per seed."""
+    """Simulate e_k = d_k + z_k for ``length`` steps; deterministic per seed.
+    The batch of one of ``run_loops``."""
+    return run_loops(model, controller, length, [seed])[0]
+
+
+def run_loops(
+    model: DisturbanceModel, controller: ControllerPolicy, length: int, seeds
+) -> list[SimulationTrace]:
+    """One closed loop of ``length`` steps per seed, each on its own
+    ``model.sample_path(length, seed)``: the traces ``run_loop`` gives one seed
+    at a time.  The loops of an FIR ladder at order 1 to 16 run as one batch."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if controller.dim != model.dim:
@@ -228,17 +241,12 @@ def run_loop(
             f"controller dimension {controller.dim} does not match model "
             f"dimension {model.dim}"
         )
-    seed_int = int(seed)
-    d = model.sample_path(length, seed_int)
-    z, e = controller.run(d, True)
-    return SimulationTrace(
-        d=d,
-        z=z,
-        e=e,
-        seed=seed_int,
-        model_descriptor=model.descriptor,
-        controller_descriptor=controller.descriptor,
-    )
+    seeds = [int(seed) for seed in seeds]
+    paths = [model.sample_path(length, seed) for seed in seeds]
+    return [
+        SimulationTrace(d, z, e, seed, model.descriptor, controller.descriptor)
+        for seed, d, (z, e) in zip(seeds, paths, _runs(controller, True, paths))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +275,7 @@ def predictor_controller(model: DisturbanceModel) -> ControllerPolicy:
     a pure AR(p) model that order is p and the taps are the negated AR
     coefficients; for a white model it is 0 and the policy is the zero law.
     The vector model's ladder is (no taps, -A): z_k = (-A) d_{k-1}, each row
-    summed on Python floats in order from 0.0, so an exactly zero row gives
+    summed in order from 0.0, so an exactly zero row gives
     +0; it is -(A d_{k-1}) up to about an ulp where a fused gemv rounds
     differently.
     """
@@ -337,103 +345,78 @@ def _ordered_sum(coeffs, values) -> float:
     return s
 
 
-def _fir_kernel(ladder: Ladder, rows, x: np.ndarray, closed: bool):
+def _fir_plan(ladder: Ladder, rows, m: int) -> tuple[list, list]:
+    """``_fir_loops``' data, built once per policy: order j's taps as a (j, m, m, 1)
+    view with T_l[i, c] at [l, c, i], and each z_k[i]'s top-order terms as
+    (coeff, channel, lag) in ``_fir_step``'s order."""
+    coeffs = [t.reshape(j, m, m).transpose(0, 2, 1)[..., None] for j, t in enumerate(ladder)]
+    return coeffs, [[(t, j % m, j // m + 1) for j, t in enumerate(row)] for row in rows[-1]]
+
+
+def _fir_kernel(ladder: Ladder, plan, x: np.ndarray, closed: bool):
     """Exact kernel of the FIR law z_k = s on d_j = e_j - z_j,
 
         s = ladder[min(k, top)] . (d_{k-1}, d_{k-2}, ...),  top = len(ladder) - 1,
 
-    summed as ``_fir_step`` sums it.  Up to top order ``_FIXED_POINT_ORDER`` the
-    open loop is ``_fir_open``'s batch of one, the frozen phase k >= top of a
-    long enough closed loop is ``_fixed_point`` on a (channel, step) view, and
-    the steps k < top and the rest of the closed loop run on Python floats, one
-    step at a time.  Above that order each step makes the step's ``@`` dot (see
-    ``_fir_dot_steps``).  The empty ladder (top 0) gives z = 0 without a loop,
-    in any dimension.
+    summed as ``_fir_step`` sums it: up to top order ``_FIXED_POINT_ORDER`` as
+    ``_fir_loops``' batch of one, above it by ``_fir_dot_steps``.  The empty
+    ladder (top 0) gives z = 0 without a loop, in any dimension.
     """
-    top = len(ladder) - 1
-    if not top:
-        z = np.zeros_like(x)
-        return z, (x + z if closed else x)
-    if rows is None:
+    if plan is not None:
+        return _fir_loops(plan, [x], closed)[0]
+    if len(ladder) > 1:
         return _fir_dot_steps(ladder, x, closed)
-    n, m = x.shape[0], len(rows[0])
-    if not closed:
-        return _fir_open(rows, x.reshape(n, m, 1)).reshape(x.shape), x
-    zs, es, window = [], [], []
-    if n - top >= _FIXED_POINT_MIN_STEPS:
-        _fir_steps(rows, x, zs, es, window, top)
-        z = np.zeros((m, n))
-        z.T[:top] = np.array(zs).reshape(top, m)
-        terms = [[(t, j % m, j // m + 1) for j, t in enumerate(row)] for row in rows[top]]
-        z, e, d, settled = _fixed_point(np.ascontiguousarray(x.reshape(n, m).T), z, top, terms)
-        if settled == n:
-            return tuple(np.ascontiguousarray(a.T).reshape(x.shape) for a in (z, e))
-        zs, es = [(a[0] if m == 1 else a.T)[:settled].tolist() for a in (z, e)]
-        window = d[:, settled - top : settled][:, ::-1].T.ravel().tolist()
-    _fir_steps(rows, x, zs, es, window, n)
-    return _outputs(x, zs, es, True)
+    z = np.zeros_like(x)
+    return z, (x + z if closed else x)
 
 
-def _fir_steps(rows, x, zs, es, window, stop) -> None:
-    """Closed-loop steps len(zs) to ``stop`` - 1 of the FIR law on Python floats,
-    appended to the lists of z and e: floats at m = 1 (also from (n, 1) rows),
-    lists of m floats above.  ``window`` holds the floats of the last
-    min(len(zs), top) d, newest lag first and channels in order within a lag,
-    so its length picks the order."""
-    top, m = len(rows) - 1, len(rows[0])
-    if m == 1:
-        taps, window = [row for row, in rows], deque(window, maxlen=top)
-        for xk in x[len(zs) : stop].ravel().tolist():
-            zk = 0.0
-            for term in map(mul, taps[len(window)], window):
-                zk += term
-            ek = xk + zk
-            zs.append(zk)
-            es.append(ek)
-            window.appendleft(ek - zk)
-        return
-    for xk in x[len(zs) : stop].tolist():
-        zk = []
-        for row in rows[len(window) // m]:
-            s = 0.0
-            for term in map(mul, row, window):
-                s += term
-            zk.append(s)
-        ek = list(map(add, xk, zk))
-        zs.append(zk)
-        es.append(ek)
-        window = [*map(sub, ek, zk), *window[: (top - 1) * m]]
-
-
-def _fir_open(rows, x: np.ndarray) -> np.ndarray:
-    """z of the FIR law's open loops (e = x, d_k = x_k - z_k) at top order 1 to
-    ``_FIXED_POINT_ORDER``, one loop per column of x shaped (n, m, b), all b in
-    one numpy step loop.  Each z_k[i] is ``_fir_step``'s ordered sum: one
-    multiply fills rows 1.. of a term buffer whose row 0 stays 0.0, and
-    ``np.add.accumulate`` down its rows adds each term in order from 0.0, one
-    rounding per add, as the Python-float loop does (``np.add.reduce`` may sum
-    pairwise).  The buffer's rows run over lags newest first and each lag's
-    channels in order: a slice of the d history, kept newest at the bottom."""
-    n, m, b = x.shape
-    z = np.zeros((n, m, b))
-    top = len(rows) - 1
-    if not (n and top):
-        return z
-    coeffs = [np.array(row).T.reshape(-1, m, 1) for row in rows]
-    terms = np.zeros((top * m + 1, m, b))
-    hist = np.empty((n * m, 1, b))  # d_k in rows (n - 1 - k) m to (n - k) m - 1
-    low = (n - 1) * m
-    np.subtract(x[0], z[0], out=hist[low:, 0])
+def _fir_loops(plan, xs, closed: bool) -> list:
+    """(z, e) of the FIR law at top order 1 to ``_FIXED_POINT_ORDER`` for each input
+    of ``xs``, all of one shape, as one batch on (channel, loop, step) arrays:
+    ``_fir_steps`` throughout, except that a closed loop with at least
+    ``_FIXED_POINT_MIN_STEPS`` frozen steps (k >= top) is ``_fixed_point`` after
+    k < top and steps on only from the first step that did not settle."""
+    (coeffs, frozen), b, n, shape = plan, len(xs), xs[0].shape[0], xs[0].shape
+    top, m = len(coeffs) - 1, len(frozen)
+    x = (xs[0][None] if b == 1 else np.stack(xs)).reshape(b, n, m)
+    x = np.ascontiguousarray(x.transpose(2, 0, 1))
+    z = np.zeros((m, b, n))
+    e, d = np.empty_like(z) if closed else None, np.empty_like(z)
+    settled = 0
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats are
-        for k in range(1, n):
-            span = min(k, top) * m
-            sums = terms[: span + 1]
-            np.multiply(coeffs[span // m], hist[low : low + span], out=sums[1:])
-            np.add.accumulate(sums, axis=0, out=sums)
-            z[k] = sums[span]
-            low -= m
-            np.subtract(x[k], z[k], out=hist[low : low + m, 0])
-    return z
+        if closed and n - top >= _FIXED_POINT_MIN_STEPS:
+            np.subtract(np.add(x, z, out=e), z, out=d)  # step 0 (z_0 = 0) and the guess d = x
+            _fir_steps(coeffs, x, z, e, d, 1, top)
+            settled, d = _fixed_point(x, z, e, d, top, frozen)
+        _fir_steps(coeffs, x, z, e, d, settled, n)
+    z, e = (None if a is None else np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (z, e))
+    return [(z[i].reshape(shape), e[i].reshape(shape) if closed else xs[i]) for i in range(b)]
+
+
+def _fir_steps(coeffs, x, z, e, d, start, stop) -> None:
+    """Steps ``start`` to ``stop`` - 1 of b FIR loops on (channel, loop, step)
+    arrays, all at once: z_k, then d_k = e_k - z_k with e_k = x_k + z_k (closed,
+    ``e`` given) or x_k (open).  Each z_k[i] is ``_fir_step``'s ordered sum: one
+    multiply fills rows 1.. of a term buffer whose row 0 stays 0.0, and
+    ``np.add.accumulate`` (never ``np.add.reduce``, which may sum pairwise) adds
+    them in order, lags newest first and each lag's channels in order."""
+    if start >= stop:
+        return
+    (m, b, n), top = x.shape, len(coeffs) - 1
+    terms = np.zeros((top * m + 1, m, b))
+    products = terms[1:].reshape(top, m, m, b)  # [l, c] is row 1 + l m + c
+    xt, zt, et, dt = (a if a is None else a.transpose(2, 0, 1) for a in (x, z, e, d))
+    past = dt[::-1, :, None]  # past[n - k + l] is d_{k-1-l}
+    for k in range(start, stop):
+        order = min(k, top)
+        np.multiply(coeffs[order], past[n - k : n - k + order], out=products[:order])
+        sums = terms[: order * m + 1]
+        np.add.accumulate(sums, axis=0, out=sums)
+        zk = zt[k] = sums[-1]
+        if et is None:
+            np.subtract(xt[k], zk, out=dt[k])
+        else:
+            np.subtract(np.add(xt[k], zk, out=et[k]), zk, out=dt[k])
 
 
 def _fir_dot_steps(ladder, x, closed):
@@ -468,35 +451,35 @@ def _outputs(x, zs, es, closed):
     return z, (np.array(es, dtype=x.dtype).reshape(x.shape) if closed else x)
 
 
-def _fixed_point(x, z, start, terms):
-    """The closed loop e = x + z, d = e - z on (channel, step) arrays as a
+def _fixed_point(x, z, e, d, start, terms):
+    """The closed loops e = x + z, d = e - z on (channel, loop, step) arrays as a
     whole-trace fixed point (see the module docstring): z_k[i], k >= ``start``,
     sums coeff * d_{k-lag}[j] over the (coeff, j, lag) of ``terms[i]`` in order
-    from 0.0, and z[:, :start] holds the exact first steps.  Returns (z, e, d,
-    settled): the first ``settled`` steps are exact, all n once a pass returns
-    d bit for bit, else as far as ``_FIXED_POINT_PASSES`` passes reached, or
-    up to the first unsettled step whose d is not finite.
-    """
-    n = x.shape[1]
-    e = x + z
-    d = e - z
+    from 0.0, after the exact first ``start`` steps in z, e and d.  Writes z and
+    e; returns (settled, d), d perhaps a new array, every loop exact through
+    step ``settled`` - 1: all n steps once a pass returns d bit for bit, else
+    as far as the passes reached, or to the first unsettled step where some
+    loop's d is not finite."""
+    shape, n = x.shape, x.shape[-1]
+    if shape[1] == 1:  # a lone loop on (channel, step) views: 1-D slices cost less
+        x, z, e, d = x[:, 0], z[:, 0], e[:, 0], d[:, 0]
+    spare, product = np.empty_like(d), np.empty_like(d[0, ..., start:])
     settled = start
     for _ in range(_FIXED_POINT_PASSES):
-        for z_i, row in zip(z, terms):
-            s = z_i[start:]
-            s[:] = 0.0
-            for coeff, j, lag in row:
-                s += coeff * d[j, start - lag : n - lag]
-        e = x + z
-        d_next = e - z
-        moved = (d_next.view(np.uint64) != d.view(np.uint64)).any(axis=0)
-        d = d_next
+        for z_i, ((coeff, j, lag), *rest) in zip(z, terms):
+            s = np.multiply(coeff, d[j, ..., start - lag : n - lag], out=z_i[..., start:])
+            s += 0.0  # the sum starts from 0.0: a -0.0 first term gives +0.0
+            for coeff, j, lag in rest:
+                s += np.multiply(coeff, d[j, ..., start - lag : n - lag], out=product)
+        np.subtract(np.add(x, z, out=e), z, out=spare)
+        moved = (spare.view(np.uint64) != d.view(np.uint64)).reshape(-1, n).any(axis=0)
+        d, spare = spare, d
         if not moved.any():
-            return z, e, d, n
+            return n, d.reshape(shape)
         settled = int(moved.argmax())
-        if not np.isfinite(d[:, settled]).all():  # a NaN front: the steps are faster
+        if not np.isfinite(d[..., settled]).all():  # a NaN front: the steps are faster
             break
-    return z, e, d, settled
+    return settled, d.reshape(shape)
 
 
 def random_causal_controller(
@@ -700,8 +683,8 @@ def causality_audit(
     z_k = e_k double fails at every index.  On the first trial the response
     of a policy with its own kernel must also equal ``step_recursion``'s
     bit for bit, so the audit covers the code that runs: an FIR ladder at
-    order 1 to 16 runs its 2 x ``trials`` open loops as one batch, the code
-    its lone open loop runs.  Responses agree when their bits do, every NaN
+    order 1 to 16 runs its 2 x ``trials`` open loops as one batch, the engine
+    its lone loops run.  Responses agree when their bits do, every NaN
     taken as one.  The errors come as scalars, or as rows of ``dim`` for a
     vector z_0 or ``dim`` > 1 (a 1 x 1 vector model's predictor reads (n, 1)
     paths).
@@ -729,7 +712,9 @@ def closed_loop_causality_check(
     control sequence must match exactly through index k (z_k depends on
     e_0..e_{k-1}, hence on d_0..d_{k-1} only).  On the first trial the
     closed loop (z and e) of a policy with its own kernel must also equal
-    ``step_recursion``'s bit for bit.
+    ``step_recursion``'s bit for bit; an FIR ladder at order 1 to 16 runs its
+    2 x ``trials`` closed loops as one batch, as ``run_loops`` runs a cell's
+    pooled traces.
     """
     return _probe_loop(
         controller, True, length, trials, seed,
@@ -743,8 +728,8 @@ def _probe_loop(controller, closed, length, trials, seed, draw, shift) -> Causal
     x_j for j >= k by ``shift(rng, x[k:])``; run the policy on every x and
     moved x, closed or open loop (``_runs``); check its kernel on trial 0; and
     require z to agree through index k, every NaN taken as one (``_bits``)."""
-    if length < 2:
-        raise ValueError(f"length must be >= 2, got {length}")
+    if length < 2 or trials < 1:  # no trial, no verdict
+        raise ValueError(f"length must be >= 2 and trials >= 1, got {length} and {trials}")
     rng = as_rng(seed)
     probes = []
     for _ in range(trials):
@@ -767,15 +752,14 @@ def _probe_loop(controller, closed, length, trials, seed, draw, shift) -> Causal
 
 
 def _runs(controller, closed, xs) -> list:
-    """``controller.run(x, closed)`` for each x.  The open loops of the FIR law at
-    top order 1 to ``_FIXED_POINT_ORDER``, on a class that keeps ``run``, run as
-    one ``_fir_open`` batch, the code a lone open loop runs."""
+    """``controller.run(x, closed)`` for each x.  The FIR law at top order 1 to
+    ``_FIXED_POINT_ORDER``, on a class that keeps ``run``, runs them all as one
+    ``_fir_loops`` batch, the code its lone loop runs as a batch of one."""
     kernel = controller.kernel
-    rows = kernel.args[1] if getattr(kernel, "func", None) is _fir_kernel else None
-    if closed or rows is None or len(rows) < 2 or type(controller).run is not ControllerPolicy.run:
+    plan = kernel.args[1] if getattr(kernel, "func", None) is _fir_kernel else None
+    if plan is None or not xs or type(controller).run is not ControllerPolicy.run:
         return [controller.run(x, closed) for x in xs]
-    z = _fir_open(rows, np.stack(xs, axis=-1).reshape(xs[0].shape[0], len(rows[0]), len(xs)))
-    return [(z[..., i].reshape(x.shape), x) for i, x in enumerate(xs)]
+    return _fir_loops(plan, xs, closed)
 
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray) -> int:
@@ -802,7 +786,7 @@ def _kernel_check(controller, x, closed, outputs) -> list[tuple[int, int]]:
 def _bits(a) -> np.ndarray:
     """The float64 bits of ``a`` with every NaN as one.  Which operand's NaN a
     Python float + or * returns changes once CPython specializes the bytecode,
-    so a Python-float kernel's NaN signs vary from call to call."""
+    so the NaN signs of a Python-float step or kernel vary from call to call."""
     a = np.array(a, dtype=float)
     a[np.isnan(a)] = np.nan
     return a.view(np.uint64)

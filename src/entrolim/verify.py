@@ -65,6 +65,7 @@ from .simulator import (
     predictor_controller,
     random_causal_controller,
     run_loop,
+    run_loops,
     zero_controller,
 )
 
@@ -303,7 +304,7 @@ def _score_cell(
     else:
         *run_seeds, aux_seed = spawn_seeds(seed, (trials or 1) + 1)
     length = horizon if k is None else k + 1
-    traces = [run_loop(model, controller, length, s) for s in run_seeds]
+    traces = run_loops(model, controller, length, run_seeds)
     if k is None:
         if burn_in is None:
             burn_in = default_burn_in(model)

@@ -200,3 +200,20 @@ def test_report_refuses_p_below_one():
 def test_report_rejects_forms_nothing_produces(form):
     with pytest.raises(ValueError, match="unknown bound form"):
         el.BoundReport(form, None, None, 1.0)
+
+
+def test_a_floor_out_of_the_float64_range_is_an_error_not_a_verdict():
+    # a vector model whose noise covariance is near 1e-162 has h near -535 bits:
+    # its determinant floor 2^(2h) / (2 pi e)^2 underflows to 0, which read as
+    # "ok" at a gap of NaN.  Every floor refuses a value that is no positive
+    # normal float
+    model = el.VectorGaussAR(
+        transition=((0.5, 0.1), (0.0, 0.3)), innovation_covariance=((1e-162, 2e-163), (2e-163, 5e-163))
+    )
+    for bound in (lambda: el.mimo_det_bound_asymptotic(model), lambda: el.mimo_det_bound_at_step(model, 0)):
+        with pytest.raises(ValueError, match=r"^mimo_det floor 0 is out of the float64 range \(h = -534\.\d+ bits\)$"):
+            bound()
+    for form, p, h in (("asymptotic", 2.0, -1100.0), ("mimo_det", None, -520.0)):
+        with pytest.raises(ValueError, match=f"^{form} floor .* out of the float64 range"):
+            el.BoundReport(form, p, None, h)
+    assert el.BoundReport("mimo_det", None, None, -500.0, 1).value > 0.0

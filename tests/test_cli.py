@@ -792,6 +792,37 @@ def test_verify_ok_run_writes_csv(tmp_path, capsys):
     assert rows[0]["violation"] == "false"
 
 
+def test_verify_at_an_innovation_variance_near_1e_162_is_its_unit_twin(tmp_path, capsys):
+    # the squares in the L_p norm's standard error underflowed at variance 1e-162
+    # and a cell exactly on its floor read as a violation; its unit-variance
+    # twin has the same gap, 0.9984, and neither violates
+    gaps = []
+    for variance in (1e-162, 1.0):
+        model = {"kind": "gauss_arma", "ar": [0.9], "innovation": {"family": "gaussian", "variance": variance}}
+        raw = {"models": [model], "controllers": [{"kind": "predictor"}], "p_values": [2], "horizon": 12000, "seed": 0}
+        path = _write_config(tmp_path, raw, f"v{variance:g}.json")
+        assert cli.main(["verify", "--config", path, "--out", str(tmp_path / f"v{variance:g}")]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("ok ") and "0 violation(s) across 1 cell(s)" in out
+        gaps.append(re.search(r"gap=(\S+)", out).group(1))
+    assert gaps == ["0.9984", "0.9984"]
+
+
+def test_a_vector_cell_whose_floor_underflows_is_an_error_cell(tmp_path, capsys):
+    # the README vec model at Q near 1e-162: its determinant floor and sample
+    # determinant underflow to 0, which read "ok ... gap=nan" and wrote a bare NaN
+    # into summary.json; both rows are error cells now
+    vec = {**VEC_SPEC, "innovation_covariance": [[1e-162, 2e-163], [2e-163, 5e-163]]}
+    path = _write_config(tmp_path, {"models": [vec], "controllers": [{"kind": "zero"}, {"kind": "predictor"}], "horizon": 3_000})
+    assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")]) != cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert "ok " not in captured.out and "out of the float64 range" in captured.err
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) != cli.EXIT_OK
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text(), parse_constant=lambda name: pytest.fail(name))
+    assert summary["cells"] == 0 and len(summary["errors"]) == 2
+    assert all("out of the float64 range" in error["message"] for error in summary["errors"])
+
+
 def test_verify_reports_violation_exit(monkeypatch, tmp_path, capsys):
     # no honest cell can violate a true bound, so wire a fake report through
     path = _write_config(
@@ -822,7 +853,7 @@ def test_verify_audits_the_controller_it_scores(monkeypatch, tmp_path):
     )
     resolved, audited, scored = [], [], []
     real_resolve, real_audit = cli.resolve_controller, cli.causality_audit
-    real_run_loop = verify_module.run_loop
+    real_run_loops = verify_module.run_loops
 
     def counting_resolve(*args, **kwargs):
         controller = real_resolve(*args, **kwargs)
@@ -833,13 +864,13 @@ def test_verify_audits_the_controller_it_scores(monkeypatch, tmp_path):
         audited.append(controller)
         return real_audit(controller, **kwargs)
 
-    def recording_run_loop(model, controller, length, seed):
+    def recording_run_loops(model, controller, length, seeds):
         scored.append(controller)
-        return real_run_loop(model, controller, length, seed)
+        return real_run_loops(model, controller, length, seeds)
 
     monkeypatch.setattr(cli, "resolve_controller", counting_resolve)
     monkeypatch.setattr(cli, "causality_audit", recording_audit)
-    monkeypatch.setattr(verify_module, "run_loop", recording_run_loop)
+    monkeypatch.setattr(verify_module, "run_loops", recording_run_loops)
     assert cli.main(["verify", "--config", path]) == cli.EXIT_OK
     assert len(resolved) == 4  # one per (model, controller) pair
     assert [id(c) for c in audited] == [id(c) for c in resolved]

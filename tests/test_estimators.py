@@ -113,6 +113,34 @@ def test_lp_norm_out_of_float_range_is_an_error_not_a_verdict():
             assert message.startswith("ValueError: L_p norm at p=2000:")
 
 
+def test_lp_norm_standard_error_survives_squares_out_of_the_normal_range():
+    # a mean |x|^p inside the normal range whose squares are not: at p s = -540
+    # (p = 2 on a variance near 1e-162) the squares in std(|x|^p) underflow and
+    # the standard error fell to its 1e-300 floor, a false violation; at p s =
+    # 520 they overflow.  The estimate is the unit sample's scaled by 2^s, its
+    # standard error to about an ulp
+    x = _rng(62).standard_normal(12_000)
+    for p in (1.0, 2.0, 3.0):
+        value, se = el.lp_norm_estimate(x, p)
+        for s in (-540 / p, 520 / p):
+            got_value, got_se = el.lp_norm_estimate(np.ldexp(x, int(s)), p)
+            assert got_value == pytest.approx(math.ldexp(value, int(s)), rel=1e-14)
+            assert got_se == pytest.approx(math.ldexp(se, int(s)), rel=1e-13)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_determinant_out_of_the_float64_range_is_an_error_not_a_verdict():
+    # at 2^-270 per channel the determinant underflows to 0 (the pair of 2e-163
+    # variances of a vector model's noise near 1e-162), at 2^270 it overflows;
+    # an exactly singular sample keeps its value and flag
+    x = _rng(63).standard_normal((3_000, 2))
+    for s in (-270, 270):
+        with pytest.raises(ValueError, match="^second-moment determinant .* out of the float64 range$"):
+            el.covariance_det_estimate(np.ldexp(x, s))
+    singular = el.covariance_det_estimate(np.column_stack([x[:, 0], np.zeros(3_000)]))
+    assert singular.value == 0.0 and singular.singular
+
+
 # ---------------------------------------------------------------------------
 # spacing entropy
 

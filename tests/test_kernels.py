@@ -6,15 +6,17 @@ The kernels repeat their step's arithmetic: the FIR policies (zero, the
 predictor, learned, and random with memory 0) share one step and one kernel
 in every dimension, on ladders of scalar taps or of m x m matrices; the
 vector predictor is the ladder (no taps, -A).  A ladder frozen at order 1 to
-16 sums each row on Python floats in order from 0.0, over lags in order and
-each lag's channels in order; its closed loop runs as a whole-trace fixed
-point of numpy multiplies and adds that settles on the step recursion's own
-values, the first steps and a fixed point that has not settled within its
-pass cap run step by step, and its open loops run step by step as one numpy
-batch (one multiply into a term buffer, then np.add.accumulate), which the
-open-loop audit runs on all its inputs at once.  From order 17 (scalar
-ladders only) the kernel makes the step's ``@`` dot on a negatively strided
-view of a preallocated history (a slice, or a row of a window view).
+16 sums each row in order from 0.0, over lags in order and each lag's
+channels in order: its step on Python floats, its kernel on a batch of loops
+in one numpy step loop (one multiply into a term buffer, then
+np.add.accumulate).  A long enough closed loop runs that step loop for the
+first steps, then a whole-trace fixed point of numpy multiplies and adds that
+settles on the step recursion's own values, then the step loop again from
+the first step that did not settle within the pass cap.  A lone loop is a
+batch of one; the audits' probes and a cell's pooled traces run as one
+batch.  From order 17 (scalar ladders only) the kernel makes the step's
+``@`` dot on a negatively strided view of a preallocated history (a slice,
+or a row of a window view).
 ``random`` with memory >= 1 repeats its step's Python-float law inline,
 written out on locals at memory 3.  These tests are what catches a numpy
 whose results depend on anything else (alignment, out=, the kind of view).
@@ -22,8 +24,8 @@ whose results depend on anything else (alignment, out=, the kind of view).
 Bits are compared exactly where a single NaN sign can arise.  Where NaNs of
 both signs meet in Python-float arithmetic, which one comes back is not
 fixed (CPython's float + and * change operand order once the bytecode is
-specialized), and the fixed point's numpy arithmetic may return the other
-one, so those comparisons take every NaN as one, as the audits' kernel check
+specialized), and the kernel's numpy arithmetic may return the other one,
+so those comparisons take every NaN as one, as the audits' kernel check
 does; test_python_float_nan_signs_change_once_the_kernel_is_warm shows why.
 """
 
@@ -114,8 +116,8 @@ def test_cases_cover_the_frozen_orders():
     tops = {case_id: top for case_id, _, _, top in CASES}
     for case_id, _, ctrl, top in CASES:
         assert ctrl.taps is None or len(ctrl.taps) - 1 == top, case_id
-    # orders 1 to 16 sum on Python floats, closed loops as the fixed point; the
-    # 512 cap makes the @ dot
+    # orders 1 to 16 run the numpy step loop, long closed loops also the fixed
+    # point; the 512 cap makes the @ dot
     assert tops["predictor-ar1"] == tops["learned1-ar1"] == 1
     assert tops["predictor-ar2"] == tops["learned2-ar2"] == 2
     assert tops["predictor-arma21"] == simulator._FIXED_POINT_ORDER == 16
@@ -166,6 +168,14 @@ def test_kernel_is_the_step_recursion(model, ctrl, top):
         trace = el.run_loop(model, ctrl, n, seed=n)
         assert_same_bits(trace.z, z_ref)
         assert_same_bits(trace.e, e_ref)
+        # run_loops: the pooled traces of a cell, one batch for a ladder at
+        # order 1 to 16, each on its own seed's path
+        pooled = el.run_loops(model, ctrl, n, [n, n + 1])
+        assert [t.seed for t in pooled] == [n, n + 1]
+        assert_same_bits(pooled[1].d, model.sample_path(n, n + 1))
+        for t in pooled:
+            for got, want in zip((t.z, t.e), ctrl.step_recursion(t.d, True)):
+                assert_same_bits(got, want)
 
         errors = 3.0 * rng.standard_normal(d.shape)
         assert_same_bits(ctrl.run(errors, False)[0], ctrl.step_recursion(errors, False)[0])
@@ -235,8 +245,8 @@ def test_random_kernel_at_a_signed_zero_bias_and_the_cap(monkeypatch, weights, b
 
 
 def test_vector_kernel_writes_c_order_rows_for_any_input_layout():
-    # the fixed point (300 steps) runs on (channel, step) arrays, the steps
-    # (50) on lists; a Fortran-ordered input gives the same C-order rows
+    # the step loop (50 steps) and the fixed point (300) run on (channel,
+    # loop, step) arrays; a Fortran-ordered input gives the same C-order rows
     ctrl = el.predictor_controller(VECTOR_MODELS["vec4"])
     for n in (50, 300):
         d = np.asfortranarray(VECTOR_MODELS["vec4"].sample_path(n, 2))
@@ -412,32 +422,42 @@ class _CountedPasses(list):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fir_fixed_point_on_a_long_path(monkeypatch):
     # 12k steps of the order-16 predictor settle well within the pass cap, so
-    # the Python-float steps run only for k < top.  After a planted inf every
-    # later d is NaN, a front that moves at most top steps a pass, so the
-    # passes stop once it is the first unsettled step and the Python-float
-    # steps finish the loop; bit for bit either way
+    # the step loop runs only for k < top.  After a planted inf every later d
+    # is NaN, a front that moves at most top steps a pass, so the passes stop
+    # once it is the first unsettled step and the step loop finishes the loop;
+    # bit for bit either way.  The three inputs as one batch stop at the one
+    # loop's front, and every loop is still its step recursion
     ctrl = el.predictor_controller(SCALAR_MODELS["arma21"])
     d = SCALAR_MODELS["arma21"].sample_path(12_000, 4)
     steps, passes = [], []
     fir_steps, fixed_point = simulator._fir_steps, simulator._fixed_point
     monkeypatch.setattr(
-        simulator, "_fir_steps", lambda *args: steps.append(args[5]) or fir_steps(*args)
+        simulator, "_fir_steps",  # the (start, stop) of each call that runs steps
+        lambda *args: (args[5] < args[6] and steps.append(args[5:])) or fir_steps(*args),
     )
     monkeypatch.setattr(
-        simulator, "_fixed_point", lambda x, z, start, terms: fixed_point(x, z, start, _CountedPasses(terms, passes))
+        simulator, "_fixed_point", lambda x, z, e, d, start, terms: fixed_point(x, z, e, d, start, _CountedPasses(terms, passes))
     )
     signed_zeros, non_finite = d.copy(), d.copy()
     signed_zeros[::997] = -0.0
     non_finite[[9_000, 11_000]] = (math.inf, -math.nan)
-    for x, settles in ((d, True), (signed_zeros, True), (non_finite, False)):
+    inputs = ((d, True), (signed_zeros, True), (non_finite, False))
+    wants = [ctrl.step_recursion(x, True) for x, _ in inputs]
+    for (x, settles), want in zip(inputs, wants):
         steps.clear()
         passes.clear()
-        z, e = ctrl.run(x, True)
-        assert (steps == [16]) is settles
+        outputs = ctrl.run(x, True)
+        assert steps[0] == (1, 16) and (len(steps) == 1) is settles
         assert len(passes) <= 12
-        z_ref, e_ref = ctrl.step_recursion(x, True)
-        assert np.array_equal(simulator._bits(z), simulator._bits(z_ref))
-        assert np.array_equal(simulator._bits(e), simulator._bits(e_ref))
+        for got, ref in zip(outputs, want):
+            assert np.array_equal(simulator._bits(got), simulator._bits(ref))
+    steps.clear()
+    passes.clear()
+    batch = simulator._runs(ctrl, True, [x for x, _ in inputs])
+    assert steps[0] == (1, 16) and 9_000 < steps[1][0] < 11_000 and len(steps) == 2
+    for outputs, want in zip(batch, wants):
+        for got, ref in zip(outputs, want):
+            assert np.array_equal(simulator._bits(got), simulator._bits(ref))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -457,8 +477,9 @@ def test_fixed_point_past_its_pass_cap_finishes_step_by_step(monkeypatch, passes
             want = _ordered_sum_vector_loop(model.transition_matrix, d, True)
             for got, ref in zip(ctrl.run(d, True), want):
                 assert np.array_equal(_uint64(got), _uint64(ref))
-    # matrix ladders at order 3: the steps refill their window with the last
-    # three d vectors, newest first, which no built-in policy reaches
+    # matrix ladders at order 3: after the fallback the step loop reads the
+    # fixed point's last three d vectors, newest first, which no built-in
+    # policy reaches
     for m in (2, 4):
         ladder = _matrix_ladder(rng, m, 3)
         ctrl = el.ControllerPolicy(taps=ladder, initial_output=np.zeros(m), dim=m)
@@ -537,15 +558,15 @@ def test_kernel_check_passes_correct_kernels_on_several_non_finite_values():
 
 def test_python_float_nan_signs_change_once_the_kernel_is_warm():
     # why the kernel check takes every NaN as one: CPython's generic float + and
-    # its specialized one return different operands' NaNs, so an order-1 FIR
-    # kernel on x = [-NaN, +NaN] gives e_1 one sign in its first, cold call and
-    # the other once a 50-step call has specialized its adds.  A fresh
-    # interpreter runs it cold; where both signs agree the NaN loosening in
-    # simulator._bits may no longer be needed
+    # its specialized one return different operands' NaNs, so random's
+    # Python-float kernel at memory 1 on x = [-NaN, +NaN] gives e_1 one sign in
+    # its first, cold call and the other once a 50-step call has specialized its
+    # adds.  A fresh interpreter runs it cold; where both signs agree the NaN
+    # loosening in simulator._bits may no longer be needed
     code = (
         "import math, numpy as np, entrolim as el\n"
         "from entrolim import simulator\n"
-        "ctrl = el.ControllerPolicy(taps=simulator._read_only([np.zeros(0), np.array([0.7])]))\n"
+        "ctrl = el.random_causal_controller(seed=0, memory=1)\n"
         "x = np.array([-math.nan, math.nan])\n"
         "cold = ctrl.kernel(x, True)\n"
         "ctrl.kernel(np.ones(50), True)\n"
@@ -567,40 +588,53 @@ def test_python_float_nan_signs_change_once_the_kernel_is_warm():
 
 
 # ---------------------------------------------------------------------------
-# the open-loop batch: the audit runs a ladder's open loops as one _fir_open
+# the batch: a ladder's loops, open or closed, run as one _fir_loops call
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     m=st.integers(1, 4),
     order=st.integers(1, simulator._FIXED_POINT_ORDER),
-    batch=st.sampled_from([1, 2, 40]),
-    length=st.sampled_from(["0", "1", "top", "top + 1", "300"]),
+    batch=st.sampled_from([1, 2, 20, 100]),
+    length=st.sampled_from(["0", "1", "top", "top + 1", "65", "top + 64", "300"]),
+    closed=st.booleans(),
+    passes=st.sampled_from([simulator._FIXED_POINT_PASSES, 0, 1]),
     as_rows=st.booleans(),
     planted=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_open_batch_is_the_step_recursion(m, order, batch, length, as_rows, planted, seed):
+def test_batch_is_the_step_recursion(m, order, batch, length, closed, passes, as_rows, planted, seed):
     # scalar ladders at orders 1-16 on (n,) or (n, 1) inputs and m x m ladders
-    # at m = 2-4 and orders 1-4 on (n, m) inputs, with planted +-NaN, +-inf and
-    # -0.0: every row of one batch is the step recursion bit for bit, every
-    # NaN as one
+    # at m = 2-4 and orders 1-4 on (n, m) inputs, open and closed: short loops
+    # (k + 1 <= 65, the step-k trials), the ramp k < top, closed loops long
+    # enough for the fixed point with its pass cap as is, 0 or 1 (the
+    # fallback), and planted +-NaN, +-inf and -0.0 in every other loop (a NaN
+    # front in some loops of a batch).  Every row of one batch is the step
+    # recursion bit for bit, every NaN as one; at 100 loops, up to 65 steps
     rng = np.random.default_rng(seed)
     top = order if m == 1 else 1 + order % 4
     rows = m > 1 or as_rows
     ctrl = el.ControllerPolicy(
         taps=_matrix_ladder(rng, m, top), initial_output=np.zeros(m) if rows else 0.0, dim=m
     )
-    n = {"0": 0, "1": 1, "top": top, "top + 1": top + 1, "300": 300}[length]
+    n = {"0": 0, "1": 1, "top": top, "top + 1": top + 1, "65": 65, "top + 64": top + 64, "300": 300}[length]
+    n = min(n, 65) if batch == 100 else n
     shape = (n, m) if rows else (n,)
-    xs = [_plant(rng, 3.0 * rng.standard_normal(shape), planted if n else 0) for _ in range(batch)]
-    runs = simulator._runs(ctrl, False, xs)
+    xs = [
+        _plant(rng, 3.0 * rng.standard_normal(shape), planted if n and i % 2 == 0 else 0)
+        for i in range(batch)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_FIXED_POINT_PASSES", passes)
+        runs = simulator._runs(ctrl, closed, xs)
     assert len(runs) == batch
-    for x, (z, e) in zip(xs, runs):
-        want = ctrl.step_recursion(x, False)[0]
-        assert e is x and z.shape == want.shape
-        assert np.array_equal(simulator._bits(z), simulator._bits(want))
+    for x, outputs in zip(xs, runs):
+        want = ctrl.step_recursion(x, closed)
+        assert closed or outputs[1] is x
+        for got, ref in zip(outputs, want):
+            assert got.shape == ref.shape
+            assert np.array_equal(simulator._bits(got), simulator._bits(ref))
 
 
 def _per_trial_probe_loop(controller, closed, length, trials, seed, draw, shift):
@@ -685,28 +719,50 @@ def test_probe_loop_is_the_per_trial_loop(monkeypatch, model, ctrl):
 
 
 def test_open_audit_batches_ladders_at_orders_1_to_16(monkeypatch):
+    # each audit runs a ladder's 2 x trials loops as one batch, open (40) and
+    # closed (20), and a cell runs its pooled traces as one: 100 step-k trials,
+    # or verify's pooled traces
     batches = []
-    fir_open = simulator._fir_open
-    monkeypatch.setattr(simulator, "_fir_open", lambda rows, x: batches.append(x.shape) or fir_open(rows, x))
+    fir_loops = simulator._fir_loops
+    monkeypatch.setattr(
+        simulator, "_fir_loops",
+        lambda plan, xs, closed: batches.append((len(xs), xs[0].shape, closed)) or fir_loops(plan, xs, closed),
+    )
     cases = {c[0]: c[1:] for c in AUDITED}
-    for case_id, m in (("predictor-ar1", 1), ("predictor-arma21", 1), ("learned2", 1),
-                       ("predictor-vec4", 4), ("predictor-1x1", 1)):
+    for case_id, shape in (("predictor-ar1", (256,)), ("predictor-arma21", (256,)), ("learned2", (256,)),
+                           ("predictor-vec4", (256, 4)), ("predictor-1x1", (256, 1))):
         model, ctrl = cases[case_id]
         batches.clear()
         assert el.causality_audit(ctrl, seed=0).passed
-        assert batches == [(256, m, 40)], case_id
+        assert batches == [(40, shape, False)], case_id
         batches.clear()
         assert el.closed_loop_causality_check(model, ctrl, seed=0).passed
-        assert batches == [], case_id
+        assert batches == [(20, shape, True)], case_id
     # the empty ladder, orders above 16, step policies and every other kernel
     # make one run per input; a class that overrides run runs its own
     for case_id in ("zero", "predictor-ma099", "learned40", "random3", "compose", "anticipatory"):
+        model, ctrl = cases[case_id]
         batches.clear()
-        el.causality_audit(cases[case_id][1], seed=0)
+        el.causality_audit(ctrl, seed=0)
+        el.closed_loop_causality_check(model, ctrl, seed=0)
         assert batches == [], case_id
+    leaky = _LeakyLadder(taps=cases["predictor-ar1"][1].taps)
     batches.clear()
-    el.causality_audit(_LeakyLadder(taps=cases["predictor-ar1"][1].taps), seed=0)
-    assert batches == [(256, 1, 1)] * 40
+    el.causality_audit(leaky, seed=0)
+    assert batches == [(1, (256,), False)] * 40
+    batches.clear()
+    el.closed_loop_causality_check(cases["predictor-ar1"][0], leaky, seed=0)
+    assert batches == [(1, (256,), True)] * 20
+    arma21 = SCALAR_MODELS["arma21"]
+    predictor = el.predictor_controller(arma21)
+    for trials, k, length in ((100, 4, 5), (100, 64, 65), (2, None, 3_000)):
+        batches.clear()
+        el.verify_bound(arma21, predictor, 2.0, horizon=3_000, seed=0, trials=trials, k=k, tightness=False)
+        assert batches == [(trials, (length,), True)]
+    vec2 = VECTOR_MODELS["vec2"]
+    batches.clear()
+    el.verify_mimo_bound(vec2, el.predictor_controller(vec2), horizon=3_000, seed=0, trials=3)
+    assert batches == [(3, (3_000, 2), True)]
 
 
 @pytest.mark.parametrize("model", [SCALAR_MODELS["arma21"], VECTOR_MODELS["vec2"]], ids=["arma21", "vec2"])

@@ -576,8 +576,8 @@ def test_vector_sample_path_is_the_matmul_recursion(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_vector_predictor_kernel_repeats_the_ordered_sum_recursion_bit_for_bit(m):
-    # the predictor sums each row of (-A) d_{k-1} on Python floats in order
-    # from 0.0, not through a gemv: its closed loop on the block path is that
+    # the predictor sums each row of (-A) d_{k-1} in order from 0.0, not
+    # through a gemv: its closed loop on the block path is that
     # recursion bit for bit on any BLAS, and within 1e-14 of max|e| of the
     # -(A @ d) recursion it replaced, where a fused gemv rounds differently
     model = _random_vector_model(m)

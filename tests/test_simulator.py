@@ -569,6 +569,10 @@ def test_closed_loop_check():
         el.closed_loop_causality_check(AR1, el.zero_controller(), length=1)
     with pytest.raises(ValueError, match="length"):
         el.causality_audit(el.zero_controller(), length=1)
+    # no trial is no verdict: zero trials neither pass nor reach an empty batch
+    for audit in (el.causality_audit, partial(el.closed_loop_causality_check, AR1)):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            audit(el.predictor_controller(AR1), trials=0)
 
 
 # ---------------------------------------------------------------------------
