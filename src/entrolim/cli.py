@@ -15,7 +15,8 @@ variable, else 1); the workers are forked on Linux for a plan above
 ``verify.run_cells``' fork crossover, and otherwise the cells run serially.
 
 ``verify.run_plan`` decides which controller runs on which seed: ``simulate``
-and ``sweep`` run it with the config's trials, ``verify`` with one.  ``audit``
+and ``sweep`` run it with the config's trials, ``verify`` with one.  Each
+resolves a controller once per distinct ``PlanCell.controller_key``.  ``audit``
 audits every distinct controller of both plans, and prints an error line for
 one its model refuses; ``sweep`` does not audit.
 ``sweep`` and ``verify`` score the plan's cells through ``verify.run_cells``;
@@ -178,14 +179,17 @@ def cmd_bound(config: ExperimentConfig, out_dir: Optional[str]) -> int:
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
-    cells = {}
+    cells, controllers = {}, {}  # controllers by cell.controller_key
     for cell in run_plan(config, config.trials):
         name = f"{_slug(cell.model_name)}__{_slug(cell.label)}__t{cell.trial}.csv"
         entry = next(i for i, spec in enumerate(config.controllers) if spec is cell.spec)
         where = f"model {cell.model_name!r} / controllers[{entry}] t{cell.trial}"
         if name in cells:
             raise ConfigError(f"simulate: {cells[name][1]} and {where} would both write {name}")
-        cells[name] = cell, where, resolve_controller(cell.spec, cell.model, cell.controller_seed)
+        key = cell.controller_key
+        if key not in controllers:
+            controllers[key] = resolve_controller(cell.spec, cell.model, cell.controller_seed)
+        cells[name] = cell, where, controllers[key]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, (cell, _, controller) in cells.items():
@@ -199,15 +203,16 @@ def _audited(config: ExperimentConfig, plans):
     """Resolve and audit each distinct controller of the plans with ``plans`` trials.
 
     Probes come from the same cell of the salted plan.  A controller is one
-    (model, spec entry, ``cell.used_seed``).  Yields (trials, cell, audited,
-    error): audited is (controller, open report, closed report), or None
-    with the ValueError of a controller its model refuses.
+    ``cell.controller_key``: (model, spec entry, ``cell.used_seed``).  Yields
+    (trials, cell, audited, error): audited is (controller, open report,
+    closed report), or None with the ValueError of a controller its model
+    refuses.
     """
     seen = set()
     for trials in plans:
         salted = run_plan(config, trials, config.master_seed ^ _AUDIT_SALT)
         for cell, audit_cell in zip(run_plan(config, trials), salted):
-            key = (cell.model_name, id(cell.spec), cell.used_seed)
+            key = cell.controller_key
             if key in seen:
                 continue
             seen.add(key)

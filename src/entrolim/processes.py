@@ -549,22 +549,32 @@ class VectorGaussAR(DisturbanceModel):
         return out
 
     def effective_memory(self):
-        radius = np.max(np.abs(np.linalg.eigvals(self.transition_matrix)))
-        if radius <= 0.0:
-            return 0
-        return max(1, math.ceil(-1.0 / math.log(radius)))
+        return _vector_memory(self)
 
 
+@lru_cache(maxsize=128)
 def _ar_memory(ar: tuple[float, ...], ma_order: int) -> int:
+    """A scalar ARMA model's memory: its orders, or the steps its slowest AR
+    root takes to decay by a factor e if longer.  A polynomial left with no
+    roots (every AR coefficient zero) decays in 1 step."""
     if not ar:
         return ma_order
     roots = npoly.polyroots(_ar_poly(ar))
-    radius = float(np.max(1.0 / np.abs(roots)))
+    radius = float(np.max(1.0 / np.abs(roots), initial=0.0))
     decay = max(1, math.ceil(-1.0 / math.log(radius))) if radius > 0 else 1
     return max(len(ar), ma_order, decay)
 
 
 # cached heavy pieces, keyed by the frozen (hashable) model dataclasses
+
+
+@lru_cache(maxsize=64)
+def _vector_memory(model: VectorGaussAR) -> int:
+    """Steps the transition's spectral radius takes to decay by a factor e; 0 if nilpotent."""
+    radius = np.max(np.abs(np.linalg.eigvals(model.transition_matrix)))
+    if radius <= 0.0:
+        return 0
+    return max(1, math.ceil(-1.0 / math.log(radius)))
 
 
 def prediction_variances(model: DisturbanceModel, k: int) -> np.ndarray:

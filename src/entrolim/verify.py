@@ -29,7 +29,12 @@ cells (k fixed) measure across independent trials at exactly index k.
 ``run_plan`` alone decides which controller of a ``config.ExperimentConfig``
 runs on which seed, and ``run_cells`` scores its cells in plan order, each
 failure isolated, in worker processes (forked, on Linux only) once a plan's
-work reaches ``_FORK_MIN_STEPS``.
+work reaches ``_FORK_MIN_STEPS``.  It resolves each controller once per
+distinct ``PlanCell.controller_key`` (model, spec entry, the seed the
+controller reads), the key ``entrolim audit`` audits each controller by.
+A cell's seed-independent parts are computed once: its asymptotic floor
+per (model, p) in ``_asymptotic_floor``, and its burn-in from the model's
+cached effective memory.
 ``sweep`` runs the plan with the config's trials, one trace per cell, and
 writes deterministic CSV/JSON (reruns differ only in runtime_ms);
 ``entrolim verify`` runs the one-trial plan and pools ``trials`` traces per
@@ -48,6 +53,7 @@ import sys
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -244,12 +250,10 @@ def _floor(
     which is estimated on a path drawn on ``seed`` where a scalar model has
     no analytic one (up to memory 3).
     """
-    if model.dim > 1:
-        if k is None:
-            return _bounds.mimo_det_bound_asymptotic(model), "analytic"
-        return _bounds.mimo_det_bound_at_step(model, k), "analytic"
     if k is None:
-        return _bounds.lp_bound_asymptotic(model, p), "analytic"
+        return _asymptotic_floor(model, p), "analytic"
+    if model.dim > 1:
+        return _bounds.mimo_det_bound_at_step(model, k), "analytic"
     try:
         return _bounds.lp_bound_at_step(model, p, k), "analytic"
     except NotAnalyticError:
@@ -265,6 +269,15 @@ def _floor(
     else:
         est = _estimators.conditional_entropy_estimate(series, memory=k, seed=seed)
     return _bounds.BoundReport("at_step", float(p), int(k), est.value_bits), "estimated"
+
+
+@lru_cache(maxsize=256)
+def _asymptotic_floor(model: DisturbanceModel, p: float) -> _bounds.BoundReport:
+    """``_floor`` at k None, computed once per (model, p): the determinant
+    floor of a vector model, else the L_p floor from the entropy rate."""
+    if model.dim > 1:
+        return _bounds.mimo_det_bound_asymptotic(model)
+    return _bounds.lp_bound_asymptotic(model, p)
 
 
 def _score_cell(
@@ -440,6 +453,12 @@ class PlanCell:
         """The seed its controller is built from; None for the kinds that ignore it."""
         return _controller_settings(self.spec, self.controller_seed).get("seed")
 
+    @property
+    def controller_key(self) -> tuple:
+        """(model name, spec entry, ``used_seed``): the cells of a plan that share
+        it resolve one controller, so a seed-free one is built once per model."""
+        return (self.model_name, id(self.spec), self.used_seed)
+
 
 def run_plan(
     config: ExperimentConfig, trials: int, master_seed: Optional[int] = None
@@ -556,9 +575,10 @@ def run_cells(
     """Score the cells of a run plan; yield (cell, scored, error) in plan order.
 
     Each cell runs ``_score_cell`` on its trace seed with ``trials=pooled``
-    and the controller it resolves, or ``controllers[i]`` when given.  An
-    exception comes back as ``error``, with ``scored`` empty, and never
-    stops the other cells.  ``threads`` > 1 scores the cells in up to that
+    and ``controllers[i]`` when given, else the controller of its
+    ``controller_key``, resolved at the first cell with that key (a forked
+    worker keeps its own).  An exception comes back as ``error``, with
+    ``scored`` empty, and never stops the other cells.  ``threads`` > 1 scores the cells in up to that
     many worker processes, at most one per CPU, forked on Linux, which
     inherit the plan and the warm caches and get only cell indices.  A plan
     below the fork crossover (``_FORK_MIN_STEPS``), or any plan on another
@@ -572,11 +592,16 @@ def run_cells(
     that runs entrolim.
     """
 
+    resolved = {}  # controller_key -> controller
+
     def score(index: int):
         cell = cells[index]
         try:
             if controllers is None:
-                controller = resolve_controller(cell.spec, cell.model, cell.controller_seed)
+                key = cell.controller_key
+                if key not in resolved:
+                    resolved[key] = resolve_controller(cell.spec, cell.model, cell.controller_seed)
+                controller = resolved[key]
             else:
                 controller = controllers[index]
             return _score_cell(

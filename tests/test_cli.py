@@ -823,6 +823,28 @@ def test_a_vector_cell_whose_floor_underflows_is_an_error_cell(tmp_path, capsys)
     assert all("out of the float64 range" in error["message"] for error in summary["errors"])
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "gauss_arma", "ar": [0.0]},
+        {"kind": "gauss_arma", "ar": [0.0], "ma": [0.4]},
+        {"kind": "gengauss_ar", "ar": [0.0], "innovation": {"family": "gg", "p": 1, "mu": 1.0}},
+    ],
+    ids=["ar0", "ar0-ma1", "gg-ar0"],
+)
+def test_sweep_and_verify_score_a_model_whose_ar_coefficients_are_all_zero(model, tmp_path, capsys):
+    # its AR polynomial trims to degree 0 and has no roots: memory
+    # max(len(ar), ma order, 1), where the maximum over no roots raised
+    raw = {"models": [model], "controllers": [{"kind": "zero"}, {"kind": "predictor"}], "horizon": 3_000}
+    path = _write_config(tmp_path, raw)
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == cli.EXIT_OK
+    assert len(_rows_without_runtime(tmp_path / "s" / "report.csv")) == 2
+    assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == cli.EXIT_OK
+    assert len(_rows_without_runtime(tmp_path / "v" / "verify.csv")) == 2
+    assert capsys.readouterr().err == ""
+    assert el.default_burn_in(cli.config_from_dict(raw).models[0]) == 1000
+
+
 def test_verify_reports_violation_exit(monkeypatch, tmp_path, capsys):
     # no honest cell can violate a true bound, so wire a fake report through
     path = _write_config(

@@ -32,7 +32,7 @@ from entrolim import (
     prediction_variances,
     predictor_controller,
 )
-from entrolim import processes
+from entrolim import bounds, processes, verify
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -691,3 +691,85 @@ def test_effective_memory_ordering():
     fast = GaussARMA(ar=(0.2,))
     assert slow.effective_memory() > fast.effective_memory()
     assert IID(GeneralizedGaussian.gaussian(1.0)).effective_memory() == 0
+
+
+def _direct_memory(model):
+    """A model's effective memory from its companion matrix's eigenvalues,
+    which are the reciprocals of the AR polynomial's roots."""
+    if isinstance(model, VectorGaussAR):
+        matrix, floor = model.transition_matrix, 0
+    else:
+        p = len(model.ar)
+        if not p:
+            return len(model.ma)
+        matrix, floor = np.eye(p, k=-1), max(p, len(model.ma))
+        matrix[0] = model.ar
+    radius = float(np.max(np.abs(np.linalg.eigvals(matrix))))
+    if radius <= 0.0:
+        return 0 if isinstance(model, VectorGaussAR) else max(floor, 1)
+    return max(floor, 1, math.ceil(-1.0 / math.log(radius)))
+
+
+def _random_constant_models(count, seed):
+    """Stable ARMA, GG-AR and vector models, zero AR coefficients among them."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for i in range(count):
+        kind = i % 3
+        if kind == 2:
+            m = int(rng.integers(1, 4))
+            a = rng.normal(size=(m, m))
+            a *= rng.uniform(0.05, 0.97) / np.max(np.abs(np.linalg.eigvals(a)))
+            b = rng.normal(size=(m, m))
+            models.append(VectorGaussAR(transition=a, innovation_covariance=b @ b.T + 0.1 * np.eye(m)))
+            continue
+        p = int(rng.integers(0 if kind == 0 else 1, 4))
+        ar = _poly_with_roots_inside(rng, p, rng.uniform(0.05, 0.97))
+        if rng.random() < 0.1:
+            ar = np.zeros(max(p, 1))
+        ar = tuple(-ar)
+        if kind == 0:
+            ma = tuple(_poly_with_roots_inside(rng, int(rng.integers(0, 3)), rng.uniform(0.05, 0.9)))
+            models.append(GaussARMA(ar=ar, ma=ma, innovation_variance=rng.uniform(0.5, 2.0)))
+        else:
+            power = float(rng.choice([1.0, 1.5, 2.0, 4.0, math.inf]))
+            models.append(GenGaussAR(ar=ar, innovation=GeneralizedGaussian(power, rng.uniform(0.5, 2.0))))
+    return models
+
+
+def test_cached_model_constants_are_the_direct_computation():
+    models = _random_constant_models(200, 17)
+    zero_ar = [getattr(model, "ar", None) for model in models].count
+    assert zero_ar((0.0,)) + zero_ar((0.0, 0.0)) + zero_ar((0.0, 0.0, 0.0)) > 0
+    # twice over, on equal models built afresh: the cached values serve them too
+    for model in [*models, *_random_constant_models(200, 17)]:
+        memory = _direct_memory(model)
+        assert model.effective_memory() == memory, model
+        assert verify.default_burn_in(model) == max(10 * memory, 1000)
+        if model.dim > 1:
+            assert verify._floor(model, 2.0, None, 100, 0) == (
+                bounds.mimo_det_bound_asymptotic(model), "analytic"
+            )
+            continue
+        for p in (1.0, 2.0, 4.0, math.inf):
+            assert verify._floor(model, p, None, 100, 0) == (
+                bounds.lp_bound_asymptotic(model, p), "analytic"
+            )
+
+
+def test_ar_roots_are_found_once_per_model(monkeypatch):
+    roots = processes.npoly.polyroots
+    calls = []
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return roots(coeffs)
+
+    # coefficients no other test uses, so their memory is not cached yet
+    gg = GenGaussAR(ar=(0.6171, -0.2093), innovation=GeneralizedGaussian.laplace(1.0))
+    arma = GaussARMA(ar=(0.3317, 0.1213, -0.0511), ma=(0.4,))
+    monkeypatch.setattr(processes.npoly, "polyroots", counted)
+    for seed in range(3):
+        gg.sample_path(50, seed)
+        assert verify.default_burn_in(gg) == verify.default_burn_in(arma) == 1000
+    assert len(calls) == 2

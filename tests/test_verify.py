@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -594,6 +595,46 @@ def test_run_cells_yields_errors_in_plan_order_at_any_thread_count(monkeypatch):
         threaded = outcomes(threads)
         assert [type(error) for _, _, error in threaded] == [type(error) for error in errors]
         assert without_runtime(threaded) == without_runtime(serial)
+
+
+def test_run_cells_resolves_each_controller_once_per_distinct_key(tmp_path, monkeypatch):
+    # per model: zero, predictor and the pinned random are one controller over
+    # the 3 trials, the unpinned learned and random one per trial: 9 keys
+    config = _config(
+        [AR1, el.IID(el.GeneralizedGaussian.uniform(1.0))], ["ar1", "unif"],
+        [
+            {"kind": "zero"}, {"kind": "predictor"}, {"kind": "random", "seed": 11},
+            {"kind": "learned", "train_steps": 500}, {"kind": "random"},
+        ],
+        [1.0, 2.0], horizon=1_500, trials=3,
+    )
+    plan = verify_module.run_plan(config, config.trials)
+    keys = [(cell.model_name, id(cell.spec), cell.used_seed) for cell in plan]
+    assert (len(keys), len(set(keys))) == (30, 18)
+    calls = []
+    real_resolve = verify_module.resolve_controller
+
+    def counted(spec, model, seed):
+        calls.append((spec["kind"], seed))
+        return real_resolve(spec, model, seed)
+
+    monkeypatch.setattr(verify_module, "resolve_controller", counted)
+    once = el.sweep(config, tightness=False, out_dir=tmp_path / "once")
+    assert Counter(kind for kind, _ in calls) == {"zero": 2, "predictor": 2, "random": 8, "learned": 6}
+    assert once.errors == () and len(once.rows) == 60
+    assert keys == [cell.controller_key for cell in plan]
+
+    # the reference resolves every cell: a key of its own per cell
+    monkeypatch.setattr(verify_module.PlanCell, "controller_key", property(id))
+    calls.clear()
+    per_cell = el.sweep(config, tightness=False, out_dir=tmp_path / "per_cell")
+    assert len(calls) == 30
+    monkeypatch.undo()
+    monkeypatch.setattr(verify_module, "_FORK_MIN_STEPS", 0)  # forked where the platform allows
+    forked = el.sweep(config, threads=2, tightness=False, out_dir=tmp_path / "forked")
+    want = _strip_runtime(per_cell.csv_path)
+    assert _strip_runtime(once.csv_path) == want
+    assert _strip_runtime(forked.csv_path) == want
 
 
 def test_run_cells_names_a_cell_error_that_cannot_be_pickled(monkeypatch):
