@@ -15,13 +15,12 @@ variable, else 1); the workers are forked on Linux for a plan above
 ``verify.run_cells``' fork crossover, and otherwise the cells run serially.
 
 ``verify.run_plan`` decides which controller runs on which seed: ``simulate``
-and ``sweep`` run it with the config's trials, ``verify`` with one.  Each
-resolves a controller once per distinct ``PlanCell.controller_key``.  ``audit``
+and ``sweep`` run it with the config's trials, ``verify`` with one.  ``audit``
 audits every distinct controller of both plans, and prints an error line for
 one its model refuses; ``sweep`` does not audit.
 ``sweep`` and ``verify`` score the plan's cells through ``verify.run_cells``;
-``verify`` hands it the controllers its audit resolved, pools ``trials``
-traces per cell and stops at the first cell that raises.
+``verify`` scores the plan it audited, pools ``trials`` traces per cell and
+stops at the first cell that raises.
 
 Exit codes:
     0   success
@@ -62,7 +61,6 @@ from .verify import (
     CellRow,
     NonFiniteLoopError,
     _format_value,
-    resolve_controller,
     run_cells,
     run_plan,
     sweep,
@@ -179,17 +177,14 @@ def cmd_bound(config: ExperimentConfig, out_dir: Optional[str]) -> int:
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
-    cells, controllers = {}, {}  # controllers by cell.controller_key
+    cells = {}
     for cell in run_plan(config, config.trials):
         name = f"{_slug(cell.model_name)}__{_slug(cell.label)}__t{cell.trial}.csv"
         entry = next(i for i, spec in enumerate(config.controllers) if spec is cell.spec)
         where = f"model {cell.model_name!r} / controllers[{entry}] t{cell.trial}"
         if name in cells:
             raise ConfigError(f"simulate: {cells[name][1]} and {where} would both write {name}")
-        key = cell.controller_key
-        if key not in controllers:
-            controllers[key] = resolve_controller(cell.spec, cell.model, cell.controller_seed)
-        cells[name] = cell, where, controllers[key]
+        cells[name] = cell, where, cell.controller()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, (cell, _, controller) in cells.items():
@@ -199,32 +194,30 @@ def cmd_simulate(config: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _audited(config: ExperimentConfig, plans):
-    """Resolve and audit each distinct controller of the plans with ``plans`` trials.
+def _audited(config: ExperimentConfig, plans: dict):
+    """Audit each distinct controller of ``plans``, {trials: ``run_plan(config, trials)``}.
 
     Probes come from the same cell of the salted plan.  A controller is one
     ``cell.controller_key``: (model, spec entry, ``cell.used_seed``).  Yields
-    (trials, cell, audited, error): audited is (controller, open report,
-    closed report), or None with the ValueError of a controller its model
-    refuses.
+    (trials, cell, reports, error): reports is (open report, closed report),
+    or None with the ValueError of a controller its model refuses.
     """
     seen = set()
-    for trials in plans:
+    for trials, plan in plans.items():
         salted = run_plan(config, trials, config.master_seed ^ _AUDIT_SALT)
-        for cell, audit_cell in zip(run_plan(config, trials), salted):
-            key = cell.controller_key
-            if key in seen:
+        for cell, audit_cell in zip(plan, salted):
+            if cell.controller_key in seen:
                 continue
-            seen.add(key)
+            seen.add(cell.controller_key)
             try:
-                controller = resolve_controller(cell.spec, cell.model, cell.controller_seed)
+                controller = cell.controller()
             except ValueError as exc:
                 yield trials, cell, None, exc
                 continue
             probe = audit_cell.controller_seed
             open_rep = causality_audit(controller, seed=probe)
             closed_rep = closed_loop_causality_check(cell.model, controller, seed=probe)
-            yield trials, cell, (controller, open_rep, closed_rep), None
+            yield trials, cell, (open_rep, closed_rep), None
 
 
 def cmd_audit(config: ExperimentConfig) -> int:
@@ -233,15 +226,15 @@ def cmd_audit(config: ExperimentConfig) -> int:
     # controller its model refuses prints an error line, and the rest are
     # still audited
     failed = refused = False
-    plans = sorted({1, config.trials})
-    for trials, cell, audited, error in _audited(config, plans):
+    plans = {trials: run_plan(config, trials) for trials in sorted({1, config.trials})}
+    for trials, cell, reports, error in _audited(config, plans):
         trial = f" t{cell.trial}" if trials > 1 else ""
         name = f"{cell.model_name} / {cell.label}{trial}"
         if error is not None:
             refused = True
             print(f"{'error':6s} {name}: {error}")
             continue
-        _, open_rep, closed_rep = audited
+        open_rep, closed_rep = reports
         ok = open_rep.passed and closed_rep.passed
         failed = failed or not ok
         detail = ""
@@ -258,24 +251,21 @@ def cmd_audit(config: ExperimentConfig) -> int:
 
 
 def cmd_verify(config: ExperimentConfig, out_dir: Optional[str]) -> int:
-    # controllers must prove causality before any bound is scored; each is
-    # resolved once, so the object audited is the one scored
-    pairs = []
+    # controllers must prove causality before any bound is scored; the cells
+    # audited are the cells scored, so the object audited is the one scored
+    cells = run_plan(config, 1)
     audit_failed = False
-    for _, cell, audited, error in _audited(config, [1]):
+    for _, cell, reports, error in _audited(config, {1: cells}):
         if error is not None:
             raise error
-        controller, open_rep, closed_rep = audited
-        pairs.append((cell, controller))
-        if not (open_rep.passed and closed_rep.passed):
+        if not all(report.passed for report in reports):
             audit_failed = True
             print(f"causality FAILED: {cell.model_name} / {cell.label}", file=sys.stderr)
     if audit_failed:
         return EXIT_CAUSALITY
 
-    cells, controllers = zip(*pairs)
     rows: list[CellRow] = []
-    outcomes = run_cells(cells, config, pooled=config.trials, controllers=controllers)
+    outcomes = run_cells(cells, config, pooled=config.trials)
     for cell, scored, error in outcomes:
         if error is not None:
             raise error

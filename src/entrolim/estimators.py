@@ -78,7 +78,10 @@ _KNN_NEIGHBOURS = 4
 
 #: Threads of each kd-tree query: one per core, except inside the forked
 #: sweep workers of ``verify.run_cells``, which set it to 1 so that the
-#: workers do not oversubscribe the cores they already share.
+#: workers do not oversubscribe the cores they already share.  One query
+#: runs no faster at -1 than at 1, but a serial sweep does: at 1,
+#: ``sweep_certify``'s t1 fell from 24.96 to 21.26 rows/cal (6 of 6 pairs
+#: on a 2-vCPU host), so keep -1.
 _KDTREE_WORKERS = -1
 
 
@@ -601,8 +604,26 @@ def covariance_det_estimate(samples: np.ndarray) -> DetEstimate:
         raise ValueError("second-moment matrix out of the float64 range")
     moment = gram / n
     det = float(np.linalg.det(moment))
-    if not 2.0**-1022 <= abs(det) < math.inf and np.linalg.slogdet(moment)[0]:
-        # a matrix that is not exactly singular: its determinant under- or overflowed
+    # outside 2^-500..2^500 the jackknife's squared deviations of the determinant
+    # leave the normal floats: rescale the sample exactly, to a largest |x| in
+    # [0.5, 1), and the determinant and its SE back by 2^(2 m shift).  A matrix
+    # that is exactly singular stays as it is
+    outside = not 2.0**-500 <= abs(det) <= 2.0**500 and np.linalg.slogdet(moment)[0]
+    shift = math.frexp(float(np.abs(pts).max()))[1] if outside else 0
+    if shift:
+        scaled = covariance_det_estimate(np.ldexp(pts, -shift))
+        try:
+            det, se = (math.ldexp(v, 2 * m * shift) for v in (scaled.value, scaled.std_error))
+        except OverflowError:
+            det = se = math.inf
+        if not (2.0**-1022 <= abs(det) < math.inf and 2.0**-1022 <= se < math.inf):
+            raise ValueError(
+                f"second-moment determinant {det!r} with standard error {se!r} "
+                "is out of the float64 range"
+            )
+        return DetEstimate(value=det, std_error=se, singular=scaled.singular)
+    if outside and not 2.0**-1022 <= abs(det) < math.inf:
+        # the determinant under- or overflowed even at a largest |x| in [0.5, 1)
         raise ValueError(f"second-moment determinant {det!r} is out of the float64 range")
     se = _jackknife_se(n, lambda f: np.linalg.det((gram - pts[f].T @ pts[f]) / (n - f.size)))
     eigenvalues = np.linalg.eigvalsh(moment)

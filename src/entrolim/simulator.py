@@ -71,7 +71,9 @@ one ``run`` per input.
 
 ``compose_loop`` builds such a policy from two sequence-level stages (a
 plant and a controller in either order); at least one stage must be
-strictly causal or the composition is rejected.
+strictly causal or the composition is rejected.  Its open-loop kernel
+applies the stages once to the whole sequence; its closed loop runs the
+step recursion.
 """
 
 from __future__ import annotations
@@ -594,8 +596,9 @@ class CausalStage:
 
     ``apply`` must map a length-n input to a length-n output where output k
     depends on inputs 0..k (causal) or 0..k-1 (strictly causal).  The flag
-    is trusted for composition bookkeeping; the audit exists to catch
-    stages that lie about it.
+    is trusted for composition bookkeeping; the open-loop audit catches a
+    stage that lies about it, since ``compose_loop``'s open loop applies the
+    stages to the whole sequence and its step only to a padded history.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -631,7 +634,10 @@ def compose_loop(
     order="KP" wires z = K(P(e)) (sensing path through the plant first);
     order="PK" wires z = P(K(e)).  At least one stage must be strictly
     causal, otherwise the overall map could react to the current error and
-    the composition is rejected.
+    the composition is rejected.  The step applies the pipeline to the
+    history padded with 0.0; the open-loop kernel applies it once to the
+    whole sequence, which an honest pipeline makes bit-equal, and the closed
+    loop runs the step recursion.
     """
     if order not in ("KP", "PK"):
         raise ValueError(f"order must be 'KP' or 'PK', got {order!r}")
@@ -647,11 +653,18 @@ def compose_loop(
         out = second.apply(first.apply(padded))
         return float(out[-1])
 
-    return ControllerPolicy(
+    def kernel(x, closed):
+        if closed:
+            return policy.step_recursion(x, closed)
+        return np.asarray(second.apply(first.apply(x)), dtype=float), x
+
+    policy = ControllerPolicy(
         step=step,
         initial_output=step(np.zeros(0), np.zeros(0)),
         descriptor=f"compose[{order}: {plant.descriptor}, {controller.descriptor}]",
+        kernel=kernel,
     )
+    return policy
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,12 @@ cells (k fixed) measure across independent trials at exactly index k.
 
 ``verify_bound`` and ``verify_mimo_bound`` score one cell directly.
 ``run_plan`` alone decides which controller of a ``config.ExperimentConfig``
-runs on which seed, and ``run_cells`` scores its cells in plan order, each
-failure isolated, in worker processes (forked, on Linux only) once a plan's
-work reaches ``_FORK_MIN_STEPS``.  It resolves each controller once per
-distinct ``PlanCell.controller_key`` (model, spec entry, the seed the
-controller reads), the key ``entrolim audit`` audits each controller by.
-A cell's seed-independent parts are computed once: its asymptotic floor
-per (model, p) in ``_asymptotic_floor``, and its burn-in from the model's
-cached effective memory.
+runs on which seed, and ``PlanCell.controller()`` alone resolves it.
+``run_cells`` scores a plan's cells in plan order, each failure isolated, in
+worker processes (forked, on Linux only) once a plan's work reaches
+``_FORK_MIN_STEPS``.  A cell's seed-independent parts are computed once:
+its asymptotic floor per (model, p) in ``_asymptotic_floor``, and its
+burn-in from the model's cached effective memory.
 ``sweep`` runs the plan with the config's trials, one trace per cell, and
 writes deterministic CSV/JSON (reruns differ only in runtime_ms);
 ``entrolim verify`` runs the one-trial plan and pools ``trials`` traces per
@@ -52,7 +50,7 @@ import pickle
 import sys
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -435,7 +433,8 @@ def verify_mimo_bound(
 
 @dataclass(frozen=True)
 class PlanCell:
-    """One (model, controller, trial) run of a config; the controller is unresolved."""
+    """One (model, controller, trial) run of a config; the cells of one
+    ``run_plan`` call share one controller memo, which ``controller()`` fills."""
 
     model_name: str
     model: DisturbanceModel
@@ -443,6 +442,7 @@ class PlanCell:
     trial: int
     trace_seed: int
     controller_seed: int
+    _controllers: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def label(self) -> str:
@@ -459,6 +459,15 @@ class PlanCell:
         it resolve one controller, so a seed-free one is built once per model."""
         return (self.model_name, id(self.spec), self.used_seed)
 
+    def controller(self) -> ControllerPolicy:
+        """The plan's controller for ``controller_key``, resolved at the first cell
+        that asks (a forked worker fills its own copy of the memo).  A spec its
+        model refuses is not memoized: it raises ValueError on every call."""
+        key = self.controller_key
+        if key not in self._controllers:
+            self._controllers[key] = resolve_controller(self.spec, self.model, self.controller_seed)
+        return self._controllers[key]
+
 
 def run_plan(
     config: ExperimentConfig, trials: int, master_seed: Optional[int] = None
@@ -467,13 +476,15 @@ def run_plan(
 
     Cell i of n runs on trace seed ``spawn_seeds(master, 2 n)[2 i]`` and
     resolves its controller on ``[2 i + 1]``; ``master`` defaults to the
-    config's master seed.
+    config's master seed.  The cells share one controller memo, so each call
+    resolves its own controllers.
     """
     master = config.master_seed if master_seed is None else master_seed
     n_cells = len(config.models) * len(config.controllers) * trials
     seeds = iter(spawn_seeds(master, 2 * n_cells))
+    controllers = {}
     return [
-        PlanCell(name, model, spec, trial, next(seeds), next(seeds))
+        PlanCell(name, model, spec, trial, next(seeds), next(seeds), controllers)
         for name, model in zip(config.model_names, config.models)
         for spec in config.controllers
         for trial in range(trials)
@@ -569,15 +580,11 @@ def _weighted_steps(cells, config: ExperimentConfig, pooled, tightness: bool) ->
     return steps * (_KNN_WEIGHT if knn else _CERTIFICATE_WEIGHT)
 
 
-def run_cells(
-    cells, config: ExperimentConfig, *, pooled=None, controllers=None, tightness=True, threads=1
-):
+def run_cells(cells, config: ExperimentConfig, *, pooled=None, tightness=True, threads=1):
     """Score the cells of a run plan; yield (cell, scored, error) in plan order.
 
     Each cell runs ``_score_cell`` on its trace seed with ``trials=pooled``
-    and ``controllers[i]`` when given, else the controller of its
-    ``controller_key``, resolved at the first cell with that key (a forked
-    worker keeps its own).  An exception comes back as ``error``, with
+    and ``cell.controller()``.  An exception comes back as ``error``, with
     ``scored`` empty, and never stops the other cells.  ``threads`` > 1 scores the cells in up to that
     many worker processes, at most one per CPU, forked on Linux, which
     inherit the plan and the warm caches and get only cell indices.  A plan
@@ -592,20 +599,11 @@ def run_cells(
     that runs entrolim.
     """
 
-    resolved = {}  # controller_key -> controller
-
     def score(index: int):
         cell = cells[index]
         try:
-            if controllers is None:
-                key = cell.controller_key
-                if key not in resolved:
-                    resolved[key] = resolve_controller(cell.spec, cell.model, cell.controller_seed)
-                controller = resolved[key]
-            else:
-                controller = controllers[index]
             return _score_cell(
-                cell.model, controller, config.p_values, horizon=config.horizon,
+                cell.model, cell.controller(), config.p_values, horizon=config.horizon,
                 seed=cell.trace_seed, trials=pooled, tightness=tightness,
             ), None
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point

@@ -808,6 +808,32 @@ def test_verify_at_an_innovation_variance_near_1e_162_is_its_unit_twin(tmp_path,
     assert gaps == ["0.9984", "0.9984"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_det_scale_writes_the_unit_standard_error_scaled(monkeypatch, tmp_path, capsys):
+    # the README vec model with Q x 2^(2j): the determinant's jackknife SE was
+    # written as 1e-300 at j = -250 and -200 and as inf at 200 and 250, every
+    # run at gap 1.0507; now it is the unit run's times 2^(4j)
+    written = []
+    real_write = cli.write_rows_csv
+
+    def recording_write(rows, path):
+        written.append(rows[0].report)
+        real_write(rows, path)
+
+    monkeypatch.setattr(cli, "write_rows_csv", recording_write)
+    for j in (0, -250, -200, 200, 250):
+        q = [[math.ldexp(a, 2 * j) for a in row] for row in VEC_SPEC["innovation_covariance"]]
+        raw = {"models": [{**VEC_SPEC, "innovation_covariance": q}], "controllers": [{"kind": "predictor"}],
+               "horizon": 3_000, "trials": 2}
+        out = tmp_path / f"v{j}"
+        assert cli.main(["verify", "--config", _write_config(tmp_path, raw), "--out", str(out)]) == cli.EXIT_OK
+        assert "gap=1.0507" in capsys.readouterr().out
+        (row,) = _rows_without_runtime(out / "verify.csv")
+        # the CSV holds 12 significant digits
+        assert float(row["std_error"]) == pytest.approx(math.ldexp(written[0].std_error, 4 * j), rel=1e-11)
+        assert written[-1].std_error == pytest.approx(math.ldexp(written[0].std_error, 4 * j), rel=1e-12)
+
+
 def test_a_vector_cell_whose_floor_underflows_is_an_error_cell(tmp_path, capsys):
     # the README vec model at Q near 1e-162: its determinant floor and sample
     # determinant underflow to 0, which read "ok ... gap=nan" and wrote a bare NaN
@@ -874,7 +900,7 @@ def test_verify_audits_the_controller_it_scores(monkeypatch, tmp_path):
         },
     )
     resolved, audited, scored = [], [], []
-    real_resolve, real_audit = cli.resolve_controller, cli.causality_audit
+    real_resolve, real_audit = verify_module.resolve_controller, cli.causality_audit
     real_run_loops = verify_module.run_loops
 
     def counting_resolve(*args, **kwargs):
@@ -890,7 +916,7 @@ def test_verify_audits_the_controller_it_scores(monkeypatch, tmp_path):
         scored.append(controller)
         return real_run_loops(model, controller, length, seeds)
 
-    monkeypatch.setattr(cli, "resolve_controller", counting_resolve)
+    monkeypatch.setattr(verify_module, "resolve_controller", counting_resolve)
     monkeypatch.setattr(cli, "causality_audit", recording_audit)
     monkeypatch.setattr(verify_module, "run_loops", recording_run_loops)
     assert cli.main(["verify", "--config", path]) == cli.EXIT_OK
@@ -910,14 +936,14 @@ def test_audit_and_verify_resolve_controllers_on_the_same_seeds(monkeypatch, tmp
         },
     )
     seeds = {"audit": [], "verify": []}
-    real_resolve = cli.resolve_controller
+    real_resolve = verify_module.resolve_controller
     for command, record in seeds.items():
 
         def recording_resolve(spec, model, seed, record=record):
             record.append((spec["kind"], seed))
             return real_resolve(spec, model, seed)
 
-        monkeypatch.setattr(cli, "resolve_controller", recording_resolve)
+        monkeypatch.setattr(verify_module, "resolve_controller", recording_resolve)
         assert cli.main([command, "--config", path]) == cli.EXIT_OK
     assert len(seeds["audit"]) == 4
     assert seeds["audit"] == seeds["verify"]
@@ -929,14 +955,14 @@ def test_audit_covers_the_controllers_of_later_trials(monkeypatch, tmp_path, cap
     raw = {"models": [AR1_SPEC], "controllers": [{"kind": "random"}], "trials": 2}
     path = _write_config(tmp_path, raw)
     trial1_seed = el.spawn_seeds(0, 4)[3]
-    real_resolve = cli.resolve_controller
+    real_resolve = verify_module.resolve_controller
 
     def doctored_resolve(spec, model, seed):
         if seed == trial1_seed:
             return el.anticipatory_double()
         return real_resolve(spec, model, seed)
 
-    monkeypatch.setattr(cli, "resolve_controller", doctored_resolve)
+    monkeypatch.setattr(verify_module, "resolve_controller", doctored_resolve)
     assert cli.main(["audit", "--config", path]) == cli.EXIT_CAUSALITY
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
@@ -993,7 +1019,7 @@ def test_verify_numeric_fault_exit(monkeypatch, tmp_path, capsys):
     diverging = el.ControllerPolicy(
         step=lambda e, z: 10.0 * float(e[-1]), descriptor="diverging"
     )
-    monkeypatch.setattr(cli, "resolve_controller", lambda spec, model, seed: diverging)
+    monkeypatch.setattr(verify_module, "resolve_controller", lambda spec, model, seed: diverging)
     out_dir = tmp_path / "v"
     with np.errstate(all="ignore"):
         code = cli.main(["verify", "--config", path, "--out", str(out_dir)])

@@ -141,6 +141,25 @@ def test_determinant_out_of_the_float64_range_is_an_error_not_a_verdict():
     assert singular.value == 0.0 and singular.singular
 
 
+@pytest.mark.filterwarnings("error")
+def test_covariance_det_standard_error_is_scale_free():
+    # a determinant outside 2^-500..2^500 has jackknife squares outside the
+    # normal floats: on the README vec model's predictor trace (2,000 rows
+    # after burn-in) scaled by 2^j, SE / det read 1.4e-59 at j = -200, 21.8 at
+    # -250 and inf with an overflow warning at 200 and 250.  The sample is
+    # rescaled by a power of two, so SE / det is the unit trace's
+    vec = el.VectorGaussAR(
+        transition=((0.5, 0.1), (0.0, 0.3)), innovation_covariance=((1.0, 0.2), (0.2, 0.5))
+    )
+    x = el.run_loop(vec, el.predictor_controller(vec), 3_000, 5).e[1_000:]
+    unit = el.covariance_det_estimate(x)
+    for j in (-250, -200, -100, 100, 200, 250):
+        est = el.covariance_det_estimate(np.ldexp(x, j))
+        assert est.value == pytest.approx(math.ldexp(unit.value, 4 * j), rel=1e-12)
+        assert est.std_error / est.value == pytest.approx(unit.std_error / unit.value, rel=1e-12)
+        assert not est.singular
+
+
 # ---------------------------------------------------------------------------
 # spacing entropy
 

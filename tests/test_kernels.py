@@ -489,6 +489,42 @@ def test_fixed_point_past_its_pass_cap_finishes_step_by_step(monkeypatch, passes
                 assert np.array_equal(simulator._bits(got), simulator._bits(ref))
 
 
+def _stage(kind, value):
+    """A delay, gain or clip stage: the built-ins and a memoryless clip at +-|value|."""
+    if kind == "delay":
+        return el.delay_stage(value)
+    if kind == "gain":
+        return el.gain_stage(value)
+    cap = abs(value)
+    return el.CausalStage(
+        apply=lambda x: np.clip(np.asarray(x, dtype=float), -cap, cap), strictly_causal=False
+    )
+
+
+_STAGES = st.tuples(
+    st.sampled_from(["delay", "gain", "clip"]),
+    st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    first=_STAGES, second=_STAGES, order=st.sampled_from(["KP", "PK"]),
+    length=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+)
+def test_compose_open_kernel_is_the_step_recursion(first, second, order, length, seed):
+    # compose_loop's open loop applies the pipeline once to the whole sequence,
+    # its step to each padded history; for honest stages the two are the same
+    # bits, -0.0 included.  Its closed loop is the step recursion itself
+    plant, controller = _stage(*first), _stage(*second)
+    if not (plant.strictly_causal or controller.strictly_causal):
+        plant = el.delay_stage(first[1])
+    ctrl = el.compose_loop(plant, controller, order)
+    x = np.random.default_rng(seed).standard_normal(length)
+    x[:: max(1, length // 7)] = -0.0
+    _assert_kernel_is_the_recursion(ctrl, x)
+
+
 def _generic_random_kernel(taps, bias, cap, x, closed):
     """``random``'s kernel with one loop for every memory, as before memory 3 was
     written out."""

@@ -456,6 +456,27 @@ def test_audit_passes_honest_policies(ctrl):
     assert report.violations == ()
 
 
+def _lying_stage():
+    """Declared strictly causal, but output k is input k + 1."""
+
+    def apply(x):
+        x = np.asarray(x, dtype=float)
+        y = np.zeros_like(x)
+        y[:-1] = x[1:]
+        return y
+
+    return el.CausalStage(apply=apply, strictly_causal=True, descriptor="lie")
+
+
+def test_audit_catches_a_stage_that_lies_about_its_causality():
+    # the step only shows the stages a history padded with 0.0, where the lie
+    # reads z = 0; the open loop runs the whole sequence through them
+    policy = el.compose_loop(_lying_stage(), el.gain_stage(0.5), "KP")
+    for seed in range(1000):
+        report = el.causality_audit(policy, seed=seed)
+        assert not report.passed and report.violations[0] == (0, 0), seed
+
+
 def test_audit_fails_anticipatory_double_every_trial():
     report = el.causality_audit(el.anticipatory_double(), length=128, trials=25, seed=2)
     assert not report.passed

@@ -637,6 +637,36 @@ def test_run_cells_resolves_each_controller_once_per_distinct_key(tmp_path, monk
     assert _strip_runtime(forked.csv_path) == want
 
 
+def test_each_plan_resolves_its_own_controllers(monkeypatch):
+    # the memo lives for one run_plan call: a second plan of the same config
+    # resolves again, and a refused spec raises on every call, never memoized
+    config = _config(
+        [AR1, VEC], ["ar1", "vec"], [{"kind": "predictor"}, {"kind": "random", "seed": 3}],
+        [2.0], trials=2,
+    )
+    calls = []
+    real_resolve = verify_module.resolve_controller
+
+    def counted(spec, model, seed):
+        calls.append(spec["kind"])
+        return real_resolve(spec, model, seed)
+
+    monkeypatch.setattr(verify_module, "resolve_controller", counted)
+    first, second = (verify_module.run_plan(config, config.trials) for _ in range(2))
+    ar1_predictor, ar1_random, vec_predictor, vec_random = first[0:8:2]
+    assert first[1].controller() is ar1_predictor.controller()
+    assert ar1_random.controller() is first[3].controller()
+    assert vec_predictor.controller() is first[5].controller()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="scalar models only"):
+            vec_random.controller()
+    assert calls == ["predictor", "random", "predictor", "random", "random"]
+    calls.clear()
+    assert second[0].controller() is not ar1_predictor.controller()
+    assert calls == ["predictor"]
+    assert first[0] == second[0] and "_controllers" not in repr(first[0])
+
+
 def test_run_cells_names_a_cell_error_that_cannot_be_pickled(monkeypatch):
     monkeypatch.setattr(verify_module, "_FORK_MIN_STEPS", 0)
 
